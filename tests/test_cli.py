@@ -1,5 +1,12 @@
 import contextlib
 import io
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from adelic.cli import main
 from adelic.adeles import parse_adele
@@ -124,3 +131,29 @@ def test_deterministic_output():
         first = run_cli(*argv)
         second = run_cli(*argv)
         assert first == second
+
+
+GOLDEN = Path(__file__).parent / "golden" / "readme_cli.txt"
+
+
+def _golden_cases():
+    """(argv, expected stdout) for each "$ adelic ..." block of the golden file."""
+    cases = []
+    for line in GOLDEN.read_bytes().decode().splitlines(keepends=True):
+        if line.startswith("$ adelic "):
+            cases.append((shlex.split(line[len("$ adelic "):]), []))
+        else:
+            cases[-1][1].append(line)
+    return [(argv, "".join(out)) for argv, out in cases]
+
+
+@pytest.mark.parametrize("argv,expected", _golden_cases(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_readme_commands_match_golden_stdout(argv, expected):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "adelic.cli", *argv],
+                          capture_output=True, env=env)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == expected.encode()

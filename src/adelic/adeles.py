@@ -23,26 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import factorint
-
 from .errors import FieldMismatch
-from .localfields import (
-    INF,
-    LocalElement,
-    embed,
-    local_add,
-    local_mul,
-    local_neg,
-    uniformizer_element,
-    valuation_of_element,
-)
+from .localfields import INF, uniformizer_element, valuation_of_element
 from .numberfields import FieldElement, NumberField, RATIONALS, parse_element
 from .places import (
     ArchimedeanPlace,
     FinitePlace,
     archimedean_places,
-    excluded_primes,
     factor_prime,
+    supported_prime_divisors,
 )
 from .placesets import (
     empty_kset,
@@ -54,8 +43,6 @@ from .placesets import (
     parse_kset,
     parse_qset,
 )
-
-Component = FieldElement | LocalElement
 
 
 def everything_set(field: NumberField):
@@ -159,26 +146,18 @@ class TailPoly:
         return f"Tail({self.to_text() or '0'})"
 
 
-@lru_cache(maxsize=None)
-def _supported_divisors(field: NumberField, n: int) -> tuple[int, ...]:
-    return tuple(
-        p for p in sorted(factorint(abs(n)).keys())
-        if p not in excluded_primes(field)
-    )
-
-
 def _element_suspects(c: FieldElement) -> set[int]:
     field = c.field
     out: set[int] = set()
     den = c.denominator()
     if den != 1:
-        out.update(_supported_divisors(field, den))
+        out.update(supported_prime_divisors(field, den))
     num = c.scaled_integer_numerator()
     from . import polynomials as poly
 
     res = poly.resultant_int(field.coeffs, num)
     if abs(res) != 1:
-        out.update(_supported_divisors(field, res))
+        out.update(supported_prime_divisors(field, res))
     return out
 
 
@@ -188,16 +167,13 @@ class Adele:
 
     field: NumberField
     arch: tuple[FieldElement, ...]
-    exceptional: tuple[tuple[FinitePlace, Component], ...]
+    exceptional: tuple[tuple[FinitePlace, FieldElement], ...]
     overrides: tuple[tuple[object, TailPoly], ...]
     tail: TailPoly
 
     # -- component access --------------------------------------------------
 
-    def exceptional_map(self) -> dict[FinitePlace, Component]:
-        return dict(self.exceptional)
-
-    def component_at(self, w: FinitePlace) -> Component:
+    def component_at(self, w: FinitePlace) -> FieldElement:
         """The exact component at a finite place."""
         if w.field != self.field:
             raise FieldMismatch("place of a different field")
@@ -217,10 +193,7 @@ class Adele:
     def valuation_at(self, w: FinitePlace) -> int | float:
         """Exact valuation of the component at a finite place (INF at an
         exact zero)."""
-        value = self.component_at(w)
-        if isinstance(value, LocalElement):
-            return value.valuation
-        return valuation_of_element(value, w)
+        return valuation_of_element(self.component_at(w), w)
 
     # -- ring structure ----------------------------------------------------
 
@@ -230,20 +203,15 @@ class Adele:
 
     def add(self, other: "Adele") -> "Adele":
         self._check(other)
-        return _combine(self, other, lambda a, b: a + b, local_add,
-                        lambda s, t: s.add(t))
+        return _combine(self, other, lambda a, b: a + b, lambda s, t: s.add(t))
 
     def mul(self, other: "Adele") -> "Adele":
         self._check(other)
-        return _combine(self, other, lambda a, b: a * b, local_mul,
-                        lambda s, t: s.mul(t))
+        return _combine(self, other, lambda a, b: a * b, lambda s, t: s.mul(t))
 
     def neg(self) -> "Adele":
         arch = tuple(-x for x in self.arch)
-        exceptional = tuple(
-            (w, -v if isinstance(v, FieldElement) else local_neg(v))
-            for w, v in self.exceptional
-        )
+        exceptional = tuple((w, -v) for w, v in self.exceptional)
         overrides = tuple((r, t.neg()) for r, t in self.overrides)
         return Adele(self.field, arch, exceptional, overrides, self.tail.neg())
 
@@ -298,14 +266,13 @@ class Adele:
         return out
 
     def equals(self, other: "Adele") -> bool:
-        """Exact componentwise equality (finite-precision components agree
-        up to their shared certified digits)."""
+        """Exact componentwise equality."""
         self._check(other)
         if self.arch != other.arch:
             return False
         places = {w for w, _ in self.exceptional} | {w for w, _ in other.exceptional}
         for w in places:
-            if not _component_eq(self.component_at(w), other.component_at(w), w):
+            if self.component_at(w) != other.component_at(w):
                 return False
         for ra, ta in list(self.overrides) + [(None, self.tail)]:
             for rb, tb in list(other.overrides) + [(None, other.tail)]:
@@ -318,8 +285,7 @@ class Adele:
                     for w in region.finite_places():
                         if w in places:
                             continue
-                        if not _component_eq(self.component_at(w),
-                                             other.component_at(w), w):
+                        if self.component_at(w) != other.component_at(w):
                             return False
                 else:
                     # tails differing as polynomials differ at every region
@@ -331,7 +297,7 @@ class Adele:
     def to_text(self) -> str:
         arch = "|".join(x.to_text() for x in self.arch)
         exc = ";".join(
-            f"{w.p}:{w.index}={_component_text(v)}"
+            f"{w.p}:{w.index}={v.to_text()}"
             for w, v in sorted(self.exceptional, key=lambda t: (t[0].p, t[0].index))
         )
         ovr = "||".join(
@@ -353,14 +319,6 @@ def membership_set(alpha: Adele, predicate: str):
     return alpha.membership_set(predicate)
 
 
-def _component_eq(a: Component, b: Component, w: FinitePlace) -> bool:
-    if isinstance(a, FieldElement) and isinstance(b, FieldElement):
-        return a == b
-    pa = a if isinstance(a, LocalElement) else embed(a, w)
-    pb = b if isinstance(b, LocalElement) else embed(b, w)
-    return pa.agrees(pb)
-
-
 def _region_meet(a: "Adele", ra, b: "Adele", rb):
     """Intersection of two (possibly default) regions of two adeles."""
     if ra is None:
@@ -378,29 +336,13 @@ def _region_meet(a: "Adele", ra, b: "Adele", rb):
     return left.intersect(right)
 
 
-def _component_text(v: Component) -> str:
-    if isinstance(v, FieldElement):
-        return v.to_text()
-    if v.is_zero:
-        return "loc:zero"
-    return f"loc:{v.valuation}:{','.join(str(c) for c in v.unit)}:{v.precision}"
-
-
-def _combine(a: Adele, b: Adele, field_op, local_op, tail_op) -> Adele:
+def _combine(a: Adele, b: Adele, field_op, tail_op) -> Adele:
     arch = tuple(field_op(x, y) for x, y in zip(a.arch, b.arch))
     places = sorted(
         {w for w, _ in a.exceptional} | {w for w, _ in b.exceptional},
         key=lambda w: (w.p, w.index),
     )
-    exceptional = []
-    for w in places:
-        x, y = a.component_at(w), b.component_at(w)
-        if isinstance(x, FieldElement) and isinstance(y, FieldElement):
-            exceptional.append((w, field_op(x, y)))
-        else:
-            lx = x if isinstance(x, LocalElement) else embed(x, w)
-            ly = y if isinstance(y, LocalElement) else embed(y, w)
-            exceptional.append((w, local_op(lx, ly)))
+    exceptional = [(w, field_op(a.component_at(w), b.component_at(w))) for w in places]
     pieces_a = list(a.overrides) + [(None, a.tail)]
     pieces_b = list(b.overrides) + [(None, b.tail)]
     overrides = []
@@ -470,9 +412,9 @@ def vanishing_on(field: NumberField, region) -> Adele:
 
 def set_component(a: Adele, place, value) -> Adele:
     """Replace one component; the last write wins."""
+    if not isinstance(value, FieldElement):
+        raise ValueError("adele components are exact field elements")
     if isinstance(place, ArchimedeanPlace):
-        if not isinstance(value, FieldElement):
-            raise ValueError("archimedean components are exact field elements")
         arch = list(a.arch)
         arch[place.index] = value
         return Adele(a.field, tuple(arch), a.exceptional, a.overrides, a.tail)
@@ -520,8 +462,6 @@ def parse_adele(text: str) -> Adele:
         left, value = chunk.split("=", 1)
         p, idx = (int(t) for t in left.split(":"))
         w = factor_prime(field, p)[idx]
-        if value.startswith("loc:"):
-            raise ValueError("finite-precision components do not round-trip")
         exceptional.append((w, parse_element(field, value)))
     overrides = []
     ovr = block("ovr")

@@ -9,6 +9,7 @@ unsupported prime, a degenerate generator, an inconsistent neighborhood).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -57,6 +58,20 @@ class UsageError(Exception):
     pass
 
 
+def _spec(parse):
+    """Report a ValueError or IndexError raised while reading a spec as a
+    usage error; errors raised once the spec is read pass through."""
+
+    @functools.wraps(parse)
+    def wrapped(field, text):
+        try:
+            return parse(field, text)
+        except (ValueError, IndexError) as exc:
+            raise UsageError(f"bad spec {text!r}: {exc}") from exc
+
+    return wrapped
+
+
 def _parse_poly(text: str) -> NumberField:
     try:
         coeffs = tuple(int(c) for c in text.split(","))
@@ -70,13 +85,20 @@ def _parse_poly(text: str) -> NumberField:
         raise UsageError(str(exc)) from exc
 
 
+def _place(field: NumberField, prime: str, index: str):
+    fiber = factor_prime(field, int(prime))
+    if not 0 <= int(index) < len(fiber):
+        raise UsageError(f"no place with index {index} above {prime}")
+    return fiber[int(index)]
+
+
+@_spec
 def _parse_ultra(field: NumberField, text: str) -> Ultrafilter:
     parts = text.split(":")
     if parts[0] == "at":
         if len(parts) != 3:
             raise UsageError("principal ultrafilter spec is at:<prime>:<index>")
-        fiber = factor_prime(field, int(parts[1]))
-        return PrincipalUltrafilter(fiber[int(parts[2])])
+        return PrincipalUltrafilter(_place(field, parts[1], parts[2]))
     if parts[0] == "lift":
         if len(parts) < 3:
             raise UsageError("lift spec is lift:<position>:<base free spec>")
@@ -94,6 +116,7 @@ def _parse_ultra(field: NumberField, text: str) -> Ultrafilter:
     raise UsageError(f"unknown ultrafilter spec {text!r}")
 
 
+@_spec
 def _parse_adele(field: NumberField, text: str) -> Adele:
     head, _, rest = text.partition(":")
     if head == "zero":
@@ -103,10 +126,10 @@ def _parse_adele(field: NumberField, text: str) -> Adele:
     if head == "diag":
         coeffs = [Fraction(t) for t in rest.split(",")] if rest else []
         return diagonal(field.element(*coeffs))
-    if head == "uni" or text.startswith("uni^"):
-        power = 1 if head == "uni" and not rest else None
-        if text.startswith("uni^"):
-            power = int(text[4:])
+    if text == "uni" or text.startswith("uni^"):
+        power = int(text[4:]) if text != "uni" else 1
+        if power < 1:
+            raise UsageError("uniformizer powers start at uni^1")
         out = uniformizer_adele(field)
         result = out
         for _ in range(power - 1):
@@ -121,6 +144,7 @@ def _parse_adele(field: NumberField, text: str) -> Adele:
     raise UsageError(f"unknown adele spec {text!r}")
 
 
+@_spec
 def _parse_ideal(field: NumberField, text: str) -> PrimeIdeal:
     kind, _, rest = text.partition("@")
     if kind == "zero":
@@ -132,10 +156,7 @@ def _parse_ideal(field: NumberField, text: str) -> PrimeIdeal:
             return zero_at(places[index])
         if rest.startswith("p:"):
             _, p, idx = rest.split(":")
-            fiber = factor_prime(field, int(p))
-            if not 0 <= int(idx) < len(fiber):
-                raise UsageError(f"no place with index {idx} above {p}")
-            return zero_at(fiber[int(idx)])
+            return zero_at(_place(field, p, idx))
         raise UsageError("zero ideal spec is zero@p:<prime>:<index> or zero@inf:<index>")
     if kind in ("max", "min"):
         u = _parse_ultra(field, rest)
@@ -146,6 +167,12 @@ def _parse_ideal(field: NumberField, text: str) -> PrimeIdeal:
         beta = _parse_adele(field, beta_text)
         return between(u, beta)
     raise UsageError(f"unknown ideal spec {text!r}")
+
+
+@_spec
+def _parse_constraint(field: NumberField, text: str) -> Constraint:
+    p, idx, target, power = text.split(":")
+    return Constraint(_place(field, p, idx), field.element(Fraction(target)), int(power))
 
 
 def _place_text(w) -> str:
@@ -238,11 +265,7 @@ def cmd_fiber(args) -> int:
 def cmd_density(args) -> int:
     field = _parse_poly(args.field)
     u = _parse_ultra(field, args.ultra)
-    constraints = []
-    for text in args.constraint or []:
-        p, idx, target, power = text.split(":")
-        w = factor_prime(field, int(p))[int(idx)]
-        constraints.append(Constraint(w, field.element(Fraction(target)), int(power)))
+    constraints = [_parse_constraint(field, text) for text in args.constraint or []]
     witness = density_witness(u, constraints)
     print(f"ultrafilter={_ultra_text(u)}")
     print(f"witness={witness.to_text()}")
@@ -264,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="adelic",
         description="Query places, adeles, and the prime spectrum of adele rings.",
     )
-    parser.add_argument("--precision", type=int, default=None,
-                        help="p-adic digits carried by local readouts (default 32)")
     parser.add_argument("--prime-bound", type=int, default=None,
                         help="sampling bound for splitting-class atoms (default 10000)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -306,13 +327,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    overrides = {}
-    if args.precision is not None:
-        overrides["precision"] = args.precision
     if args.prime_bound is not None:
-        overrides["prime_bound"] = args.prime_bound
-    if overrides:
-        config.set_defaults(**overrides)
+        config.set_defaults(prime_bound=args.prime_bound)
     try:
         return args.run(args)
     except UsageError as exc:

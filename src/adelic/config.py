@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Settings:
-    """Numeric limits for local precision and prime sampling.
+    """Numeric limits for prime sampling and factoring.
 
-    precision: default number of p-adic digits carried by local elements.
     prime_bound: primes below this bound are sampled when deciding which
         splitting classes look infinite and when picking selector cells
         for free ultrafilters.
@@ -19,7 +18,6 @@ class Settings:
     factor_cap: largest prime the place machinery will factor.
     """
 
-    precision: int = 32
     prime_bound: int = 10_000
     atom_witness_threshold: int = 25
     factor_cap: int = 1_000_000

@@ -16,18 +16,17 @@ materialized as exceptional components with their exact rational values.
 
 from __future__ import annotations
 
-from sympy import factorint
-
 from .adeles import Adele, TailPoly, make_adele
 from .errors import FieldMismatch
-from .localfields import INF, embed
-from .numberfields import FieldElement, NumberField, RATIONALS
+from .localfields import INF
+from .numberfields import NumberField, RATIONALS
 from .places import (
     ArchimedeanPlace,
     Place,
     archimedean_places,
     excluded_primes,
     factor_prime,
+    supported_prime_divisors,
 )
 from .placesets import (
     finite_qset,
@@ -60,16 +59,6 @@ def restrict_place(w: Place) -> Place:
     return factor_prime(RATIONALS, w.p)[0]
 
 
-def _ramified_primes(field: NumberField) -> tuple[int, ...]:
-    """Supported primes where some place above may be ramified (divisors
-    of the polynomial discriminant)."""
-    disc = abs(field.discriminant)
-    return tuple(
-        p for p in sorted(factorint(disc).keys())
-        if p not in excluded_primes(field)
-    )
-
-
 def to_extension(alpha: Adele, field: NumberField) -> Adele:
     """The image of a rational adele in the adele ring of the extension.
 
@@ -86,17 +75,15 @@ def to_extension(alpha: Adele, field: NumberField) -> Adele:
         field.element(alpha.arch[0].as_rational())
         for _ in archimedean_places(field)
     )
-    absorbed = set(_ramified_primes(field))
+    # supported primes where some place above may be ramified
+    absorbed = set(supported_prime_divisors(field, field.discriminant))
     absorbed.update(w.p for w, _ in alpha.exceptional)
     exceptional = []
     for p in sorted(absorbed):
         if p in excluded_primes(field):
             continue
         below = factor_prime(RATIONALS, p)[0]
-        value = alpha.component_at(below)
-        if not isinstance(value, FieldElement):
-            raise ValueError("finite-precision components do not lift")
-        lifted = field.element(value.as_rational())
+        lifted = field.element(alpha.component_at(below).as_rational())
         for w in factor_prime(field, p):
             exceptional.append((w, lifted))
     drop = finite_qset(sorted(absorbed)).union(
@@ -180,22 +167,3 @@ def fiber_of_spec(ideal: PrimeIdeal, field: NumberField) -> list[PrimeIdeal]:
     lifted_beta = to_extension(ideal.beta, field)
     return [between(u, lifted_beta) for u in ups]
 
-
-def power_basis_spans_at(field: NumberField, p: int, digits: int = 16) -> bool:
-    """Smoke check that the generator's powers span the product of the
-    completions above a fully split prime: the matrix of their images is a
-    Vandermonde matrix of the distinct lifted roots, invertible mod p."""
-    fiber = factor_prime(field, p)
-    if any(w.e != 1 or w.f != 1 for w in fiber):
-        raise ValueError("the span check samples fully split primes only")
-    n = field.degree
-    roots = []
-    for w in fiber:
-        image = embed(field.generator(), w, digits)
-        root = image.unit_as_int() * w.p ** image.valuation if not image.is_zero else 0
-        roots.append(root)
-    det = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            det *= roots[j] - roots[i]
-    return det % p != 0

@@ -13,9 +13,7 @@ Both are images of field elements, so tail patterns evaluated at a place
 stay inside exact field arithmetic; only the final valuation/unit readout
 runs at finite precision.
 
-Elements carry an exact certified valuation, a unit part modulo p**N, and
-optionally the exact field element they came from (which makes total
-cancellation in sums decidable).
+Elements carry an exact certified valuation and a unit part modulo p**N.
 """
 
 from __future__ import annotations
@@ -24,13 +22,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import polynomials as poly
-from . import config
 from .errors import FieldMismatch, PrecisionLoss
 from .numberfields import FieldElement
 from .places import FinitePlace, factor_prime
 
 INF = float("inf")
 
+DEFAULT_DIGITS = 32
 _MAX_WORKING_DIGITS = 8192
 
 
@@ -131,14 +129,8 @@ class LocalContext:
     def one(self):
         return _reduce_mod((1,), self.G, self.pw)
 
-    def reduce(self, vec):
-        return _reduce_mod(vec, self.G, self.pw)
-
     def mul(self, a, b):
         return _reduce_mod(poly.mul(a, b), self.G, self.pw)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.pw for x, y in zip(a, b))
 
     def residue_is_unit(self, vec) -> bool:
         mod_p = poly.pnorm(vec, self.p)
@@ -157,9 +149,6 @@ class LocalContext:
             uzz = _reduce_mod(poly.mul(vec, zz), self.G, pw)
             z = tuple((2 * a - b) % pw for a, b in zip(_reduce_mod(z, self.G, pw), uzz))
         return _reduce_mod(z, self.G, p ** digits)
-
-    def invert_unit(self, vec, digits):
-        return self._invert(vec, min(digits, self.digits))
 
     def divide_by_uniformizer(self, vec, prec):
         """Divide an element of positive valuation by the uniformizer."""
@@ -240,15 +229,13 @@ class LocalElement:
 
     valuation is exact (INF for the exact zero); unit is the coefficient
     vector of the unit cofactor modulo p**precision, written in powers of
-    the lifted generator.  exact, when present, is the field element this
-    value came from.
+    the lifted generator.
     """
 
     place: FinitePlace
     valuation: int | float
     unit: tuple[int, ...] | None
     precision: int
-    exact: FieldElement | None = None
 
     @property
     def is_zero(self) -> bool:
@@ -285,11 +272,6 @@ class LocalElement:
         )
 
 
-def zero_local(place: FinitePlace) -> LocalElement:
-    zero = place.field.zero()
-    return LocalElement(place, INF, None, 0, zero)
-
-
 def uniformizer_element(place: FinitePlace) -> FieldElement:
     """A field element mapping to a uniformizer at the place.
 
@@ -303,7 +285,7 @@ def uniformizer_element(place: FinitePlace) -> FieldElement:
     return field.element(*place.factor)
 
 
-def embed(x: FieldElement, place: FinitePlace, digits: int | None = None) -> LocalElement:
+def embed(x: FieldElement, place: FinitePlace, digits: int = DEFAULT_DIGITS) -> LocalElement:
     """Image of a field element in the completion, to `digits` unit digits.
 
     The valuation is certified exactly.  Raises PrecisionLoss if the
@@ -312,10 +294,8 @@ def embed(x: FieldElement, place: FinitePlace, digits: int | None = None) -> Loc
     """
     if x.field != place.field:
         raise FieldMismatch("element and place fields differ")
-    if digits is None:
-        digits = config.DEFAULT.precision
     if x.is_zero():
-        return zero_local(place)
+        return LocalElement(place, INF, None, 0)
     den = x.denominator()
     num = x.scaled_integer_numerator()
     p = place.p
@@ -339,7 +319,7 @@ def embed(x: FieldElement, place: FinitePlace, digits: int | None = None) -> Loc
     if prec < digits:
         raise PrecisionLoss("certified unit digits fell below the request")
     pk = p ** digits
-    return LocalElement(place, val - place.e * k, tuple(c % pk for c in unit[: len(ctx.G) - 1]), digits, x)
+    return LocalElement(place, val - place.e * k, tuple(c % pk for c in unit[: len(ctx.G) - 1]), digits)
 
 
 def valuation_of_element(x: FieldElement, place: FinitePlace) -> int | float:
@@ -354,76 +334,3 @@ def valuation_of_element(x: FieldElement, place: FinitePlace) -> int | float:
             digits *= 2
     raise PrecisionLoss(f"valuation of {x!r} at p={place.p} exceeds the desk-scale bound")
 
-
-def _raw(elem: LocalElement, ctx: LocalContext, floor: int):
-    """Coefficient vector of elem * pi**(-floor) in ctx (floor <= valuation)."""
-    if elem.is_zero:
-        return tuple([0] * (len(ctx.G) - 1))
-    shift = elem.valuation - floor
-    vec = _reduce_mod(elem.unit, ctx.G, ctx.pw)
-    if ctx.e == 1:
-        vec = tuple(c * ctx.p ** shift % ctx.pw for c in vec)
-    else:
-        for _ in range(shift):
-            vec = ctx.mul(vec, ctx.pi)
-    return vec
-
-
-def local_mul(a: LocalElement, b: LocalElement) -> LocalElement:
-    if a.place != b.place:
-        raise FieldMismatch("local elements at different places")
-    if a.is_zero or b.is_zero:
-        return zero_local(a.place)
-    digits = min(a.precision, b.precision)
-    ctx = context_for(a.place, digits)
-    unit = ctx.mul(_reduce_mod(a.unit, ctx.G, ctx.pw), _reduce_mod(b.unit, ctx.G, ctx.pw))
-    pk = a.place.p ** digits
-    exact = None
-    if a.exact is not None and b.exact is not None:
-        exact = a.exact * b.exact
-    return LocalElement(a.place, a.valuation + b.valuation, tuple(c % pk for c in unit), digits, exact)
-
-
-def local_add(a: LocalElement, b: LocalElement) -> LocalElement:
-    """Sum of two local values.
-
-    The certified precision of the result shrinks by whatever leading
-    digits cancel; when every certified digit cancels, the exact
-    provenance (if both operands carry one) decides, and otherwise
-    PrecisionLoss is raised.
-    """
-    if a.place != b.place:
-        raise FieldMismatch("local elements at different places")
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    exact = None
-    if a.exact is not None and b.exact is not None:
-        exact = a.exact + b.exact
-        if exact.is_zero():
-            return zero_local(a.place)
-    digits = min(a.precision, b.precision)
-    floor = min(a.valuation, b.valuation)
-    ctx = context_for(a.place, digits + a.place.e * 2 + 4)
-    vec = ctx.add(_raw(a, ctx, floor), _raw(b, ctx, floor))
-    try:
-        val, unit, prec = ctx.extract(vec, digits)
-    except PrecisionLoss:
-        if exact is not None:
-            return embed(exact, a.place, digits)
-        raise
-    pk = a.place.p ** prec
-    return LocalElement(a.place, val + floor, tuple(c % pk for c in unit), prec, exact)
-
-
-def local_neg(a: LocalElement) -> LocalElement:
-    if a.is_zero:
-        return a
-    pk = a.place.p ** a.precision
-    exact = -a.exact if a.exact is not None else None
-    return LocalElement(a.place, a.valuation, tuple(-c % pk for c in a.unit), a.precision, exact)
-
-
-def local_val(a: LocalElement) -> int | float:
-    return a.valuation

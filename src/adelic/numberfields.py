@@ -52,10 +52,6 @@ class NumberField:
     def complex_pairs(self) -> int:
         return _signature(self.coeffs)[1]
 
-    @property
-    def is_rationals(self) -> bool:
-        return self.degree == 1
-
     def element(self, *coeffs) -> "FieldElement":
         """Build an element from rational coefficients, lowest power first."""
         cs = [Fraction(c) for c in coeffs]

@@ -107,8 +107,11 @@ def excluded_primes(field: NumberField) -> tuple[int, ...]:
     return tuple(out)
 
 
-def is_supported_prime(field: NumberField, p: int) -> bool:
-    return isprime(p) and p < config.DEFAULT.factor_cap and p not in excluded_primes(field)
+@lru_cache(maxsize=None)
+def supported_prime_divisors(field: NumberField, n: int) -> tuple[int, ...]:
+    """The prime divisors of n that are not excluded primes, ascending."""
+    excluded = excluded_primes(field)
+    return tuple(p for p in sorted(factorint(abs(n))) if p not in excluded)
 
 
 @lru_cache(maxsize=None)
@@ -184,10 +187,6 @@ def all_splitting_classes(degree: int) -> tuple[tuple[tuple[int, int], ...], ...
 
     rec(degree, (1, 1), [])
     return tuple(sorted(out))
-
-
-def fiber_size_of_class(cls: tuple[tuple[int, int], ...]) -> int:
-    return len(cls)
 
 
 def supported_primes(field: NumberField, bound: int):

@@ -155,9 +155,6 @@ class QPlaceSet:
     def with_prime(self, p: int) -> "QPlaceSet":
         return self.union(finite_qset([p]))
 
-    def without_prime(self, p: int) -> "QPlaceSet":
-        return self.difference(finite_qset([p]))
-
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -383,11 +380,6 @@ class KPlaceSet:
     def with_place(self, w: FinitePlace) -> "KPlaceSet":
         coords = list(self.coords)
         coords[w.index] = coords[w.index].with_prime(w.p)
-        return KPlaceSet(self.field, tuple(coords))
-
-    def without_place(self, w: FinitePlace) -> "KPlaceSet":
-        coords = list(self.coords)
-        coords[w.index] = coords[w.index].without_prime(w.p)
         return KPlaceSet(self.field, tuple(coords))
 
     # -- serialization ----------------------------------------------------

@@ -331,14 +331,6 @@ def ppow_mod(base, exp, mod, p):
     return result
 
 
-def pcompose_mod(f, g, mod, p):
-    """f(g(x)) reduced mod (mod, p), by Horner."""
-    out = ()
-    for c in reversed(f):
-        out = pdivmod(padd(pmul(out, g, p), ((c % p,) if c % p else ()), p), mod, p)[1]
-    return out
-
-
 def pth_root(f, p):
     """Inverse of Frobenius on F_p[x]: f must have the form g(x**p)."""
     out = []
@@ -440,37 +432,28 @@ def _distinct_degree(f, p):
     return out
 
 
-def _monic_polys(d, p):
-    for code in range(p ** d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        yield tuple(coeffs) + (1,)
+def _splitter(a, h, d, p):
+    """A polynomial in a that vanishes in about half of the residue fields
+    F_p^d of h, so that its gcd with h tends to split h: the trace
+    a + a^2 + ... + a^(2^(d-1)) when p = 2, and a^((p^d - 1)/2) - 1 for
+    odd p (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14)."""
+    if p == 2:
+        t = out = a
+        for _ in range(d - 1):
+            t = pdivmod(pmul(t, t, p), h, p)[1]
+            out = padd(out, t, p)
+        return out
+    return psub(ppow_mod(a, (p ** d - 1) // 2, h, p), (1,), p)
 
 
 def _equal_degree(g, d, p):
-    """Factor monic squarefree g, a product of degree-d irreducibles."""
-    if degree(g) == d:
-        return [g]
-    if p ** d <= 4096:
-        # exhaustive trial division; any monic degree-d divisor is a factor
-        out = []
-        for cand in _monic_polys(d, p):
-            while degree(g) > 0 and not pdivmod(g, cand, p)[1]:
-                out.append(cand)
-                g = pdivmod(g, cand, p)[0]
-            if degree(g) == 0:
-                break
-        return out
-    # Cantor-Zassenhaus with a deterministic seed
+    """Factor monic squarefree g, a product of degree-d irreducibles, by
+    Cantor-Zassenhaus with a deterministic seed."""
     seed = p
     for c in g:
         seed = seed * 1000003 + c
     rng = random.Random(seed)
     stack, out = [g], []
-    exp = (p ** d - 1) // 2
     while stack:
         h = stack.pop()
         if degree(h) == d:
@@ -480,8 +463,7 @@ def _equal_degree(g, d, p):
             a = trim(rng.randrange(p) for _ in range(degree(h)))
             if degree(a) < 1:
                 continue
-            b = psub(ppow_mod(a, exp, h, p), (1,), p)
-            w = pgcd(b, h, p)
+            w = pgcd(_splitter(a, h, d, p), h, p)
             if 0 < degree(w) < degree(h):
                 stack.append(w)
                 stack.append(pdivmod(h, w, p)[0])

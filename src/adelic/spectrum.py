@@ -46,7 +46,7 @@ from .errors import (
     InconsistentNeighborhood,
     InvalidLevel,
 )
-from .localfields import INF, LocalElement, embed, valuation_of_element
+from .localfields import DEFAULT_DIGITS, INF, embed, valuation_of_element
 from .numberfields import FieldElement, NumberField
 from .places import ArchimedeanPlace, FinitePlace, Place, archimedean_places
 from .ultrafilters import Ultrafilter
@@ -278,7 +278,7 @@ def restrict_to_level(ideal: PrimeIdeal, level) -> LevelIdeal:
 # -- quotients, topology, density --------------------------------------------
 
 
-def quotient_eval(alpha: Adele, place: Place, digits: int | None = None):
+def quotient_eval(alpha: Adele, place: Place, digits: int = DEFAULT_DIGITS):
     """Image of an adele in the completion quotient at one place.
 
     Two adeles have the same image exactly when their difference lies in
@@ -286,10 +286,7 @@ def quotient_eval(alpha: Adele, place: Place, digits: int | None = None):
     """
     if isinstance(place, ArchimedeanPlace):
         return alpha.arch_at(place)
-    value = alpha.component_at(place)
-    if isinstance(value, LocalElement):
-        return value
-    return embed(value, place, digits)
+    return embed(alpha.component_at(place), place, digits)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from adelic.adeles import (
     zero_adele,
 )
 from adelic.errors import FieldMismatch
-from adelic.localfields import INF
+from adelic.localfields import INF, embed
 from adelic.numberfields import RATIONALS
 from adelic.places import (
     archimedean_places,
@@ -71,6 +71,10 @@ def test_set_component():
     arch = archimedean_places(RATIONALS)[0]
     shifted = set_component(g, arch, RATIONALS.element(9))
     assert shifted.arch_at(arch) == RATIONALS.element(9)
+    local = embed(RATIONALS.element(9), place_above(RATIONALS, 5))
+    for place in (arch, place_above(RATIONALS, 5)):
+        with pytest.raises(ValueError):
+            set_component(g, place, local)
 
 
 def test_diagonal_is_ring_morphism():

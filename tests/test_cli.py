@@ -121,6 +121,24 @@ def test_between_degenerate_generator_exits_2():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("member", "--ideal", "zero@p:5", "--adele", "one"),
+    ("member", "--ideal", "max@free:1,0,1:1x3", "--adele", "uni"),
+    ("member", "--ideal", "max@free:all", "--adele", "diag:x"),
+    ("density", "--ultra", "free:1,0,1:1x1+1x1", "--constraint", "2:0"),
+    ("member", "--ideal", "max@at:5:0", "--adele", "uni"),
+    ("member", "--ideal", "max@free:all", "--adele", "uni:3"),
+    ("member", "--ideal", "max@free:all", "--adele", "uni^0"),
+], ids=" ".join)
+def test_malformed_spec_is_usage_error(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert err.getvalue().startswith("usage error: ")
+    assert "Traceback" not in err.getvalue()
+
+
 def test_deterministic_output():
     for argv in (
         ("factor", "--poly", "1,1,1,1,1", "--prime", "19"),

@@ -7,7 +7,6 @@ from adelic.errors import FieldMismatch, UnsupportedPrime
 from adelic.extensions import (
     contract_prime,
     fiber_of_spec,
-    power_basis_spans_at,
     restrict_place,
     to_extension,
 )
@@ -138,10 +137,3 @@ def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         to_extension(diagonal(GAUSS.one()), GAUSS)
 
-
-def test_power_basis_smoke():
-    assert power_basis_spans_at(GAUSS, 5)
-    assert power_basis_spans_at(GAUSS, 13)
-    assert power_basis_spans_at(GAUSS, 17)
-    assert power_basis_spans_at(CUBE2, 31)
-    assert power_basis_spans_at(CYCLO5, 11)

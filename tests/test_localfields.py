@@ -1,16 +1,9 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from adelic.errors import PrecisionLoss
 from adelic.localfields import (
     INF,
     embed,
-    local_add,
-    local_mul,
-    local_neg,
-    local_val,
     uniformizer_element,
     valuation_of_element,
 )
@@ -33,14 +26,8 @@ def test_embed_basics():
     three = embed(RATIONALS.element(3), v, 5)
     assert three.valuation == 1 and three.unit_as_int() == 1
     assert embed(RATIONALS.zero(), v).is_zero
-    four = local_add(embed(RATIONALS.one(), v, 8), embed(RATIONALS.element(3), v, 8))
-    assert four.valuation == 0
-
-
-def test_exact_cancellation():
-    v = place_above(RATIONALS, 5)
-    a = embed(RATIONALS.element(7), v, 6)
-    assert local_add(a, local_neg(a)).is_zero
+    four = embed(RATIONALS.one() + RATIONALS.element(3), v, 8)
+    assert four.valuation == 0 and four.unit_as_int() == 4
 
 
 def test_uniformizers_have_valuation_one():
@@ -52,29 +39,11 @@ def test_uniformizers_have_valuation_one():
 
 def test_valuations_add_under_multiplication():
     w = place_above(GAUSS, 2)
-    a = embed(GAUSS.element(1, 1), w, 10)    # 1 + i, valuation 1
-    b = embed(GAUSS.element(2), w, 10)       # valuation 2
-    assert local_val(local_mul(a, b)) == 3
-    assert local_val(local_mul(a, a)) == 2
-
-
-def test_embed_is_ring_morphism_at_fixed_precision():
-    rng = random.Random(11)
-    places = [
-        place_above(RATIONALS, 5),
-        place_above(GAUSS, 5, 1),
-        place_above(GAUSS, 2),
-        place_above(CUBE2, 3),
-        place_above(CYCLO5, 11, 2),
-    ]
-    for w in places:
-        field = w.field
-        for _ in range(25):
-            x = field.element(*[rng.randint(-9, 9) for _ in range(field.degree)])
-            y = field.element(*[rng.randint(-9, 9) for _ in range(field.degree)])
-            ex, ey = embed(x, w, 12), embed(y, w, 12)
-            assert embed(x + y, w, 12).agrees(local_add(ex, ey), 8)
-            assert embed(x * y, w, 12).agrees(local_mul(ex, ey), 8)
+    a = GAUSS.element(1, 1)                  # 1 + i, valuation 1
+    b = GAUSS.element(2)                     # valuation 2
+    assert embed(a, w, 10).valuation == 1 and embed(b, w, 10).valuation == 2
+    assert embed(a * b, w, 10).valuation == 3
+    assert valuation_of_element(a * a, w) == 2
 
 
 def test_ultrametric_inequality_thousand_pairs():
@@ -104,21 +73,6 @@ def test_ultrametric_inequality_thousand_pairs():
         vprod = valuation_of_element(x * y, w)
         assert vprod == vx + vy
         checked += 1
-
-
-def test_precision_loss_without_provenance():
-    w = place_above(RATIONALS, 5)
-    a = embed(RATIONALS.element(7), w, 4)
-    b = embed(RATIONALS.element(7 - 5 ** 9), w, 4)
-    # the difference vanishes through every certified digit and neither
-    # operand knows the other exactly enough at this precision
-    stripped_a = type(a)(a.place, a.valuation, a.unit, a.precision, None)
-    stripped_b = type(b)(b.place, b.valuation, b.unit, b.precision, None)
-    with pytest.raises(PrecisionLoss):
-        local_add(stripped_a, local_neg(stripped_b))
-    # with exact provenance the same sum resolves
-    resolved = local_add(a, local_neg(b))
-    assert resolved.valuation == 9
 
 
 def test_zero_valuation_is_infinite():

@@ -40,6 +40,20 @@ def test_factor_mod_p_examples():
     assert poly.factor_mod_p((1, 0, 1), 2) == [((1, 1), 2)]
     assert poly.factor_mod_p((1, 0, 1), 7) == [((1, 0, 1), 1)]
     assert poly.factor_mod_p((1, 1, 1, 1, 1), 5) == [((4, 1), 4)]
+    # characteristic 2 splits equal-degree blocks with the trace map
+    phi5 = (1, 1, 1, 1, 1)
+    phi7 = (1, 1, 1, 1, 1, 1, 1)
+    phi15 = (1, -1, 0, 1, -1, 1, 0, -1, 1)
+    cases = (
+        (phi7, [((1, 0, 1, 1), 1), ((1, 1, 0, 1), 1)]),
+        (phi15, [((1, 0, 0, 1, 1), 1), ((1, 1, 0, 0, 1), 1)]),
+        (poly.mul(phi5, phi15),
+         [((1, 0, 0, 1, 1), 1), ((1, 1, 0, 0, 1), 1), ((1, 1, 1, 1, 1), 1)]),
+    )
+    for f, expected in cases:
+        assert poly.factor_mod_p(f, 2) == expected
+        for g, _ in expected:
+            assert brute_factor_mod_p(g, 2) == [(g, 1)]
 
 
 def test_factor_mod_p_against_brute_force():

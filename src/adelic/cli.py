@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -58,15 +59,26 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts with a minus and a digit, such as the
+    polynomial ``-2,0,0,1``, as a value: no option of this CLI looks like
+    that, and argparse alone accepts only plain negative numbers."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d")
+
+
 def _spec(parse):
-    """Report a ValueError or IndexError raised while reading a spec as a
-    usage error; errors raised once the spec is read pass through."""
+    """Report a ValueError, IndexError or ZeroDivisionError raised while
+    reading a spec as a usage error; errors raised once the spec is read
+    pass through."""
 
     @functools.wraps(parse)
     def wrapped(field, text):
         try:
             return parse(field, text)
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise UsageError(f"bad spec {text!r}: {exc}") from exc
 
     return wrapped
@@ -265,6 +277,8 @@ def cmd_fiber(args) -> int:
 def cmd_density(args) -> int:
     field = _parse_poly(args.field)
     u = _parse_ultra(field, args.ultra)
+    if u.is_principal:
+        raise UsageError("density takes a free ultrafilter spec")
     constraints = [_parse_constraint(field, text) for text in args.constraint or []]
     witness = density_witness(u, constraints)
     print(f"ultrafilter={_ultra_text(u)}")
@@ -283,7 +297,7 @@ def cmd_density(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adelic",
         description="Query places, adeles, and the prime spectrum of adele rings.",
     )

@@ -35,6 +35,12 @@ class NotMember(AdelicError):
     """A set was expected to belong to an ultrafilter but does not."""
 
 
+class UnsupportedSelection(AdelicError):
+    """No sampled prime below the prime bound lies in the part of the
+    anchor atom a free ultrafilter must split next, so no splitting class
+    has support to select."""
+
+
 class DegenerateGenerator(AdelicError):
     """The generator element handed to an intermediate prime ideal is a
     unit on the relevant ultrafilter set, which would collapse the ideal

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import polynomials as poly
 from .errors import FieldMismatch
@@ -146,7 +147,7 @@ class FieldElement:
         """Field norm down to the rationals."""
         den = 1
         for c in self.coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         num = poly.trim(int(c * den) for c in self.coeffs)
         if not num:
             return Fraction(0)
@@ -156,7 +157,7 @@ class FieldElement:
     def denominator(self) -> int:
         den = 1
         for c in self.coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         return den
 
     def scaled_integer_numerator(self) -> tuple[int, ...]:
@@ -174,12 +175,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"<{self.to_text()} in deg-{self.field.degree} field>"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def parse_element(field: NumberField, text: str) -> FieldElement:

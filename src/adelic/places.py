@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import factorint, isprime, primerange
-
 from . import polynomials as poly
 from . import config
 from .errors import NotPrime, UnsupportedPrime
 from .numberfields import NumberField
+from .primes import factorint, isprime, primerange
 
 
 @dataclass(frozen=True, order=True)

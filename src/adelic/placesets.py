@@ -29,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy import primerange
-
 from . import config
 from .errors import FieldMismatch, UnsupportedPrime
 from .numberfields import NumberField, RATIONALS
@@ -42,6 +40,7 @@ from .places import (
     parse_class_label,
     splitting_class,
 )
+from .primes import primerange
 from .registry import ensure_registered
 
 ClassId = tuple[tuple[int, int], ...]

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+from .primes import factorint
+
 # ---------------------------------------------------------------------------
 # generic exact arithmetic
 
@@ -191,14 +193,11 @@ def count_real_roots(f):
 
 
 def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
+    """The positive divisors of n != 0, ascending."""
+    out = [1]
+    for p, e in factorint(abs(n)).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def _trial_factor_search(f, max_deg):
@@ -390,25 +389,11 @@ def is_irreducible_mod_p(f, p):
     h = ppow_mod(x, p ** n, f, p)
     if psub(h, x, p):
         return False
-    for q in _prime_divisors(n):
+    for q in factorint(n):
         h = ppow_mod(x, p ** (n // q), f, p)
         if degree(pgcd(psub(h, x, p), f, p)) != 0:
             return False
     return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _distinct_degree(f, p):

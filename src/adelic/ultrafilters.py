@@ -23,7 +23,7 @@ from __future__ import annotations
 import warnings
 
 from . import config
-from .errors import FieldMismatch, NotAPartition, NotMember
+from .errors import FieldMismatch, NotAPartition, NotMember, UnsupportedSelection
 from .numberfields import NumberField, RATIONALS
 from .places import FinitePlace, factor_prime
 from .placesets import (
@@ -153,6 +153,11 @@ class FreeQUltrafilter(Ultrafilter):
             counts[splitting_class(F, p)] += 1
         # deterministic: highest count, ties to the canonically smallest class
         top = max(counts.values())
+        if top == 0:
+            raise UnsupportedSelection(
+                f"no prime below {config.DEFAULT.prime_bound} supports a splitting "
+                f"class of {list(F.coeffs)} for this ultrafilter"
+            )
         chosen = min(cls for cls, c in counts.items() if c == top)
         self._chain[F] = chosen
         self._chain_order.append(F)
@@ -179,6 +184,9 @@ class FreeKUltrafilter(Ultrafilter):
     """Section lift of a free rational ultrafilter to an extension field."""
 
     def __init__(self, field: NumberField, base: FreeQUltrafilter, position: int):
+        if field == RATIONALS or not isinstance(base, FreeQUltrafilter):
+            raise ValueError("a section lift takes a free rational ultrafilter "
+                             "to a proper extension")
         if not 1 <= position <= field.degree:
             raise ValueError("section position out of range")
         ensure_registered(field)

@@ -2,7 +2,10 @@
 
 The factorization oracle scans all residues with numpy and splits
 rootless quartics by solving the coefficient equations directly, so it
-shares no code path with the library's distinct-degree machinery.
+shares no code path with the library's distinct-degree machinery.  The
+integer oracles divide by every candidate up to the square root, and
+Mersenne primes are decided by the Lucas-Lehmer test, so neither shares
+code with the sieve, Miller-Rabin, Lucas or rho steps of `adelic.primes`.
 """
 
 import numpy as np
@@ -155,3 +158,41 @@ def brute_member_between(alpha, u, beta, n_max=64):
         if u.contains(bad.complement()):
             return True
     return False
+
+
+def trial_division_factor(n):
+    """{p: e} of n >= 1 by trial division over every d >= 2 up to sqrt(n)."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def trial_division_isprime(n):
+    return n >= 2 and trial_division_factor(n) == {n: 1}
+
+
+def lucas_lehmer(q):
+    """Is the Mersenne number 2**q - 1 prime, for an odd prime q?"""
+    m = (1 << q) - 1
+    s = 4
+    for _ in range(q - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def is_strong_pseudoprime(n, base):
+    """Does odd n pass the Miller-Rabin round for this base: with
+    n - 1 = d * 2**s, d odd, is base**d = 1 or base**(d * 2**r) = -1 mod n
+    for some r < s?"""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(base, d, n) == 1 or any(
+        pow(base, d * 2 ** r, n) == n - 1 for r in range(s))

@@ -1,0 +1,117 @@
+import random
+from math import isqrt, prod
+
+from hypothesis import given, settings, strategies as st
+
+from adelic import polynomials as poly
+from adelic.primes import (
+    PSI_13,
+    SIEVE_LIMIT,
+    _MR_BASES,
+    _strong_lucas_probable_prime,
+    factorint,
+    isprime,
+    primerange,
+)
+
+from oracles import (
+    is_strong_pseudoprime,
+    lucas_lehmer,
+    trial_division_factor,
+    trial_division_isprime,
+)
+
+# two primes just below 2**31, and the two prime factors of PSI_13
+P31, Q31 = 2147483647, 2147483629
+PSI_13_FACTORS = (1287836182261, 2575672364521)
+
+
+def test_primerange_edges():
+    for a, b in ((0, 0), (0, 2), (2, 2), (-5, 2), (5, 3), (100, -4), (3, 3)):
+        assert list(primerange(a, b)) == []
+    assert list(primerange(-5, 3)) == [2]
+    assert list(primerange(2, 3)) == [2]
+    assert list(primerange(0, 1000)) == [
+        n for n in range(1000) if trial_division_isprime(n)]
+    lo, hi = SIEVE_LIMIT - 60, SIEVE_LIMIT + 60
+    assert list(primerange(lo, hi)) == [
+        n for n in range(lo, hi) if trial_division_isprime(n)]
+
+
+def test_isprime_small_and_at_the_sieve_limit():
+    for n in list(range(-3, 5000)) + list(range(SIEVE_LIMIT - 200, SIEVE_LIMIT + 200)):
+        assert isprime(n) == trial_division_isprime(n), n
+
+
+def test_isprime_random_against_trial_division():
+    rng = random.Random(20)
+    for bits, count in ((24, 300), (32, 200), (40, 40)):
+        for _ in range(count):
+            n = rng.getrandbits(bits)
+            assert isprime(n) == trial_division_isprime(n), n
+
+
+def test_psi13_is_a_strong_pseudoprime_that_isprime_rejects():
+    a, b = PSI_13_FACTORS
+    assert a * b == PSI_13
+    assert trial_division_isprime(a) and trial_division_isprime(b)
+    assert all(is_strong_pseudoprime(PSI_13, base) for base in _MR_BASES)
+    assert not isprime(PSI_13)
+    assert factorint(PSI_13) == {a: 1, b: 1}
+
+
+def test_mersenne_numbers_against_lucas_lehmer():
+    # 2**89 - 1 and 2**127 - 1 are prime; every exponent here past 81 puts
+    # 2**q - 1 above PSI_13, where the strong Lucas test joins in
+    for q in (89, 127):
+        assert isprime(2 ** q - 1) and lucas_lehmer(q)
+    for q in primerange(3, 200):
+        assert isprime(2 ** q - 1) == lucas_lehmer(q), q
+
+
+def test_products_of_two_primes():
+    assert trial_division_isprime(P31) and trial_division_isprime(Q31)
+    assert not isprime(P31 * Q31)
+    assert factorint(P31 * Q31) == {Q31: 1, P31: 1}
+    assert factorint(P31 ** 2 * Q31) == {Q31: 1, P31: 2}
+    # above PSI_13: a strong pseudoprime must also fail the Lucas test
+    big = 2 ** 89 - 1
+    assert not isprime(big * P31) and not isprime(big * big)
+    assert factorint(big * P31) == {P31: 1, big: 1}
+
+
+def test_strong_lucas_pseudoprimes():
+    # the odd composites below 30000 that pass the strong Lucas test with
+    # Selfridge's parameters (OEIS A217255)
+    passing = [n for n in range(3, 30000, 2)
+               if isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n)
+               and not trial_division_isprime(n)]
+    assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert all(_strong_lucas_probable_prime(p) for p in primerange(3, 30000))
+
+
+@given(st.integers(min_value=1, max_value=10 ** 9))
+@settings(max_examples=300, deadline=None)
+def test_factorint_matches_trial_division(n):
+    assert factorint(n) == trial_division_factor(n)
+
+
+@given(st.integers(min_value=1, max_value=2 ** 90))
+@settings(max_examples=200, deadline=None)
+def test_factorint_round_trips(n):
+    factors = factorint(n)
+    assert prod(p ** e for p, e in factors.items()) == n
+    assert list(factors) == sorted(factors)
+    assert all(isprime(p) and e >= 1 for p, e in factors.items())
+
+
+def test_divisors():
+    for n in list(range(-300, 0)) + list(range(1, 300)) + [2 ** 6 * 3 ** 4 * 5 ** 2 * 7]:
+        m = abs(n)
+        assert poly._divisors(n) == [d for d in range(1, m + 1) if m % d == 0], n
+    big = 2 ** 5 * (10 ** 12 + 39)
+    divisors = poly._divisors(big)
+    assert divisors == sorted(divisors) and divisors[-1] == big
+    assert all(big % d == 0 for d in divisors)
+    exponents = trial_division_factor(10 ** 12 + 39).values()
+    assert len(divisors) == 6 * prod(e + 1 for e in exponents)

@@ -12,6 +12,7 @@ import argparse
 import functools
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from . import config
@@ -343,14 +344,21 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     if args.prime_bound is not None:
         config.set_defaults(prime_bound=args.prime_bound)
-    try:
-        return args.run(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except AdelicError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    problem = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = args.run(args)
+        except UsageError as exc:
+            problem, code = f"usage error: {exc}", 1
+        except AdelicError as exc:
+            problem, code = f"error: {type(exc).__name__}: {exc}", 2
+    # one line per distinct warning, without the library's file and source line
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if problem is not None:
+        print(problem, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,12 +9,20 @@ factoring it in each context field.
 
 Primes excluded by a context field (the finitely many dividing the index
 of its polynomial order) belong to no cell; their membership is always
-recorded explicitly in the finite modification.  Canonical forms drop
-context fields whose coordinate carries no information, so structurally
-different but pointwise-equal descriptions (say, a ramified class atom
-versus the explicit finite set of ramified primes) can remain distinct;
-all Boolean identities hold on canonical forms, and the pointwise
-semantics is exact.
+recorded explicitly in the finite modification.
+
+Canonical form: a context field K is dropped exactly when the cells are a
+cylinder along K, i.e. every group of cells agreeing off K holds all the
+classes of K; the finite modification is then recomputed pointwise, once.
+Dropping one cylinder field neither creates nor removes another, so the
+fields to drop are decided in one pass over the original cells and do not
+depend on order.  Since every cell holds one valid class per context field
+(`parse_qset` rejects any other text), the cells are a cylinder along K
+exactly when projecting K away divides their number by K's class count.
+Structurally different but pointwise-equal descriptions (say, a ramified
+class atom versus the explicit finite set of ramified primes) can remain
+distinct; all Boolean identities hold on canonical forms, and the
+pointwise semantics is exact.
 
 Over an extension field of degree n, a set stores n coordinates of
 rational-level sets: coordinate j holds the primes whose fiber has the
@@ -28,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import config
 from .errors import FieldMismatch, UnsupportedPrime
@@ -130,23 +139,20 @@ class QPlaceSet:
     # -- Boolean algebra --------------------------------------------------
 
     def complement(self) -> "QPlaceSet":
-        cells = frozenset(_all_cells(self.context)) - self.cells
-        return _rebuild(self.context, cells, lambda p: not self.contains_prime(p),
-                        self.plus | self.minus)
+        return _canonical(self.context, _all_cells(self.context) - self.cells,
+                          lambda p: not self.contains_prime(p), self.plus | self.minus)
 
     def union(self, other: "QPlaceSet") -> "QPlaceSet":
         a, b, ctx = _aligned(self, other)
-        cells = a.cells | b.cells
-        return _rebuild(ctx, cells,
-                        lambda p: self.contains_prime(p) or other.contains_prime(p),
-                        a.plus | a.minus | b.plus | b.minus)
+        return _canonical(ctx, a | b,
+                          lambda p: self.contains_prime(p) or other.contains_prime(p),
+                          self.plus | self.minus | other.plus | other.minus)
 
     def intersect(self, other: "QPlaceSet") -> "QPlaceSet":
         a, b, ctx = _aligned(self, other)
-        cells = a.cells & b.cells
-        return _rebuild(ctx, cells,
-                        lambda p: self.contains_prime(p) and other.contains_prime(p),
-                        a.plus | a.minus | b.plus | b.minus)
+        return _canonical(ctx, a & b,
+                          lambda p: self.contains_prime(p) and other.contains_prime(p),
+                          self.plus | self.minus | other.plus | other.minus)
 
     def difference(self, other: "QPlaceSet") -> "QPlaceSet":
         return self.intersect(other.complement())
@@ -170,30 +176,13 @@ class QPlaceSet:
         return self.to_text()
 
 
+@lru_cache(maxsize=None)
 def _all_cells(context) -> frozenset[Cell]:
-    out = [()]
-    for K in context:
-        out = [c + (cls,) for c in out for cls in _classes(K)]
-    return frozenset(out)
+    return frozenset(product(*(_classes(K) for K in context)))
 
 
 def _raw(context, cells, plus, minus) -> QPlaceSet:
     return QPlaceSet(tuple(context), frozenset(cells), frozenset(plus), frozenset(minus))
-
-
-def _rebuild(context, cells, member, candidates) -> QPlaceSet:
-    """Build the canonical set with the given cells whose pointwise
-    membership agrees with `member`; `candidates` bounds where the cell
-    denotation may disagree with it."""
-    plus, minus = set(), set()
-    for p in set(candidates) | set(_excluded_union(context)):
-        m = member(p)
-        d = _denotes(p, context, cells)
-        if m and not d:
-            plus.add(p)
-        elif d and not m:
-            minus.add(p)
-    return _canonical(_raw(context, cells, plus, minus))
 
 
 def _aligned(a: QPlaceSet, b: QPlaceSet):
@@ -201,69 +190,51 @@ def _aligned(a: QPlaceSet, b: QPlaceSet):
     return _extend(a, ctx), _extend(b, ctx), ctx
 
 
-def _extend(s: QPlaceSet, ctx) -> QPlaceSet:
-    """Re-express the cells of s over a larger context.
-
-    Only the cells of the result are meaningful: membership fixups at the
-    new context's excluded primes are the caller's job (the operation
-    wrappers recompute modifications pointwise from the originals).
-    """
+def _extend(s: QPlaceSet, ctx) -> frozenset[Cell]:
+    """The cells of s re-expressed over a larger context.  Membership at
+    the new context's excluded primes is left to `_canonical`."""
     if s.context == ctx:
-        return s
-    expanded = set()
-    for cell in s.cells:
-        acc = [()]
-        for K in ctx:
-            if K in s.context:
-                opts = [cell[s.context.index(K)]]
-            else:
-                opts = list(_classes(K))
-            acc = [c + (o,) for c in acc for o in opts]
-        expanded.update(acc)
-    return _raw(ctx, expanded, s.plus, s.minus)
+        return s.cells
+    where = [s.context.index(K) if K in s.context else None for K in ctx]
+    return frozenset(
+        out
+        for cell in s.cells
+        for out in product(*(_classes(K) if i is None else (cell[i],)
+                             for i, K in zip(where, ctx)))
+    )
 
 
-def _canonical(s: QPlaceSet) -> QPlaceSet:
-    context = list(s.context)
-    cells = set(s.cells)
-    plus, minus = set(s.plus - s.minus), set(s.minus - s.plus)
+def _cylinder(cells, i: int, n: int) -> bool:
+    """True when the cells hold all n classes of coordinate i above every
+    combination of their other coordinates."""
+    return len(cells) % n == 0 and \
+        len({cell[:i] + cell[i + 1:] for cell in cells}) * n == len(cells)
 
-    def member(p, ctx, cls, pl, mi):
-        if p in pl:
-            return True
-        if p in mi:
-            return False
-        return _denotes(p, tuple(ctx), cls)
 
-    changed = True
-    while changed:
-        changed = False
-        for ki, K in enumerate(context):
-            groups: dict[tuple, set] = {}
-            for cell in cells:
-                groups.setdefault(cell[:ki] + cell[ki + 1:], set()).add(cell[ki])
-            full = all(g == set(_classes(K)) for g in groups.values())
-            if full:
-                new_context = context[:ki] + context[ki + 1:]
-                new_cells = {cell[:ki] + cell[ki + 1:] for cell in cells}
-                candidates = plus | minus | set(excluded_primes(K)) \
-                    | set(_excluded_union(new_context))
-                new_plus, new_minus = set(), set()
-                for p in candidates:
-                    m = member(p, context, cells, plus, minus)
-                    d = _denotes(p, tuple(new_context), new_cells)
-                    if m and not d:
-                        new_plus.add(p)
-                    elif d and not m:
-                        new_minus.add(p)
-                context, cells = new_context, new_cells
-                plus, minus = new_plus, new_minus
-                changed = True
-                break
-    # drop redundant modifications
-    plus = {p for p in plus if not _denotes(p, tuple(context), cells)}
-    minus = {p for p in minus if _denotes(p, tuple(context), cells)}
+def _canonical(context, cells, member, candidates) -> QPlaceSet:
+    """The canonical set with pointwise membership `member`, given by
+    `cells` over `context` everywhere except possibly at `candidates` and
+    the context's excluded primes."""
+    keep = [i for i, K in enumerate(context) if not _cylinder(cells, i, len(_classes(K)))]
+    checked = set(candidates) | _excluded_union(context)
+    if len(keep) < len(context):
+        context = tuple(context[i] for i in keep)
+        cells = {tuple(cell[i] for i in keep) for cell in cells}
+    plus, minus = set(), set()
+    for p in checked:
+        m = member(p)
+        if m != _denotes(p, context, cells):
+            (plus if m else minus).add(p)
     return _raw(context, cells, plus, minus)
+
+
+def _from_parts(context, cells, plus=frozenset(), minus=frozenset()) -> QPlaceSet:
+    """The canonical form of `cells` over `context` with the primes of
+    `plus` added and those of `minus` removed."""
+    def member(p):
+        return p in plus or (p not in minus and _denotes(p, context, cells))
+
+    return _canonical(context, cells, member, plus | minus)
 
 
 # -- constructors ---------------------------------------------------------
@@ -292,20 +263,20 @@ def class_atom(field: NumberField, cls: ClassId) -> QPlaceSet:
     cls = tuple(sorted(cls))
     if cls not in _classes(field):
         raise ValueError(f"{cls} is not a splitting class of degree {field.degree}")
-    return _canonical(_raw((field,), {(cls,)}, (), ()))
+    return _from_parts((field,), {(cls,)})
 
 
 def fiber_size_at_least(field: NumberField, j: int) -> QPlaceSet:
     """Primes with at least j places above them in the extension field."""
     ensure_registered(field)
     cells = {(cls,) for cls in _classes(field) if len(cls) >= j}
-    return _canonical(_raw((field,), cells, (), ()))
+    return _from_parts((field,), cells)
 
 
 def fiber_size_exactly(field: NumberField, m: int) -> QPlaceSet:
     ensure_registered(field)
     cells = {(cls,) for cls in _classes(field) if len(cls) == m}
-    return _canonical(_raw((field,), cells, (), ()))
+    return _from_parts((field,), cells)
 
 
 def supported_qset(field: NumberField) -> QPlaceSet:
@@ -470,18 +441,23 @@ def parse_qset(text: str) -> QPlaceSet:
         for chunk in fields["ctx"].split("|")
         if chunk
     )
+    if any(a.coeffs >= b.coeffs for a, b in zip(context, context[1:])):
+        raise ValueError("context fields must be distinct and sorted by coefficients")
     for K in context:
         ensure_registered(K)
     cells = set()
-    if fields["cells"]:
-        for cell_text in fields["cells"].split(";"):
-            if cell_text == "~":
-                cells.add(())
-            else:
-                cells.add(tuple(parse_class_label(cl) for cl in cell_text.split("*")))
-    plus = {int(p) for p in fields["plus"].split(",") if p}
-    minus = {int(p) for p in fields["minus"].split(",") if p}
-    return _canonical(_raw(context, cells, plus, minus))
+    for cell_text in fields["cells"].split(";") if fields["cells"] else ():
+        cell = () if cell_text == "~" else \
+            tuple(parse_class_label(cl) for cl in cell_text.split("*"))
+        if len(cell) != len(context) or \
+                any(cls not in _classes(K) for cls, K in zip(cell, context)):
+            raise ValueError(f"cell {cell_text!r} is not a joint splitting class of the context")
+        cells.add(cell)
+    plus = frozenset(int(p) for p in fields["plus"].split(",") if p)
+    minus = frozenset(int(p) for p in fields["minus"].split(",") if p)
+    if plus & minus:
+        raise ValueError(f"primes {sorted(plus & minus)} are both added and removed")
+    return _from_parts(context, cells, plus, minus)
 
 
 def parse_kset(text: str) -> KPlaceSet:

@@ -11,7 +11,7 @@ from adelic.adeles import (
     zero_adele,
 )
 from adelic.numberfields import RATIONALS
-from adelic.places import factor_prime
+from adelic.places import all_splitting_classes, factor_prime
 from adelic.placesets import (
     all_primes,
     class_atom,
@@ -22,7 +22,7 @@ from adelic.placesets import (
     section_image,
 )
 
-from conftest import CUBE2, GAUSS
+from conftest import CATALOGUE, CUBE2, GAUSS
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -56,6 +56,34 @@ def random_qset(rng, depth=3):
     if op == 0:
         return a.complement()
     b = random_qset(rng, depth - 1)
+    return a.union(b) if op == 1 else a.intersect(b)
+
+
+WIDE_ATOM_POOL = [(K, cls) for K in CATALOGUE for cls in all_splitting_classes(K.degree)]
+
+
+def random_wide_qset(rng, depth=3):
+    """Random sets whose contexts reach three and four catalogue fields:
+    leaves include the atom of every class, ramified ones too, and
+    intersections of one atom from each of several fields."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        kind = rng.randrange(4)
+        if kind == 0:
+            return finite_qset(rng.sample(SMALL_PRIMES, rng.randint(0, 4)))
+        if kind == 1:
+            return cofinite_qset(rng.sample(SMALL_PRIMES, rng.randint(0, 3)))
+        if kind == 2:
+            return class_atom(*rng.choice(WIDE_ATOM_POOL))
+        out = all_primes()
+        for K in rng.sample(CATALOGUE, rng.randint(2, 4)):
+            out = out.intersect(class_atom(K, rng.choice(all_splitting_classes(K.degree))))
+        return out
+    a = random_wide_qset(rng, depth - 1)
+    op = rng.randrange(3)
+    if op == 0:
+        return a.complement()
+    b = random_wide_qset(rng, depth - 1)
     return a.union(b) if op == 1 else a.intersect(b)
 
 

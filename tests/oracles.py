@@ -6,11 +6,17 @@ shares no code path with the library's distinct-degree machinery.  The
 integer oracles divide by every candidate up to the square root, and
 Mersenne primes are decided by the Lucas-Lehmer test, so neither shares
 code with the sieve, Miller-Rabin, Lucas or rho steps of `adelic.primes`.
+The place-set oracles are the original Boolean-operation code: nested-loop
+context extension, a pointwise rebuild of the finite modification, then a
+canonical form that drops one cylinder field at a time and starts over.
+They read splitting classes from `adelic.places` and nothing else of
+`adelic.placesets`.
 """
 
 import numpy as np
 
 from adelic.localfields import INF
+from adelic.places import all_splitting_classes, excluded_primes, splitting_class
 
 
 def brute_roots(coeffs, p):
@@ -196,3 +202,103 @@ def is_strong_pseudoprime(n, base):
         d, s = d // 2, s + 1
     return pow(base, d, n) == 1 or any(
         pow(base, d * 2 ** r, n) == n - 1 for r in range(s))
+
+
+def _reference_cell(p, context):
+    """The joint splitting class of p over the context, or None when a
+    context field excludes p."""
+    if any(p in excluded_primes(K) for K in context):
+        return None
+    return tuple(splitting_class(K, p) for K in context)
+
+
+def reference_contains(s, p):
+    """Membership of p in a rational place set, read off its four fields."""
+    if p in s.plus:
+        return True
+    if p in s.minus:
+        return False
+    return _reference_cell(p, s.context) in s.cells
+
+
+def sequential_canonical(context, cells, plus, minus):
+    """(context, cells, plus, minus) of the canonical form: repeatedly drop
+    the first context field whose every group of cells agreeing off it
+    holds all its classes, re-deriving the modification pointwise."""
+    context, cells = list(context), set(cells)
+    plus, minus = set(plus) - set(minus), set(minus) - set(plus)
+    changed = True
+    while changed:
+        changed = False
+        for ki, K in enumerate(context):
+            groups = {}
+            for cell in cells:
+                groups.setdefault(cell[:ki] + cell[ki + 1:], set()).add(cell[ki])
+            if all(g == set(all_splitting_classes(K.degree)) for g in groups.values()):
+                new_context = context[:ki] + context[ki + 1:]
+                new_cells = {cell[:ki] + cell[ki + 1:] for cell in cells}
+                candidates = plus | minus | {p for F in context for p in excluded_primes(F)}
+                new_plus, new_minus = set(), set()
+                for p in candidates:
+                    m = p in plus or (p not in minus and _reference_cell(p, context) in cells)
+                    d = _reference_cell(p, new_context) in new_cells
+                    if m and not d:
+                        new_plus.add(p)
+                    elif d and not m:
+                        new_minus.add(p)
+                context, cells, plus, minus = new_context, new_cells, new_plus, new_minus
+                changed = True
+                break
+    plus = {p for p in plus if _reference_cell(p, context) not in cells}
+    minus = {p for p in minus if _reference_cell(p, context) in cells}
+    return tuple(context), frozenset(cells), frozenset(plus), frozenset(minus)
+
+
+def _reference_rebuild(context, cells, member, candidates):
+    excluded = {p for K in context for p in excluded_primes(K)}
+    plus, minus = set(), set()
+    for p in set(candidates) | excluded:
+        m, d = member(p), _reference_cell(p, context) in cells
+        if m and not d:
+            plus.add(p)
+        elif d and not m:
+            minus.add(p)
+    return sequential_canonical(context, cells, plus, minus)
+
+
+def _reference_extend(s, ctx):
+    cells = set()
+    for cell in s.cells:
+        acc = [()]
+        for K in ctx:
+            if K in s.context:
+                opts = [cell[s.context.index(K)]]
+            else:
+                opts = all_splitting_classes(K.degree)
+            acc = [c + (o,) for c in acc for o in opts]
+        cells.update(acc)
+    return cells
+
+
+def _reference_binary(a, b, combine, member):
+    ctx = tuple(sorted(set(a.context) | set(b.context), key=lambda K: K.coeffs))
+    cells = combine(_reference_extend(a, ctx), _reference_extend(b, ctx))
+    return _reference_rebuild(ctx, cells, member, a.plus | a.minus | b.plus | b.minus)
+
+
+def reference_union(a, b):
+    return _reference_binary(
+        a, b, set.union, lambda p: reference_contains(a, p) or reference_contains(b, p))
+
+
+def reference_intersect(a, b):
+    return _reference_binary(
+        a, b, set.intersection, lambda p: reference_contains(a, p) and reference_contains(b, p))
+
+
+def reference_complement(a):
+    everything = [()]
+    for K in a.context:
+        everything = [c + (cls,) for c in everything for cls in all_splitting_classes(K.degree)]
+    return _reference_rebuild(a.context, set(everything) - a.cells,
+                              lambda p: not reference_contains(a, p), a.plus | a.minus)

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -280,7 +281,24 @@ def test_free_ultrafilter_without_samples_exits_2():
         code, out = run_cli("--prime-bound", "0", "density",
                             "--ultra", "free:1,0,1:1x2", "--constraint", "2:0:1:3")
     assert code == 2 and out == ""
-    assert "error: UnsupportedSelection: " in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert lines[0].startswith("warning: free ultrafilter anchored on a sparsely witnessed atom")
+    assert lines[1].startswith("error: UnsupportedSelection: ") and len(lines) == 2
+
+
+@pytest.mark.parametrize("action", ["error", "ignore", "default"])
+def test_sparse_atom_warning_is_one_stderr_line(action):
+    """The CLI reports a sparse atom as one `warning:` line, whatever the
+    caller's warning filters, and shows no package source."""
+    err = io.StringIO()
+    with _cli_state_restored(), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter(action)
+        code, out = run_cli("--prime-bound", "30", "density",
+                            "--ultra", "free:1,0,1:1x2", "--constraint", "2:0:1:3")
+    assert code == 0 and "constraint p=2 satisfied=true" in out
+    assert err.getvalue() == ("warning: free ultrafilter anchored on a sparsely "
+                              "witnessed atom (5 members below 30)\n")
+    assert "ultrafilters.py" not in err.getvalue()
 
 
 @given(argvs())

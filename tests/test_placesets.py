@@ -1,8 +1,13 @@
 import random
+from functools import reduce
+from math import prod
+
+import pytest
 
 from adelic.numberfields import RATIONALS
-from adelic.places import enumerate_finite_places, factor_prime
+from adelic.places import all_splitting_classes, enumerate_finite_places, factor_prime
 from adelic.placesets import (
+    QPlaceSet,
     all_primes,
     class_atom,
     cofinite_qset,
@@ -19,8 +24,25 @@ from adelic.placesets import (
     supported_qset,
 )
 
-from conftest import CUBE2, GAUSS, ROOT5
-from gen import random_kset, random_qset
+from adelic.primes import primerange
+
+from conftest import (
+    CATALOGUE,
+    CUBE2,
+    CYCLO5,
+    GAUSS,
+    INERT_CYCLO5,
+    MIXED_CUBE2,
+    ROOT5,
+    SPLIT_GAUSS,
+)
+from gen import random_kset, random_qset, random_wide_qset
+from oracles import (
+    reference_complement,
+    reference_contains,
+    reference_intersect,
+    reference_union,
+)
 
 
 def test_finite_cofinite_union_example():
@@ -156,3 +178,57 @@ def test_serialization_round_trip():
     assert parse_qset(empty_qset().to_text()) == empty_qset()
     assert parse_qset(all_primes().to_text()) == all_primes()
     assert parse_kset(everything_kset(GAUSS).to_text()) == everything_kset(GAUSS)
+
+
+@pytest.mark.parametrize("text", [
+    "q{ctx[1,0,1] cells[1x1+1x1;1x2;3x1] plus[] minus[]}",   # class of another degree
+    "q{ctx[1,0,1] cells[1x1+1x1*1x2] plus[] minus[]}",       # cell longer than the context
+    "q{ctx[1,0,1] cells[~] plus[] minus[]}",                 # cell shorter than the context
+    "q{ctx[1,0,1|1,0,1] cells[] plus[] minus[]}",            # repeated field
+    "q{ctx[1,0,1|-5,0,1] cells[] plus[] minus[]}",           # fields out of order
+    "q{ctx[] cells[] plus[3] minus[3]}",                     # prime added and removed
+])
+def test_parse_qset_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_qset(text)
+
+
+def _parts(s):
+    return s.context, s.cells, s.plus, s.minus
+
+
+def test_wide_contexts_match_sequential_reference():
+    rng = random.Random(21)
+    primes = list(primerange(2, 500))
+    wide = 0
+    for _ in range(60):
+        a, b = random_wide_qset(rng), random_wide_qset(rng)
+        in_a = {p for p in primes if reference_contains(a, p)}
+        in_b = {p for p in primes if reference_contains(b, p)}
+        cases = (
+            (a.union(b), reference_union(a, b), in_a | in_b),
+            (a.intersect(b), reference_intersect(a, b), in_a & in_b),
+            (a.complement(), reference_complement(a), set(primes) - in_a),
+        )
+        for got, want, members in cases:
+            assert _parts(got) == want
+            assert {p for p in primes if got.contains_prime(p)} == members
+        wide += len(a.context) >= 3 or len(b.context) >= 3
+    assert wide >= 10
+
+
+def test_wide_intersection_is_associative():
+    rng = random.Random(22)
+    for _ in range(40):
+        a, b, c = (random_wide_qset(rng) for _ in range(3))
+        assert a.intersect(b.intersect(c)) == a.intersect(b).intersect(c)
+
+
+def test_complement_of_four_field_atom_intersection():
+    atoms = [class_atom(GAUSS, SPLIT_GAUSS), class_atom(ROOT5, ((1, 2),)),
+             class_atom(CUBE2, MIXED_CUBE2), class_atom(CYCLO5, INERT_CYCLO5)]
+    s = reduce(QPlaceSet.intersect, atoms)
+    assert len(s.context) == 4 and len(s.cells) == 1
+    comp = s.complement()
+    assert len(comp.cells) == prod(len(all_splitting_classes(K.degree)) for K in CATALOGUE) - 1
+    assert comp.complement() == s

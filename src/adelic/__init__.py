@@ -18,7 +18,6 @@ from .errors import (
     NotAPartition,
     NotMember,
     NotPrime,
-    PrecisionLoss,
     UnsupportedPrime,
 )
 
@@ -33,6 +32,5 @@ __all__ = [
     "NotAPartition",
     "NotMember",
     "NotPrime",
-    "PrecisionLoss",
     "UnsupportedPrime",
 ]

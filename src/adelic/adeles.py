@@ -31,7 +31,7 @@ from .places import (
     FinitePlace,
     archimedean_places,
     factor_prime,
-    supported_prime_divisors,
+    supported_primes_dividing,
 )
 from .placesets import (
     empty_kset,
@@ -151,13 +151,13 @@ def _element_suspects(c: FieldElement) -> set[int]:
     out: set[int] = set()
     den = c.denominator()
     if den != 1:
-        out.update(supported_prime_divisors(field, den))
+        out.update(supported_primes_dividing(field, den))
     num = c.scaled_integer_numerator()
     from . import polynomials as poly
 
     res = poly.resultant_int(field.coeffs, num)
     if abs(res) != 1:
-        out.update(supported_prime_divisors(field, res))
+        out.update(supported_primes_dividing(field, res))
     return out
 
 

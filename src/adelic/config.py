@@ -7,20 +7,14 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Settings:
-    """Numeric limits for prime sampling and factoring.
+    """Numeric limits for prime sampling.
 
     prime_bound: primes below this bound are sampled when deciding which
         splitting classes look infinite and when picking selector cells
         for free ultrafilters.
-    atom_witness_threshold: a class atom sampled below prime_bound with
-        fewer members than this triggers a sparseness warning when a free
-        ultrafilter is anchored on it.
-    factor_cap: largest prime the place machinery will factor.
     """
 
     prime_bound: int = 10_000
-    atom_witness_threshold: int = 25
-    factor_cap: int = 1_000_000
 
 
 DEFAULT = Settings()

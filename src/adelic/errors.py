@@ -19,10 +19,6 @@ class UnsupportedPrime(AdelicError):
     """
 
 
-class PrecisionLoss(AdelicError):
-    """A local computation could not be certified at the working precision."""
-
-
 class FieldMismatch(AdelicError):
     """Operands belong to different number fields."""
 

@@ -26,7 +26,7 @@ from .places import (
     archimedean_places,
     excluded_primes,
     factor_prime,
-    supported_prime_divisors,
+    supported_primes_dividing,
 )
 from .placesets import (
     finite_qset,
@@ -76,7 +76,7 @@ def to_extension(alpha: Adele, field: NumberField) -> Adele:
         for _ in archimedean_places(field)
     )
     # supported primes where some place above may be ramified
-    absorbed = set(supported_prime_divisors(field, field.discriminant))
+    absorbed = set(supported_primes_dividing(field, field.discriminant))
     absorbed.update(w.p for w, _ in alpha.exceptional)
     exceptional = []
     for p in sorted(absorbed):

@@ -13,71 +13,25 @@ Both are images of field elements, so tail patterns evaluated at a place
 stay inside exact field arithmetic; only the final valuation/unit readout
 runs at finite precision.
 
-Elements carry an exact certified valuation and a unit part modulo p**N.
+Elements carry an exact valuation and a unit part modulo p**N.  Each
+readout picks its working precision W once, above a bound on the
+valuation read off the norm, so no readout runs out of digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import log2
 
 from . import polynomials as poly
-from .errors import FieldMismatch, PrecisionLoss
+from .errors import FieldMismatch
 from .numberfields import FieldElement
 from .places import FinitePlace, factor_prime
 
 INF = float("inf")
 
 DEFAULT_DIGITS = 32
-_MAX_WORKING_DIGITS = 8192
-
-
-def _pbezout(g, h, p):
-    """s, t with s*g + t*h = 1 over F_p, for coprime g, h."""
-    r0, r1 = poly.pnorm(g, p), poly.pnorm(h, p)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = poly.pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly.psub(s0, poly.pmul(q, s1, p), p)
-        t0, t1 = t1, poly.psub(t0, poly.pmul(q, t1, p), p)
-    assert poly.degree(r0) == 0, "bezout inputs not coprime"
-    inv = pow(r0[0], -1, p)
-    return tuple(c * inv % p for c in s0), tuple(c * inv % p for c in t0)
-
-
-def _hensel_pair(f, g, h, p, digits):
-    """Lift f = g*h from mod p to mod p**digits (all monic, g,h coprime)."""
-    s, t = _pbezout(g, h, p)
-    G = [int(c) for c in g]
-    H = [int(c) for c in h]
-    for k in range(1, digits):
-        pk = p ** k
-        mod_next = p ** (k + 1)
-        diff = poly.sub(f, poly.mul(tuple(G), tuple(H)))
-        d = poly.pnorm(tuple((c // pk) % p for c in diff), p)
-        if d:
-            q, a = poly.pdivmod(poly.pmul(t, d, p), g, p)
-            b = poly.padd(poly.pmul(d, s, p), poly.pmul(q, h, p), p)
-            for i, c in enumerate(a):
-                G[i] = (G[i] + pk * c) % mod_next
-            for i, c in enumerate(b):
-                H[i] = (H[i] + pk * c) % mod_next
-    pw = p ** digits
-    return tuple(c % pw for c in G), tuple(c % pw for c in H)
-
-
-def _lift_blocks(f, blocks, p, digits):
-    """Lift the pairwise-coprime monic blocks of f mod p to mod p**digits."""
-    if len(blocks) == 1:
-        pw = p ** digits
-        return [tuple(c % pw for c in f)]
-    rest = (1,)
-    for b in blocks[1:]:
-        rest = poly.pmul(rest, b, p)
-    g_lift, h_lift = _hensel_pair(f, blocks[0], rest, p, digits)
-    return [g_lift] + _lift_blocks(h_lift, blocks[1:], p, digits)
 
 
 def _reduce_mod(vec, G, pw):
@@ -111,7 +65,7 @@ class LocalContext:
             for _ in range(w.e):
                 block = poly.pmul(block, w.factor, w.p)
             blocks.append(block)
-        lifted = _lift_blocks(place.field.coeffs, blocks, place.p, digits)
+        lifted = poly.hensel_lift(place.field.coeffs, blocks, place.p, digits)
         self.G = lifted[place.index]
         self.gbar = place.factor
         if self.e >= 2:
@@ -140,7 +94,7 @@ class LocalContext:
         """Inverse of a unit mod (G, p**digits) by Newton lifting."""
         p = self.p
         gbar_block = poly.pnorm(self.G, p)
-        z = _pbezout(poly.pnorm(vec, p), gbar_block, p)[0]
+        z = poly.pbezout(poly.pnorm(vec, p), gbar_block, p)[0]
         have = 1
         while have < digits:
             have = min(2 * have, digits)
@@ -165,22 +119,19 @@ class LocalContext:
     def extract(self, vec, prec):
         """Certified (valuation, unit vector, unit precision) of vec.
 
-        vec holds coefficients certified mod p**prec.  Raises PrecisionLoss
-        when the element cannot be distinguished from zero at this
-        precision.
+        vec holds coefficients certified mod p**prec.  Each digit consumed
+        raises the valuation by at least one, and a ramified place gives up
+        one more to the unit cofactor's precision, so the unit precision
+        returned is at least prec - v - 1 for the valuation v of vec; the
+        caller sizes prec from that.
         """
         p = self.p
         val = 0
         while True:
-            if prec <= 0:
-                raise PrecisionLoss("ran out of certified digits")
             pk = p ** prec
             vec = tuple(c % pk for c in vec)
-            if all(c == 0 for c in vec):
-                raise PrecisionLoss("element indistinguishable from zero")
+            assert any(vec), "working precision below the valuation"
             k = min(_vp(c, p) for c in vec if c)
-            if k >= prec:
-                raise PrecisionLoss("element indistinguishable from zero")
             if k > 0:
                 vec = tuple(c // p ** k for c in vec)
                 prec -= k
@@ -285,12 +236,24 @@ def uniformizer_element(place: FinitePlace) -> FieldElement:
     return field.element(*place.factor)
 
 
+def _valuation_bound(num, place: FinitePlace) -> int:
+    """An upper bound on v_w(a) for the integral element a with coefficient
+    vector num: v_w(a) <= v_p(N(a)) / f_w, and |N(a)| = |Res(F, a)| <=
+    |F|_2**deg(a) * |a|_2**n for the defining polynomial F of degree n.
+    The norms are read off bit lengths; the final + 1 absorbs float
+    rounding."""
+    f = place.field.coeffs
+    bits = (poly.degree(num) * sum(c * c for c in f).bit_length()
+            + (len(f) - 1) * sum(c * c for c in num).bit_length()) / 2
+    return int(bits / (place.f * log2(place.p))) + 1
+
+
 def embed(x: FieldElement, place: FinitePlace, digits: int = DEFAULT_DIGITS) -> LocalElement:
     """Image of a field element in the completion, to `digits` unit digits.
 
-    The valuation is certified exactly.  Raises PrecisionLoss if the
-    certification does not fit in the working precision; callers may retry
-    with more digits.
+    The valuation is exact.  The working precision is sized once, from a
+    bound on the valuation of the numerator, so the readout never runs out
+    of digits; digits=0 reads the valuation alone.
     """
     if x.field != place.field:
         raise FieldMismatch("element and place fields differ")
@@ -303,34 +266,17 @@ def embed(x: FieldElement, place: FinitePlace, digits: int = DEFAULT_DIGITS) -> 
     while den % p == 0:
         den //= p
         k += 1
-    working = digits + place.e * (k + 2) + 4
-    ctx = context_for(place, working)
+    ctx = context_for(place, digits + _valuation_bound(num, place) + 2)
     vec = _reduce_mod(num, ctx.G, ctx.pw)
     if den != 1:
         inv = pow(den, -1, ctx.pw)
         vec = tuple(c * inv % ctx.pw for c in vec)
-    try:
-        val, unit, prec = ctx.extract(vec, ctx.digits)
-    except PrecisionLoss:
-        raise PrecisionLoss(
-            f"could not certify the valuation of {x!r} at p={p} "
-            f"with {ctx.digits} digits"
-        )
-    if prec < digits:
-        raise PrecisionLoss("certified unit digits fell below the request")
+    val, unit, prec = ctx.extract(vec, ctx.digits)
+    assert prec >= digits, "certified unit digits fell below the request"
     pk = p ** digits
     return LocalElement(place, val - place.e * k, tuple(c % pk for c in unit[: len(ctx.G) - 1]), digits)
 
 
 def valuation_of_element(x: FieldElement, place: FinitePlace) -> int | float:
     """Exact valuation of a field element at a place; INF for zero."""
-    if x.is_zero():
-        return INF
-    digits = 16
-    while digits <= _MAX_WORKING_DIGITS:
-        try:
-            return embed(x, place, digits).valuation
-        except PrecisionLoss:
-            digits *= 2
-    raise PrecisionLoss(f"valuation of {x!r} at p={place.p} exceeds the desk-scale bound")
-
+    return embed(x, place, 0).valuation

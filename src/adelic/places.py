@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import polynomials as poly
-from . import config
 from .errors import NotPrime, UnsupportedPrime
 from .numberfields import NumberField
 from .primes import factorint, isprime, primerange
+
+FACTOR_CAP = 1_000_000  # primes from here on are beyond desk scale
 
 
 @dataclass(frozen=True, order=True)
@@ -107,7 +108,7 @@ def excluded_primes(field: NumberField) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def supported_prime_divisors(field: NumberField, n: int) -> tuple[int, ...]:
+def supported_primes_dividing(field: NumberField, n: int) -> tuple[int, ...]:
     """The prime divisors of n that are not excluded primes, ascending."""
     excluded = excluded_primes(field)
     return tuple(p for p in sorted(factorint(abs(n))) if p not in excluded)
@@ -137,7 +138,7 @@ def factor_prime(field: NumberField, p: int) -> tuple[FinitePlace, ...]:
     """
     if not isinstance(p, int) or p < 2 or not isprime(p):
         raise NotPrime(f"{p} is not prime")
-    if p >= config.DEFAULT.factor_cap:
+    if p >= FACTOR_CAP:
         raise UnsupportedPrime(f"prime {p} exceeds the desk-scale bound")
     return _factor_cached(field, p)
 
@@ -200,7 +201,7 @@ def enumerate_finite_places(field: NumberField, count: int) -> list[FinitePlace]
     """The first `count` finite places: primes ascending, fibers in
     canonical order."""
     out: list[FinitePlace] = []
-    for p in supported_primes(field, config.DEFAULT.factor_cap):
+    for p in supported_primes(field, FACTOR_CAP):
         out.extend(factor_prime(field, p))
         if len(out) >= count:
             return out[:count]

@@ -38,10 +38,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from . import config
 from .errors import FieldMismatch, UnsupportedPrime
 from .numberfields import NumberField, RATIONALS
 from .places import (
+    FACTOR_CAP,
     FinitePlace,
     all_splitting_classes,
     class_label,
@@ -94,7 +94,7 @@ class QPlaceSet:
     # -- membership ------------------------------------------------------
 
     def contains_prime(self, p: int) -> bool:
-        if p >= config.DEFAULT.factor_cap:
+        if p >= FACTOR_CAP:
             raise UnsupportedPrime(f"prime {p} exceeds the desk-scale bound")
         if p in self.plus:
             return True

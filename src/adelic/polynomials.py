@@ -3,16 +3,18 @@
 Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Three coefficient
 domains are used: Python ints, fractions.Fraction, and ints mod a prime p
-(the mod-p helpers all take p explicitly).
+(the mod-p helpers all take p explicitly).  Hensel lifting reuses the
+mod-p helpers with a prime power in place of p; its divisors are monic.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, count, islice
 from math import isqrt
 
-from .primes import factorint
+from .primes import isprime
 
 # ---------------------------------------------------------------------------
 # generic exact arithmetic
@@ -58,20 +60,6 @@ def scale(f, c):
     if c == 0:
         return ()
     return tuple(a * c for a in f)
-
-
-def evaluate(f, x):
-    out = 0
-    for c in reversed(f):
-        out = out * x + c
-    return out
-
-
-def shift(f, k):
-    """Multiply by x**k."""
-    if not f:
-        return ()
-    return (0,) * k + tuple(f)
 
 
 def divmod_frac(f, g):
@@ -186,76 +174,6 @@ def count_real_roots(f):
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(False) - variations(True)
-
-
-# ---------------------------------------------------------------------------
-# irreducibility over the rationals (monic integer input)
-
-
-def _divisors(n):
-    """The positive divisors of n != 0, ascending."""
-    out = [1]
-    for p, e in factorint(abs(n)).items():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
-def _trial_factor_search(f, max_deg):
-    """Look for a monic integer factor of degree 2..max_deg.
-
-    Candidate constant terms divide f(0); the remaining coefficients range
-    over a Landau-Mignotte style box.  Desk scale only: the search raises
-    if the box is unreasonably large.
-    """
-    norm = isqrt(sum(c * c for c in f)) + 1
-    for d in range(2, max_deg + 1):
-        bound = 2 ** d * norm
-        consts = _divisors(f[0]) if f[0] != 0 else [0]
-        box = (2 * bound + 1) ** (d - 1) * 2 * len(consts)
-        if box > 4_000_000:
-            raise ValueError(
-                "irreducibility search space too large for desk scale"
-            )
-        mids = [()]
-        for _ in range(d - 1):
-            mids = [m + (b,) for m in mids for b in range(-bound, bound + 1)]
-        for c0 in consts:
-            for sign in (1, -1):
-                for mid in mids:
-                    cand = trim((sign * c0,) + mid + (1,))
-                    if degree(cand) != d:
-                        continue
-                    q, r = divmod_frac(f, cand)
-                    if not r and all(x.denominator == 1 for x in q):
-                        return cand
-    return None
-
-
-def is_irreducible_monic_int(f):
-    """Irreducibility over Q of a monic integer polynomial."""
-    n = degree(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if f[0] == 0:
-        return False
-    if discriminant_int(f) == 0:
-        return False
-    # integer roots must divide the constant term
-    for d in _divisors(f[0]):
-        for r in (d, -d):
-            if evaluate(f, r) == 0:
-                return False
-    if n <= 3:
-        return True
-    # certify by irreducibility mod some small prime, if one works
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-              59, 61, 67, 71, 73, 79, 83, 89, 97):
-        fp = pnorm(f, p)
-        if degree(fp) == n and is_irreducible_mod_p(fp, p):
-            return True
-    return _trial_factor_search(f, n // 2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +296,6 @@ def squarefree_decomposition(f, p):
     return sorted(out.items(), key=lambda t: (t[1], t[0]))
 
 
-def is_irreducible_mod_p(f, p):
-    """Rabin's test for a monic polynomial over F_p."""
-    n = degree(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    h = ppow_mod(x, p ** n, f, p)
-    if psub(h, x, p):
-        return False
-    for q in factorint(n):
-        h = ppow_mod(x, p ** (n // q), f, p)
-        if degree(pgcd(psub(h, x, p), f, p)) != 0:
-            return False
-    return True
-
-
 def _distinct_degree(f, p):
     """Split squarefree monic f into (d, product of degree-d irreducibles)."""
     out = []
@@ -477,3 +377,105 @@ def factor_mod_p(f, p):
             check = pmul(check, g, p)
     assert check == f, "factorization self-check failed"
     return out
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting and irreducibility over the rationals
+
+# good primes scanned for the mod-p factorization with the fewest factors
+_ZASSENHAUS_PRIMES = 8
+
+
+def pbezout(g, h, p):
+    """s, t with s*g + t*h = 1 over F_p, for coprime g, h."""
+    r0, r1 = pnorm(g, p), pnorm(h, p)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
+        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
+    assert degree(r0) == 0, "bezout inputs not coprime"
+    inv = pow(r0[0], -1, p)
+    return tuple(c * inv % p for c in s0), tuple(c * inv % p for c in t0)
+
+
+def _hensel_pair(f, g, h, p, digits):
+    """Lift f = g*h from mod p to mod p**digits; f, g, h monic, g and h
+    coprime mod p.
+
+    Quadratic lifting: g, h and the Bezout pair s, t of s*g + t*h = 1 go
+    from mod m to mod m**2 together (von zur Gathen & Gerhard, Modern
+    Computer Algebra, Alg. 15.10).  Monic coprime lifts are unique, so the
+    result does not depend on how the precision was reached.
+    """
+    s, t = pbezout(g, h, p)
+    m, target = p, p ** digits
+    while m < target:
+        m = min(m * m, target)
+        e = pnorm(sub(f, mul(g, h)), m)
+        q, r = pdivmod(pnorm(mul(s, e), m), h, m)
+        g = pnorm(add(g, add(mul(t, e), mul(q, g))), m)
+        h = pnorm(add(h, r), m)
+        b = pnorm(sub(add(mul(s, g), mul(t, h)), (1,)), m)
+        c, d = pdivmod(pnorm(mul(s, b), m), h, m)
+        s = pnorm(sub(s, d), m)
+        t = pnorm(sub(t, add(mul(t, b), mul(c, g))), m)
+    return pnorm(g, target), pnorm(h, target)
+
+
+def hensel_lift(f, factors, p, digits):
+    """Lift the pairwise-coprime monic factors of monic f mod p to
+    mod p**digits, in order."""
+    if len(factors) == 1:
+        return [pnorm(f, p ** digits)]
+    rest = (1,)
+    for u in factors[1:]:
+        rest = pmul(rest, u, p)
+    first, rest = _hensel_pair(f, factors[0], rest, p, digits)
+    return [first] + hensel_lift(rest, factors[1:], p, digits)
+
+
+def is_irreducible_monic_int(f):
+    """Irreducibility over Q of a monic integer polynomial, by Zassenhaus.
+
+    Among the first good primes (those not dividing the discriminant), a
+    prime where f stays irreducible settles the question at once.
+    Otherwise the factors mod the prime with the fewest of them are lifted
+    past twice the Mignotte bound 2**n * |f|_2 on the coefficients of any
+    factor, and every product of at most half of them is tried as a
+    divisor over Z (Cohen, GTM 138, section 3.5).
+    """
+    n = degree(f)
+    if n <= 0:
+        return False
+    disc = discriminant_int(f)
+    if disc == 0:
+        return False
+    best = None
+    good = (p for p in count(2) if isprime(p) and disc % p)
+    for p in islice(good, _ZASSENHAUS_PRIMES):
+        blocks = _distinct_degree(pnorm(f, p), p)
+        r = sum(degree(g) // d for d, g in blocks)
+        if r == 1:
+            return True
+        if best is None or r < best[0]:
+            best = (r, p, blocks)
+    _, p, blocks = best
+    factors = [u for d, g in blocks for u in _equal_degree(g, d, p)]
+    bound = 2 * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
+    digits = 1
+    while p ** digits <= bound:
+        digits += 1
+    pk = p ** digits
+    lifted = hensel_lift(f, factors, p, digits)
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(lifted, size):
+            g = (1,)
+            for u in subset:
+                g = pnorm(mul(g, u), pk)
+            g = tuple(c - pk if 2 * c > pk else c for c in g)
+            if not divmod_frac(f, g)[1]:
+                return False
+    return True

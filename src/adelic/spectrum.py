@@ -251,16 +251,10 @@ class LevelIdeal:
 
 
 def _level_of(ideal: PrimeIdeal, level: frozenset[Place]) -> LevelIdeal:
-    if ideal.kind == "zero_at":
-        inside = ideal.place in level
-        is_max, is_min = (True, True) if inside else (False, True)
-    elif ideal.kind == "max_at":
-        is_max, is_min = True, False
-    elif ideal.kind == "min_at":
-        is_max, is_min = False, True
-    else:
-        is_max, is_min = False, False
-    return LevelIdeal(ideal.field, level, ideal.kind, is_max, is_min,
+    flags = classify(ideal)
+    # vanishing at a place outside the level is not maximal in the subring
+    is_max = flags["is_maximal"] and (ideal.kind != "zero_at" or ideal.place in level)
+    return LevelIdeal(ideal.field, level, ideal.kind, is_max, flags["is_minimal"],
                       ideal.place, ideal.ultra, ideal.beta)
 
 

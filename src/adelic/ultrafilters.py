@@ -40,6 +40,9 @@ from .placesets import (
 )
 from .registry import ensure_registered, registered_fields
 
+# an anchor atom with fewer members below the prime bound warns as sparse
+ATOM_WITNESS_THRESHOLD = 25
+
 
 class Ultrafilter:
     field: NumberField
@@ -108,9 +111,9 @@ class FreeQUltrafilter(Ultrafilter):
         witnesses = 0
         for p in atom.members_below(config.DEFAULT.prime_bound):
             witnesses += 1
-            if witnesses >= config.DEFAULT.atom_witness_threshold:
+            if witnesses >= ATOM_WITNESS_THRESHOLD:
                 break
-        if witnesses < config.DEFAULT.atom_witness_threshold:
+        if witnesses < ATOM_WITNESS_THRESHOLD:
             warnings.warn(
                 f"free ultrafilter anchored on a sparsely witnessed atom "
                 f"({witnesses} members below {config.DEFAULT.prime_bound})",

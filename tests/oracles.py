@@ -11,12 +11,23 @@ context extension, a pointwise rebuild of the finite modification, then a
 canonical form that drops one cylinder field at a time and starts over.
 They read splitting classes from `adelic.places` and nothing else of
 `adelic.placesets`.
+The lifting and irreducibility oracles are the original code too: Hensel
+lifting one p-adic digit at a time, and an irreducibility test that looks
+for rational roots, certifies by Rabin's test mod small primes, and
+otherwise searches a Landau-Mignotte box of candidate factors.  They use
+only the basic arithmetic of `adelic.polynomials` and `adelic.primes`,
+none of its lifting or factor recombination.
 """
+
+from itertools import product
+from math import isqrt
 
 import numpy as np
 
+from adelic import polynomials as poly
 from adelic.localfields import INF
 from adelic.places import all_splitting_classes, excluded_primes, splitting_class
+from adelic.primes import factorint
 
 
 def brute_roots(coeffs, p):
@@ -302,3 +313,141 @@ def reference_complement(a):
         everything = [c + (cls,) for c in everything for cls in all_splitting_classes(K.degree)]
     return _reference_rebuild(a.context, set(everything) - a.cells,
                               lambda p: not reference_contains(a, p), a.plus | a.minus)
+
+
+def _pbezout(g, h, p):
+    """s, t with s*g + t*h = 1 over F_p, for coprime g, h."""
+    r0, r1 = poly.pnorm(g, p), poly.pnorm(h, p)
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = poly.pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, poly.psub(s0, poly.pmul(q, s1, p), p)
+        t0, t1 = t1, poly.psub(t0, poly.pmul(q, t1, p), p)
+    assert poly.degree(r0) == 0, "bezout inputs not coprime"
+    inv = pow(r0[0], -1, p)
+    return tuple(c * inv % p for c in s0), tuple(c * inv % p for c in t0)
+
+
+def _linear_hensel_pair(f, g, h, p, digits):
+    """Lift f = g*h from mod p to mod p**digits (all monic, g,h coprime)."""
+    s, t = _pbezout(g, h, p)
+    G = [int(c) for c in g]
+    H = [int(c) for c in h]
+    for k in range(1, digits):
+        pk = p ** k
+        mod_next = p ** (k + 1)
+        diff = poly.sub(f, poly.mul(tuple(G), tuple(H)))
+        d = poly.pnorm(tuple((c // pk) % p for c in diff), p)
+        if d:
+            q, a = poly.pdivmod(poly.pmul(t, d, p), g, p)
+            b = poly.padd(poly.pmul(d, s, p), poly.pmul(q, h, p), p)
+            for i, c in enumerate(a):
+                G[i] = (G[i] + pk * c) % mod_next
+            for i, c in enumerate(b):
+                H[i] = (H[i] + pk * c) % mod_next
+    pw = p ** digits
+    return tuple(c % pw for c in G), tuple(c % pw for c in H)
+
+
+def linear_hensel_lift(f, blocks, p, digits):
+    """Lift the pairwise-coprime monic blocks of f mod p to mod p**digits."""
+    if len(blocks) == 1:
+        pw = p ** digits
+        return [tuple(c % pw for c in f)]
+    rest = (1,)
+    for b in blocks[1:]:
+        rest = poly.pmul(rest, b, p)
+    g_lift, h_lift = _linear_hensel_pair(f, blocks[0], rest, p, digits)
+    return [g_lift] + linear_hensel_lift(h_lift, blocks[1:], p, digits)
+
+
+def divisors(n):
+    """The positive divisors of n != 0, ascending."""
+    out = [1]
+    for p, e in factorint(abs(n)).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def box_search_factor(f, max_deg):
+    """Look for a monic integer factor of degree 2..max_deg.
+
+    Candidate constant terms divide f(0); the remaining coefficients range
+    over a Landau-Mignotte style box.  A candidate is divided into f only
+    when its values at +-1, +-2 and 3 divide f's there, a test numpy runs
+    over the whole box at once.  Desk scale only: the search raises if the
+    box is unreasonably large.
+    """
+    norm = isqrt(sum(c * c for c in f)) + 1
+    points = (1, -1, 2, -2, 3)
+    f_at = [sum(c * a ** i for i, c in enumerate(f)) for a in points]
+    for d in range(2, max_deg + 1):
+        bound = 2 ** d * norm
+        consts = divisors(f[0]) if f[0] != 0 else [0]
+        box = (2 * bound + 1) ** (d - 1) * 2 * len(consts)
+        if box > 4_000_000:
+            raise ValueError(
+                "irreducibility search space too large for desk scale"
+            )
+        mids = np.array(list(product(range(-bound, bound + 1), repeat=d - 1)),
+                        dtype=np.int64)
+        for c0 in consts:
+            for sign in (1, -1):
+                ok = np.ones(len(mids), dtype=bool)
+                for a, fa in zip(points, f_at):
+                    powers = np.array([a ** i for i in range(1, d)], dtype=np.int64)
+                    val = sign * c0 + mids @ powers + a ** d
+                    ok &= (val != 0) & (fa % np.where(val == 0, 1, val) == 0) | (fa == 0)
+                for mid in mids[ok]:
+                    cand = poly.trim((sign * c0,) + tuple(int(b) for b in mid) + (1,))
+                    q, r = poly.divmod_frac(f, cand)
+                    if not r and all(x.denominator == 1 for x in q):
+                        return cand
+    return None
+
+
+def rabin_is_irreducible_mod_p(f, p):
+    """Rabin's test for a monic polynomial over F_p."""
+    n = poly.degree(f)
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    x = (0, 1)
+    h = poly.ppow_mod(x, p ** n, f, p)
+    if poly.psub(h, x, p):
+        return False
+    for q in factorint(n):
+        h = poly.ppow_mod(x, p ** (n // q), f, p)
+        if poly.degree(poly.pgcd(poly.psub(h, x, p), f, p)) != 0:
+            return False
+    return True
+
+
+def box_search_is_irreducible(f):
+    """Irreducibility over Q of a monic integer polynomial: rational roots,
+    then Rabin certificates mod the primes below 100, then the box
+    search."""
+    n = poly.degree(f)
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    if f[0] == 0:
+        return False
+    if poly.discriminant_int(f) == 0:
+        return False
+    for d in divisors(f[0]):
+        for r in (d, -d):
+            if sum(c * r ** i for i, c in enumerate(f)) == 0:
+                return False
+    if n <= 3:
+        return True
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+              59, 61, 67, 71, 73, 79, 83, 89, 97):
+        fp = poly.pnorm(f, p)
+        if poly.degree(fp) == n and rabin_is_irreducible_mod_p(fp, p):
+            return True
+    return box_search_factor(f, n // 2) is None

@@ -40,6 +40,13 @@ def test_factor_ramified():
     assert "places=1" in out and "e=2 f=1" in out
 
 
+def test_factor_above_a_field_without_a_mod_p_witness():
+    """sqrt2+sqrt3+sqrt5 generates a field with discriminant 2^70 3^10 5^4."""
+    code, out = run_cli("factor", "--poly", "576,0,-960,0,352,0,-40,0,1", "--prime", "7")
+    assert code == 0
+    assert "sum_ef=8" in out and "degree=8" in out
+
+
 def test_factor_unsupported_prime_exits_2():
     code, _ = run_cli("factor", "--poly=-5,0,1", "--prime", "2")
     assert code == 2

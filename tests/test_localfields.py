@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
 
+from adelic.adeles import diagonal
 from adelic.localfields import (
     INF,
     embed,
     uniformizer_element,
     valuation_of_element,
 )
-from adelic.numberfields import RATIONALS
-from adelic.places import factor_prime, place_above
+from adelic.numberfields import NumberField, RATIONALS
+from adelic.places import excluded_primes, factor_prime, place_above
+from adelic.primes import factorint
+from adelic.spectrum import quotient_eval
 
-from conftest import CUBE2, CYCLO5, GAUSS
+from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS
+
+SEXTIC = NumberField((-2, 0, 0, 0, 0, 0, 1))   # x^6 - 2
 
 
 def test_embed_inverse_of_two_at_three():
@@ -78,3 +83,42 @@ def test_ultrametric_inequality_thousand_pairs():
 def test_zero_valuation_is_infinite():
     w = place_above(GAUSS, 7)
     assert valuation_of_element(GAUSS.zero(), w) == INF
+
+
+def test_high_valuation_fits_the_working_precision():
+    three = place_above(RATIONALS, 3)
+    x = RATIONALS.element(3 ** 40)
+    image = embed(x, three, 16)
+    assert (image.valuation, image.unit_as_int(), image.precision) == (40, 1, 16)
+    assert quotient_eval(diagonal(x), three, 16) == image
+    assert valuation_of_element(RATIONALS.element(Fraction(1, 3 ** 40)), three) == -40
+
+
+def _vp(q, p):
+    v, num, den = 0, q.numerator, q.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
+def test_product_formula_for_valuations():
+    """sum over w above p of f_w * v_w(x) equals v_p(N(x)), at ramified
+    and unramified primes, for random x and for p**k multiples of them."""
+    rng = random.Random(5)
+    for field in CATALOGUE + (SEXTIC,):
+        disc = field.discriminant
+        ramified = [p for p in factorint(abs(disc)) if p not in excluded_primes(field)]
+        unramified = [p for p in (3, 7, 11, 13, 29, 10007) if disc % p][:3]
+        for p in ramified + unramified:
+            places = factor_prime(field, p)
+            for _ in range(12):
+                x = field.element(*[Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                                    for _ in range(field.degree)])
+                if x.is_zero():
+                    continue
+                for k in (0, rng.randint(1, 39), 40):
+                    y = x * field.element(p ** k)
+                    total = sum(w.f * valuation_of_element(y, w) for w in places)
+                    assert total == _vp(y.norm(), p), (field, p, y)

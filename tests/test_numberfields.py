@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,18 @@ def test_construction_validates():
         NumberField((1,))          # degree 0
     with pytest.raises(ValueError):
         NumberField((1, 0, 2))     # not monic
-    with pytest.raises(ValueError):
-        NumberField((-1, 0, 1))    # reducible
+    for reducible in ((-1, 0, 1), (4, 0, 0, 0, 1), (2, 0, 3, 0, 1), (4, 0, 5, 0, 1)):
+        with pytest.raises(ValueError):
+            NumberField(reducible)     # x^2-1, x^4+4, (x^2+1)(x^2+2), (x^2+1)(x^2+4)
+
+
+def test_fields_without_a_mod_p_witness_construct():
+    """Every prime splits x^8+1 and the minimal polynomial of
+    sqrt2+sqrt3+sqrt5, so irreducibility needs factor recombination."""
+    for coeffs in ((1, 0, 0, 0, 0, 0, 0, 0, 1), (576, 0, -960, 0, 352, 0, -40, 0, 1)):
+        start = time.perf_counter()
+        assert NumberField(coeffs).degree == 8
+        assert time.perf_counter() - start < 1.0
 
 
 def test_signature():

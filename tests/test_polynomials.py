@@ -3,10 +3,14 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from adelic import polynomials as poly
+from adelic.primes import primerange
 
-from oracles import brute_factor_mod_p
+from oracles import box_search_is_irreducible, brute_factor_mod_p, linear_hensel_lift
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# the catalogue, x^6 - 2 and x^5 - x - 1
+LIFT_FIELDS = ((1, 0, 1), (-5, 0, 1), (-2, 0, 0, 1), (1, 1, 1, 1, 1),
+               (-2, 0, 0, 0, 0, 0, 1), (-1, -1, 0, 0, 0, 1))
 
 
 def test_resultant_and_discriminant_known_values():
@@ -33,6 +37,45 @@ def test_irreducibility_catalogue():
     assert not poly.is_irreducible_monic_int((-1, 0, 1))       # (x-1)(x+1)
     assert not poly.is_irreducible_monic_int((1, 2, 1))        # (x+1)^2
     assert not poly.is_irreducible_monic_int((4, 0, 5, 0, 1))  # (x^2+1)(x^2+4)
+    assert not poly.is_irreducible_monic_int((2, 0, 3, 0, 1))  # (x^2+1)(x^2+2)
+    assert not poly.is_irreducible_monic_int((4, 0, 0, 0, 1))  # x^4+4, no mod-p witness
+    # every prime splits both x^4+1 and x^4-10x^2+1, so each factor over Z
+    # is a product of at least two factors mod p
+    assert not poly.is_irreducible_monic_int(poly.mul((1, 0, 0, 0, 1), (1, 0, -10, 0, 1)))
+
+
+monic_polys = st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n)
+).map(lambda cs: tuple(cs) + (1,))
+monic_factors = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n)
+).map(lambda cs: tuple(cs) + (1,))
+
+
+@given(monic_polys)
+@settings(max_examples=200, deadline=None)
+def test_irreducibility_agrees_with_box_search(f):
+    assert poly.is_irreducible_monic_int(f) == box_search_is_irreducible(f)
+
+
+@given(monic_factors, monic_factors)
+@settings(max_examples=200, deadline=None)
+def test_products_of_monic_factors_are_reducible(g, h):
+    assert not poly.is_irreducible_monic_int(poly.mul(g, h))
+
+
+def test_quadratic_lift_matches_linear_reference():
+    for f in LIFT_FIELDS:
+        for p in list(primerange(2, 200)) + [10007, 20011, 29989]:
+            blocks = []
+            for g, e in poly.factor_mod_p(f, p):
+                block = (1,)
+                for _ in range(e):
+                    block = poly.pmul(block, g, p)
+                blocks.append(block)
+            for digits in (1, 32, 64) + ((512,) if p > 200 else ()):
+                expected = linear_hensel_lift(f, blocks, p, digits)
+                assert poly.hensel_lift(f, blocks, p, digits) == expected, (f, p, digits)
 
 
 def test_factor_mod_p_examples():

@@ -3,7 +3,6 @@ from math import isqrt, prod
 
 from hypothesis import given, settings, strategies as st
 
-from adelic import polynomials as poly
 from adelic.primes import (
     PSI_13,
     SIEVE_LIMIT,
@@ -15,6 +14,7 @@ from adelic.primes import (
 )
 
 from oracles import (
+    divisors,
     is_strong_pseudoprime,
     lucas_lehmer,
     trial_division_factor,
@@ -108,10 +108,10 @@ def test_factorint_round_trips(n):
 def test_divisors():
     for n in list(range(-300, 0)) + list(range(1, 300)) + [2 ** 6 * 3 ** 4 * 5 ** 2 * 7]:
         m = abs(n)
-        assert poly._divisors(n) == [d for d in range(1, m + 1) if m % d == 0], n
+        assert divisors(n) == [d for d in range(1, m + 1) if m % d == 0], n
     big = 2 ** 5 * (10 ** 12 + 39)
-    divisors = poly._divisors(big)
-    assert divisors == sorted(divisors) and divisors[-1] == big
-    assert all(big % d == 0 for d in divisors)
+    found = divisors(big)
+    assert found == sorted(found) and found[-1] == big
+    assert all(big % d == 0 for d in found)
     exponents = trial_division_factor(10 ** 12 + 39).values()
-    assert len(divisors) == 6 * prod(e + 1 for e in exponents)
+    assert len(found) == 6 * prod(e + 1 for e in exponents)

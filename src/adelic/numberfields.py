@@ -43,7 +43,7 @@ class NumberField:
 
     @property
     def discriminant(self) -> int:
-        return poly.discriminant_int(self.coeffs)
+        return _discriminant(self.coeffs)
 
     @property
     def real_embeddings(self) -> int:
@@ -74,6 +74,11 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({list(self.coeffs)})"
+
+
+@lru_cache(maxsize=None)
+def _discriminant(coeffs):
+    return poly.discriminant_int(coeffs)
 
 
 @lru_cache(maxsize=None)

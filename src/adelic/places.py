@@ -136,11 +136,15 @@ def factor_prime(field: NumberField, p: int) -> tuple[FinitePlace, ...]:
     The fiber is sorted by (e, f, factor coefficients); the ordering is
     deterministic and stable across calls.
     """
+    _check_prime(p)
+    return _factor_cached(field, p)
+
+
+def _check_prime(p) -> None:
     if not isinstance(p, int) or p < 2 or not isprime(p):
         raise NotPrime(f"{p} is not prime")
     if p >= FACTOR_CAP:
         raise UnsupportedPrime(f"prime {p} exceeds the desk-scale bound")
-    return _factor_cached(field, p)
 
 
 def place_above(field: NumberField, p: int, index: int = 0) -> FinitePlace:
@@ -150,9 +154,24 @@ def place_above(field: NumberField, p: int, index: int = 0) -> FinitePlace:
     return fiber[index]
 
 
+@lru_cache(maxsize=None, typed=True)
 def splitting_class(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
-    """The multiset of (e, f) pairs of the fiber above p, sorted."""
-    return tuple(sorted((w.e, w.f) for w in factor_prime(field, p)))
+    """The multiset of (e, f) pairs of the fiber above p, sorted.
+
+    A prime not dividing the discriminant leaves the defining polynomial
+    squarefree mod p, so every e is 1 and the residue degrees are read off
+    the distinct-degree step alone, without splitting its blocks (von zur
+    Gathen & Gerhard, Modern Computer Algebra, ch. 14).  Primes dividing
+    the discriminant take the full `factor_prime` path, which also rejects
+    the excluded ones.
+    """
+    _check_prime(p)
+    if field.discriminant % p == 0:
+        return tuple(sorted((w.e, w.f) for w in _factor_cached(field, p)))
+    blocks = poly._distinct_degree(poly.pnorm(field.coeffs, p), p)
+    cls = tuple(sorted((1, d) for d, g in blocks for _ in range(poly.degree(g) // d)))
+    assert sum(f for _, f in cls) == field.degree
+    return cls
 
 
 def class_label(cls: tuple[tuple[int, int], ...]) -> str:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import FieldMismatch, UnsupportedPrime
+from .errors import FieldMismatch, NotPrime, UnsupportedPrime
 from .numberfields import NumberField, RATIONALS
 from .places import (
     FACTOR_CAP,
@@ -49,7 +49,7 @@ from .places import (
     parse_class_label,
     splitting_class,
 )
-from .primes import primerange
+from .primes import isprime, primerange
 from .registry import ensure_registered
 
 ClassId = tuple[tuple[int, int], ...]
@@ -249,12 +249,20 @@ def all_primes() -> QPlaceSet:
     return _raw((), {()}, (), ())
 
 
+def _checked_primes(primes) -> frozenset[int]:
+    out = frozenset(primes)
+    for p in out:
+        if not isinstance(p, int) or not isprime(p):
+            raise NotPrime(f"{p} is not prime")
+    return out
+
+
 def finite_qset(primes) -> QPlaceSet:
-    return _raw((), (), frozenset(primes), ())
+    return _raw((), (), _checked_primes(primes), ())
 
 
 def cofinite_qset(missing) -> QPlaceSet:
-    return _raw((), {()}, (), frozenset(missing))
+    return _raw((), {()}, (), _checked_primes(missing))
 
 
 def class_atom(field: NumberField, cls: ClassId) -> QPlaceSet:
@@ -457,6 +465,9 @@ def parse_qset(text: str) -> QPlaceSet:
     minus = frozenset(int(p) for p in fields["minus"].split(",") if p)
     if plus & minus:
         raise ValueError(f"primes {sorted(plus & minus)} are both added and removed")
+    nonprimes = sorted(p for p in plus | minus if not isprime(p))
+    if nonprimes:
+        raise ValueError(f"numbers {nonprimes} are not prime")
     return _from_parts(context, cells, plus, minus)
 
 

@@ -10,6 +10,12 @@ query answers "does the selected joint class lie among the set's cells",
 so the four ultrafilter axioms hold by construction, finite sets are never
 members, and cofinite sets always are.
 
+Sampling stops once its answer is decided.  The sparse-atom check stops
+at its threshold-th member.  When every cell of the atom gives an
+extension the same class, every member outside the atom's finite
+modification votes for that class, so the count stops as soon as it leads
+all others: the choice is exactly the one a full count would make.
+
 A free ultrafilter over an extension field is a section lift of a free
 rational one: it answers a query by pulling the set back along its fiber
 position (short fibers padding to their first place) and asking the base.
@@ -20,12 +26,20 @@ fiber size the base ultrafilter selects.
 
 from __future__ import annotations
 
+import os
+import sys
 import warnings
 
 from . import config
-from .errors import FieldMismatch, NotAPartition, NotMember, UnsupportedSelection
+from .errors import (
+    FieldMismatch,
+    NotAPartition,
+    NotMember,
+    UnsupportedPrime,
+    UnsupportedSelection,
+)
 from .numberfields import NumberField, RATIONALS
-from .places import FinitePlace, factor_prime
+from .places import FACTOR_CAP, FinitePlace, factor_prime
 from .placesets import (
     KPlaceSet,
     QPlaceSet,
@@ -38,6 +52,7 @@ from .placesets import (
     section_image,
     _classes,
 )
+from .primes import primerange
 from .registry import ensure_registered, registered_fields
 
 # an anchor atom with fewer members below the prime bound warns as sparse
@@ -58,6 +73,16 @@ class Ultrafilter:
         """A canonical member set (the generator for principal
         ultrafilters, the atom or its section image for free ones)."""
         raise NotImplementedError
+
+
+def _caller_level() -> int:
+    """The `warnings.warn` stacklevel, for the function that calls this
+    one, of the first frame outside the package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _check_set(u: Ultrafilter, s) -> None:
@@ -108,16 +133,22 @@ class FreeQUltrafilter(Ultrafilter):
         self._chain_order: list[NumberField] = []
         if not atom.cells:
             raise ValueError("a free ultrafilter needs an infinite anchor set")
+        bound = config.DEFAULT.prime_bound
+        # a bound past desk scale is refused even where sampling stops early
+        beyond = next(primerange(FACTOR_CAP, min(bound, 2 * FACTOR_CAP)), None)
+        if beyond is not None:
+            raise UnsupportedPrime(f"prime {beyond} exceeds the desk-scale bound")
         witnesses = 0
-        for p in atom.members_below(config.DEFAULT.prime_bound):
-            witnesses += 1
-            if witnesses >= ATOM_WITNESS_THRESHOLD:
-                break
+        for p in primerange(2, bound):
+            if atom.contains_prime(p):
+                witnesses += 1
+                if witnesses >= ATOM_WITNESS_THRESHOLD:
+                    break
         if witnesses < ATOM_WITNESS_THRESHOLD:
             warnings.warn(
                 f"free ultrafilter anchored on a sparsely witnessed atom "
-                f"({witnesses} members below {config.DEFAULT.prime_bound})",
-                stacklevel=2,
+                f"({witnesses} members below {bound})",
+                stacklevel=_caller_level(),
             )
 
     @property
@@ -147,13 +178,30 @@ class FreeQUltrafilter(Ultrafilter):
         prefix = list(self._chain_order)
         from .places import excluded_primes, splitting_class
 
-        for p in self.atom.members_below(config.DEFAULT.prime_bound):
+        def counted(p):
             if p in excluded_primes(F):
-                continue
-            if any(p in excluded_primes(G) or splitting_class(G, p) != self._chain[G]
-                   for G in prefix):
-                continue
-            counts[splitting_class(F, p)] += 1
+                return False
+            return not any(p in excluded_primes(G) or splitting_class(G, p) != self._chain[G]
+                           for G in prefix)
+
+        atom, bound = self.atom, config.DEFAULT.prime_bound
+        leader = self._cells_class(F)
+        if leader is None:
+            for p in atom.members_below(bound):
+                if counted(p):
+                    counts[splitting_class(F, p)] += 1
+        else:
+            # every member outside `plus` has the leader's class, so once
+            # the leader is ahead of every other class nothing can overtake it
+            for p in atom.plus:
+                if p < bound and counted(p):
+                    counts[splitting_class(F, p)] += 1
+            rival = max((c for cls, c in counts.items() if cls != leader), default=0)
+            for p in primerange(2, bound):
+                if counts[leader] > rival:
+                    break
+                if p not in atom.plus and atom.contains_prime(p) and counted(p):
+                    counts[leader] += 1
         # deterministic: highest count, ties to the canonically smallest class
         top = max(counts.values())
         if top == 0:
@@ -164,6 +212,14 @@ class FreeQUltrafilter(Ultrafilter):
         chosen = min(cls for cls, c in counts.items() if c == top)
         self._chain[F] = chosen
         self._chain_order.append(F)
+
+    def _cells_class(self, F: NumberField):
+        """The class every cell of the atom gives F, if there is one."""
+        if F not in self.atom.context:
+            return None
+        i = self.atom.context.index(F)
+        classes = {cell[i] for cell in self.atom.cells}
+        return classes.pop() if len(classes) == 1 else None
 
     def contains(self, s) -> bool:
         _check_set(self, s)

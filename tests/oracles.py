@@ -10,7 +10,8 @@ The place-set oracles are the original Boolean-operation code: nested-loop
 context extension, a pointwise rebuild of the finite modification, then a
 canonical form that drops one cylinder field at a time and starts over.
 They read splitting classes from `adelic.places` and nothing else of
-`adelic.placesets`.
+`adelic.placesets`.  The selector oracle is the original full count of
+every atom member below the prime bound, with no early stop.
 The lifting and irreducibility oracles are the original code too: Hensel
 lifting one p-adic digit at a time, and an irreducibility test that looks
 for rational roots, certifies by Rabin's test mod small primes, and
@@ -27,7 +28,7 @@ import numpy as np
 from adelic import polynomials as poly
 from adelic.localfields import INF
 from adelic.places import all_splitting_classes, excluded_primes, splitting_class
-from adelic.primes import factorint
+from adelic.primes import factorint, primerange
 
 
 def brute_roots(coeffs, p):
@@ -313,6 +314,30 @@ def reference_complement(a):
         everything = [c + (cls,) for c in everything for cls in all_splitting_classes(K.degree)]
     return _reference_rebuild(a.context, set(everything) - a.cells,
                               lambda p: not reference_contains(a, p), a.plus | a.minus)
+
+
+def reference_selector_chain(atom, fields, bound):
+    """The selector chain of a free ultrafilter anchored on `atom`, by the
+    original full count: for each field in turn, every member of the atom
+    below `bound` that avoids the excluded primes and agrees with the
+    classes chosen so far votes for its class; the most votes win, ties
+    going to the smallest class.  Returns the chain as a dict and whether
+    it stopped at a field that no prime supports."""
+    chain = {}
+    members = [p for p in primerange(2, bound) if reference_contains(atom, p)]
+    for F in fields:
+        counts = {cls: 0 for cls in all_splitting_classes(F.degree)}
+        for p in members:
+            if p in excluded_primes(F) or any(
+                    p in excluded_primes(G) or splitting_class(G, p) != cls
+                    for G, cls in chain.items()):
+                continue
+            counts[splitting_class(F, p)] += 1
+        top = max(counts.values())
+        if top == 0:
+            return chain, True
+        chain[F] = min(cls for cls, c in counts.items() if c == top)
+    return chain, False
 
 
 def _pbezout(g, h, p):

@@ -21,6 +21,7 @@ from adelic.places import (
     enumerate_finite_places,
     factor_prime,
     place_above,
+    splitting_class,
     supported_primes,
 )
 from adelic.placesets import empty_qset
@@ -88,6 +89,8 @@ def test_criterion_1_splitting_invariant():
                 key=lambda t: (len(t[0]) - 1, t[0]),
             )
             assert got == expected, (field, p)
+            assert splitting_class(field, p) == tuple(sorted(
+                (e, len(g) - 1) for g, e in expected)), (field, p)
             checked += 1
     _report(1, "splitting invariant",
             f"{checked} (field, prime) pairs below {PRIME_BOUND}, "

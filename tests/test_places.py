@@ -1,7 +1,7 @@
 import pytest
 
 from adelic.errors import NotPrime, UnsupportedPrime
-from adelic.numberfields import RATIONALS
+from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import (
     all_splitting_classes,
     archimedean_places,
@@ -13,6 +13,7 @@ from adelic.places import (
     splitting_class,
     supported_primes,
 )
+from adelic.primes import primerange
 
 from conftest import CUBE2, CYCLO5, GAUSS, ROOT5
 
@@ -35,15 +36,27 @@ def test_splitting_class_examples():
     assert splitting_class(CYCLO5, 11) == ((1, 1), (1, 1), (1, 1), (1, 1))
 
 
+@pytest.mark.parametrize("coeffs", [(-1, -1, 0, 0, 0, 1), (-2, 0, 0, 0, 0, 0, 1)])
+def test_splitting_class_matches_fibers(coeffs):
+    """The distinct-degree classes agree with full factoring at every prime
+    below 10**4, the ramified ones included (19 and 151 for x^5 - x - 1,
+    2 and 3 for x^6 - 2)."""
+    field = NumberField(coeffs)
+    for p in primerange(2, 10_000):
+        fiber = factor_prime(field, p)
+        assert splitting_class(field, p) == tuple(sorted((w.e, w.f) for w in fiber)), p
+
+
 def test_errors():
-    with pytest.raises(NotPrime):
-        factor_prime(GAUSS, 6)
-    with pytest.raises(NotPrime):
-        factor_prime(GAUSS, 1)
-    with pytest.raises(UnsupportedPrime):
-        factor_prime(ROOT5, 2)
-    with pytest.raises(UnsupportedPrime):
-        factor_prime(GAUSS, 1_000_003)
+    for check in (factor_prime, splitting_class):
+        with pytest.raises(NotPrime):
+            check(GAUSS, 6)
+        with pytest.raises(NotPrime):
+            check(GAUSS, 1)
+        with pytest.raises(UnsupportedPrime):
+            check(ROOT5, 2)
+        with pytest.raises(UnsupportedPrime):
+            check(GAUSS, 1_000_003)
 
 
 def test_excluded_primes():

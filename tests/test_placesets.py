@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from adelic.errors import NotPrime
 from adelic.numberfields import RATIONALS
 from adelic.places import all_splitting_classes, enumerate_finite_places, factor_prime
 from adelic.placesets import (
@@ -187,10 +188,21 @@ def test_serialization_round_trip():
     "q{ctx[1,0,1|1,0,1] cells[] plus[] minus[]}",            # repeated field
     "q{ctx[1,0,1|-5,0,1] cells[] plus[] minus[]}",           # fields out of order
     "q{ctx[] cells[] plus[3] minus[3]}",                     # prime added and removed
+    "q{ctx[] cells[] plus[4] minus[]}",                      # number that is not prime
 ])
 def test_parse_qset_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_qset(text)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: finite_qset([161, 4]),
+    lambda: cofinite_qset([3, 1]),
+    lambda: all_primes().with_prime(9),
+])
+def test_finite_modifications_reject_non_primes(build):
+    with pytest.raises(NotPrime):
+        build()
 
 
 def _parts(s):

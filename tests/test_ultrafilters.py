@@ -3,9 +3,16 @@ import warnings
 
 import pytest
 
-from adelic.errors import FieldMismatch, NotAPartition, NotMember
-from adelic.numberfields import RATIONALS
-from adelic.places import factor_prime, place_above
+from adelic import config
+from adelic.errors import (
+    FieldMismatch,
+    NotAPartition,
+    NotMember,
+    UnsupportedPrime,
+    UnsupportedSelection,
+)
+from adelic.numberfields import NumberField, RATIONALS
+from adelic.places import factor_prime, place_above, splitting_class
 from adelic.placesets import (
     all_primes,
     class_atom,
@@ -20,14 +27,21 @@ from adelic.ultrafilters import (
     distinguishing_witness,
     free_cofinite,
     free_on_atom,
+    free_on_set,
     lifts,
     partition_pick,
     pushforward,
     section_refine,
 )
 
-from conftest import CUBE2, CYCLO5, GAUSS, ROOT5
-from gen import random_kset, random_qset
+from adelic.primes import primerange
+from adelic.registry import ensure_registered, registered_fields
+
+from conftest import CUBE2, CYCLO5, GAUSS, ROOT5, SPLIT_GAUSS
+from gen import random_kset, random_qset, random_wide_qset
+from oracles import reference_selector_chain
+
+QUINTIC = NumberField((-1, -1, 0, 0, 0, 1))  # x^5 - x - 1, Galois group S5
 
 
 def catalogue_ultrafilters():
@@ -232,3 +246,66 @@ def test_sparse_atom_warns():
         warnings.simplefilter("always")
         free_on_atom(GAUSS, ((2, 1),))
     assert any("sparsely witnessed" in str(w.message) for w in caught)
+
+
+def test_sparse_atom_warning_names_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        free_on_atom(GAUSS, ((2, 1),))
+    assert [w.filename for w in caught] == [__file__]
+
+
+def _chain(u):
+    """The selector chain over every registered field, and whether it
+    stopped at a field that no prime supports."""
+    try:
+        for K in registered_fields():
+            u._selected_class(K)
+    except UnsupportedSelection:
+        return dict(u._chain), True
+    return dict(u._chain), False
+
+
+@pytest.mark.parametrize("bound", [300, 3000])
+def test_selector_chain_matches_full_count(bound, monkeypatch):
+    """The selector stops sampling once its choice is decided and picks
+    the chain that counting every atom member below the bound picks."""
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=bound))
+    ensure_registered(QUINTIC)
+    rng = random.Random(bound)
+    modifiers = list(primerange(2, 400))
+    decided_early = with_plus = refused = 0
+    for _ in range(200):
+        atom = random_wide_qset(rng)
+        atom = atom.union(finite_qset(rng.sample(modifiers, rng.randint(0, 4))))
+        atom = atom.difference(finite_qset(rng.sample(modifiers, rng.randint(0, 3))))
+        if not atom.cells:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = _chain(free_on_set(atom))
+        assert got == reference_selector_chain(atom, registered_fields(), bound), atom
+        early = any(len({cell[i] for cell in atom.cells}) == 1
+                    for i in range(len(atom.context)))
+        decided_early += early
+        with_plus += early and bool(atom.plus)
+        refused += got[1]
+    assert decided_early >= 40 and with_plus >= 30 and refused >= 2
+
+
+def test_split_selector_samples_few_primes(monkeypatch):
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=10_000))
+    splitting_class.cache_clear()
+    u = free_on_atom(GAUSS, SPLIT_GAUSS)
+    assert u._selected_class(GAUSS) == SPLIT_GAUSS
+    assert splitting_class.cache_info().currsize < 100
+
+
+def test_prime_bound_past_desk_scale_is_refused(monkeypatch):
+    """Sampling that stops early still refuses a bound whose primes could
+    not all be factored."""
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=1_100_000))
+    with pytest.raises(UnsupportedPrime, match="prime 1000003 exceeds"):
+        free_on_atom(GAUSS, SPLIT_GAUSS)
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=1_000_003))
+    free_on_atom(GAUSS, SPLIT_GAUSS)

@@ -3,7 +3,9 @@
 Output is line-oriented structured text: one record per line with a
 stable key order, so identical invocations are byte-identical and easy to
 diff.  Exit codes: 0 success, 1 usage error, 2 domain error (an
-unsupported prime, a degenerate generator, an inconsistent neighborhood).
+unsupported prime, a degenerate generator, an inconsistent neighborhood,
+a free ultrafilter with no witness below the prime bound).  Errors are one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import functools
 import re
 import sys
-import warnings
 from fractions import Fraction
 
 from . import config
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Query places, adeles, and the prime spectrum of adele rings.",
     )
     parser.add_argument("--prime-bound", type=int, default=None,
-                        help="sampling bound for splitting-class atoms (default 10000)")
+                        help="bound on the primes that witness free ultrafilters (default 10000)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="splitting of a prime in a field")
@@ -344,21 +345,14 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     if args.prime_bound is not None:
         config.set_defaults(prime_bound=args.prime_bound)
-    problem = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            code = args.run(args)
-        except UsageError as exc:
-            problem, code = f"usage error: {exc}", 1
-        except AdelicError as exc:
-            problem, code = f"error: {type(exc).__name__}: {exc}", 2
-    # one line per distinct warning, without the library's file and source line
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
-    if problem is not None:
-        print(problem, file=sys.stderr)
-    return code
+    try:
+        return args.run(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except AdelicError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

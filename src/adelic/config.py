@@ -7,11 +7,10 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Settings:
-    """Numeric limits for prime sampling.
+    """Numeric limits for free-ultrafilter witnesses.
 
-    prime_bound: primes below this bound are sampled when deciding which
-        splitting classes look infinite and when picking selector cells
-        for free ultrafilters.
+    prime_bound: a free ultrafilter looks for the witnesses of its
+        selector among the primes below this bound, read when it is built.
     """
 
     prime_bound: int = 10_000

@@ -32,9 +32,9 @@ class NotMember(AdelicError):
 
 
 class UnsupportedSelection(AdelicError):
-    """No sampled prime below the prime bound lies in the part of the
-    anchor atom a free ultrafilter must split next, so no splitting class
-    has support to select."""
+    """No prime below the prime bound witnesses the anchor set of a free
+    ultrafilter, or the part of it the selector must split next, so no
+    splitting class is certified to select."""
 
 
 class DegenerateGenerator(AdelicError):

@@ -26,7 +26,7 @@ from math import log2
 
 from . import polynomials as poly
 from .errors import FieldMismatch
-from .numberfields import FieldElement
+from .numberfields import FieldElement, NumberField
 from .places import FinitePlace, factor_prime
 
 INF = float("inf")
@@ -48,6 +48,19 @@ def _reduce_mod(vec, G, pw):
     return tuple(vec)
 
 
+@lru_cache(maxsize=None)
+def _lifted_blocks(field: NumberField, p: int, digits: int) -> tuple:
+    """The factor blocks (factor**e) of the fiber above p, in fiber order,
+    Hensel-lifted to p**digits; one lift serves every place of the fiber."""
+    blocks = []
+    for w in factor_prime(field, p):
+        block = (1,)
+        for _ in range(w.e):
+            block = poly.pmul(block, w.factor, p)
+        blocks.append(block)
+    return tuple(poly.hensel_lift(field.coeffs, blocks, p, digits))
+
+
 class LocalContext:
     """Shared machinery for one place at one working precision."""
 
@@ -58,15 +71,7 @@ class LocalContext:
         self.f = place.f
         self.digits = digits
         self.pw = place.p ** digits
-        fiber = factor_prime(place.field, place.p)
-        blocks = []
-        for w in fiber:
-            block = (1,)
-            for _ in range(w.e):
-                block = poly.pmul(block, w.factor, w.p)
-            blocks.append(block)
-        lifted = poly.hensel_lift(place.field.coeffs, blocks, place.p, digits)
-        self.G = lifted[place.index]
+        self.G = _lifted_blocks(place.field, place.p, digits)[place.index]
         self.gbar = place.factor
         if self.e >= 2:
             p = self.p

@@ -186,28 +186,6 @@ def parse_class_label(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(pairs))
 
 
-@lru_cache(maxsize=None)
-def all_splitting_classes(degree: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Every abstract splitting type of the given degree: the multisets of
-    (e, f) pairs with sum e*f equal to the degree."""
-    out = set()
-
-    def rec(remaining, smallest, acc):
-        if remaining == 0:
-            out.add(tuple(sorted(acc)))
-            return
-        for e in range(1, remaining + 1):
-            for f in range(1, remaining // e + 1):
-                pair = (e, f)
-                if pair < smallest:
-                    continue
-                if e * f <= remaining:
-                    rec(remaining - e * f, pair, acc + [pair])
-
-    rec(degree, (1, 1), [])
-    return tuple(sorted(out))
-
-
 def supported_primes(field: NumberField, bound: int):
     """Iterate supported primes below the bound in increasing order."""
     excluded = set(excluded_primes(field))

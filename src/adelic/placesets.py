@@ -2,14 +2,17 @@
 
 Over the rationals a set is stored as a union of "cells" plus a finite
 modification.  A cell fixes, for each extension field in the set's
-context, one splitting class; its members are the primes realizing all of
-those classes at once.  Finite sets are the special case of no cells, and
-cofinite sets have every cell.  Membership of any prime is decided by
-factoring it in each context field.
+context, one unramified splitting class (every e = 1, so one residue
+degree f per part of a partition of the field's degree); its members are
+the primes realizing all of those classes at once.  Finite sets are the
+special case of no cells, and cofinite sets have every cell.  Membership
+of any prime is decided by factoring it in each context field.
 
-Primes excluded by a context field (the finitely many dividing the index
-of its polynomial order) belong to no cell; their membership is always
-recorded explicitly in the finite modification.
+Primes dividing the discriminant of a context polynomial (the finitely
+many ramified primes and those dividing the index of the polynomial
+order) belong to no cell; their membership is always recorded explicitly
+in the finite modification.  So the atom of a ramified class, and every
+other set of primes defined by ramified classes, is structurally finite.
 
 Canonical form: a context field K is dropped exactly when the cells are a
 cylinder along K, i.e. every group of cells agreeing off K holds all the
@@ -19,10 +22,9 @@ fields to drop are decided in one pass over the original cells and do not
 depend on order.  Since every cell holds one valid class per context field
 (`parse_qset` rejects any other text), the cells are a cylinder along K
 exactly when projecting K away divides their number by K's class count.
-Structurally different but pointwise-equal descriptions (say, a ramified
-class atom versus the explicit finite set of ramified primes) can remain
-distinct; all Boolean identities hold on canonical forms, and the
-pointwise semantics is exact.
+Structurally different but pointwise-equal descriptions (say, a cell that
+no prime realizes versus no cell) can remain distinct; all Boolean
+identities hold on canonical forms, and the pointwise semantics is exact.
 
 Over an extension field of degree n, a set stores n coordinates of
 rational-level sets: coordinate j holds the primes whose fiber has the
@@ -43,35 +45,47 @@ from .numberfields import NumberField, RATIONALS
 from .places import (
     FACTOR_CAP,
     FinitePlace,
-    all_splitting_classes,
     class_label,
     excluded_primes,
     parse_class_label,
     splitting_class,
 )
-from .primes import isprime, primerange
+from .primes import factorint, isprime
 from .registry import ensure_registered
 
 ClassId = tuple[tuple[int, int], ...]
 Cell = tuple[ClassId, ...]
 
 
+def _partitions(n: int, smallest: int = 1):
+    """The unramified classes of degree n with every residue degree at
+    least `smallest`, each as its sorted (1, f) pairs."""
+    if n == 0:
+        yield ()
+    for f in range(smallest, n + 1):
+        for rest in _partitions(n - f, f):
+            yield ((1, f),) + rest
+
+
+@lru_cache(maxsize=None)
 def _classes(field: NumberField) -> tuple[ClassId, ...]:
-    return all_splitting_classes(field.degree)
+    """The classes a cell can give the field: the unramified ones."""
+    return tuple(sorted(_partitions(field.degree)))
 
 
-def _excluded_union(context) -> frozenset[int]:
-    out: set[int] = set()
-    for K in context:
-        out.update(excluded_primes(K))
-    return frozenset(out)
+@lru_cache(maxsize=None)
+def _disc_primes(field: NumberField) -> frozenset[int]:
+    """The primes below desk scale dividing the discriminant of the
+    field's polynomial: the ramified ones and the excluded ones."""
+    return frozenset(p for p in factorint(abs(field.discriminant)) if p < FACTOR_CAP)
 
 
 def _cell_of_prime(p: int, context) -> Cell | None:
-    """The joint splitting class of p, or None when p is excluded."""
+    """The joint splitting class of p, or None when p divides the
+    discriminant of a context field."""
     cell = []
     for K in context:
-        if p in excluded_primes(K):
+        if p in _disc_primes(K):
             return None
         cell.append(splitting_class(K, p))
     return tuple(cell)
@@ -133,9 +147,6 @@ class QPlaceSet:
 
         return [factor_prime(RATIONALS, p)[0] for p in sorted(self.finite_members())]
 
-    def members_below(self, bound: int) -> list[int]:
-        return [p for p in primerange(2, bound) if self.contains_prime(p)]
-
     # -- Boolean algebra --------------------------------------------------
 
     def complement(self) -> "QPlaceSet":
@@ -192,7 +203,7 @@ def _aligned(a: QPlaceSet, b: QPlaceSet):
 
 def _extend(s: QPlaceSet, ctx) -> frozenset[Cell]:
     """The cells of s re-expressed over a larger context.  Membership at
-    the new context's excluded primes is left to `_canonical`."""
+    the new context's discriminant primes is left to `_canonical`."""
     if s.context == ctx:
         return s.cells
     where = [s.context.index(K) if K in s.context else None for K in ctx]
@@ -214,9 +225,9 @@ def _cylinder(cells, i: int, n: int) -> bool:
 def _canonical(context, cells, member, candidates) -> QPlaceSet:
     """The canonical set with pointwise membership `member`, given by
     `cells` over `context` everywhere except possibly at `candidates` and
-    the context's excluded primes."""
+    the context's discriminant primes."""
     keep = [i for i, K in enumerate(context) if not _cylinder(cells, i, len(_classes(K)))]
-    checked = set(candidates) | _excluded_union(context)
+    checked = set(candidates).union(*map(_disc_primes, context))
     if len(keep) < len(context):
         context = tuple(context[i] for i in keep)
         cells = {tuple(cell[i] for i in keep) for cell in cells}
@@ -265,26 +276,32 @@ def cofinite_qset(missing) -> QPlaceSet:
     return _raw((), {()}, (), _checked_primes(missing))
 
 
-def class_atom(field: NumberField, cls: ClassId) -> QPlaceSet:
-    """All primes with the given splitting class in the extension field."""
+def _class_set(field: NumberField, wanted) -> QPlaceSet:
+    """The primes whose splitting class in the field satisfies `wanted`:
+    a cell per unramified class, the discriminant primes listed."""
     ensure_registered(field)
+    excluded = excluded_primes(field)
+    plus = {p for p in _disc_primes(field)
+            if p not in excluded and wanted(splitting_class(field, p))}
+    return _from_parts((field,), {(cls,) for cls in _classes(field) if wanted(cls)}, plus)
+
+
+def class_atom(field: NumberField, cls: ClassId) -> QPlaceSet:
+    """All primes with the given splitting class in the extension field;
+    a finite set when the class is ramified."""
     cls = tuple(sorted(cls))
-    if cls not in _classes(field):
+    if any(e < 1 or f < 1 for e, f in cls) or sum(e * f for e, f in cls) != field.degree:
         raise ValueError(f"{cls} is not a splitting class of degree {field.degree}")
-    return _from_parts((field,), {(cls,)})
+    return _class_set(field, lambda c: c == cls)
 
 
 def fiber_size_at_least(field: NumberField, j: int) -> QPlaceSet:
     """Primes with at least j places above them in the extension field."""
-    ensure_registered(field)
-    cells = {(cls,) for cls in _classes(field) if len(cls) >= j}
-    return _from_parts((field,), cells)
+    return _class_set(field, lambda cls: len(cls) >= j)
 
 
 def fiber_size_exactly(field: NumberField, m: int) -> QPlaceSet:
-    ensure_registered(field)
-    cells = {(cls,) for cls in _classes(field) if len(cls) == m}
-    return _from_parts((field,), cells)
+    return _class_set(field, lambda cls: len(cls) == m)
 
 
 def supported_qset(field: NumberField) -> QPlaceSet:
@@ -459,7 +476,7 @@ def parse_qset(text: str) -> QPlaceSet:
             tuple(parse_class_label(cl) for cl in cell_text.split("*"))
         if len(cell) != len(context) or \
                 any(cls not in _classes(K) for cls, K in zip(cell, context)):
-            raise ValueError(f"cell {cell_text!r} is not a joint splitting class of the context")
+            raise ValueError(f"cell {cell_text!r} is not a joint unramified class of the context")
         cells.add(cell)
     plus = frozenset(int(p) for p in fields["plus"].split(",") if p)
     minus = frozenset(int(p) for p in fields["minus"].split(",") if p)

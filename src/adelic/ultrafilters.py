@@ -1,20 +1,25 @@
 """Ultrafilters on the describable place-set algebra.
 
 Principal ultrafilters are anchored at a single place.  A free ultrafilter
-over the rationals is anchored on a class atom presumed infinite and, to
-stay a genuine ultrafilter on the whole algebra (which keeps refining as
-more extensions enter the picture), carries a selector: for every
-registered extension, one splitting class chosen greedily in registration
-order by sampling primes below the configured bound.  Every membership
-query answers "does the selected joint class lie among the set's cells",
-so the four ultrafilter axioms hold by construction, finite sets are never
-members, and cofinite sets always are.
+over the rationals is anchored on a set with cells and, to stay a genuine
+ultrafilter on the whole algebra (which keeps refining as more extensions
+enter the picture), carries a selector: for every registered extension,
+one unramified splitting class chosen greedily in registration order by
+counting witnesses below the prime bound the ultrafilter was built with.
+Every membership query answers "does the selected joint class lie among
+the set's cells", so the four ultrafilter axioms hold by construction,
+finite sets are never members, and cofinite sets always are.
 
-Sampling stops once its answer is decided.  The sparse-atom check stops
-at its threshold-th member.  When every cell of the atom gives an
-extension the same class, every member outside the atom's finite
-modification votes for that class, so the count stops as soon as it leads
-all others: the choice is exactly the one a full count would make.
+A witness is a prime below the bound that divides no discriminant of the
+atom's context, of the chain's fields or of the field being selected,
+whose joint class lies in a cell of the atom and which has the chain's
+class in every chain field.  By Chebotarev's density theorem (Neukirch,
+Algebraic Number Theory, VII.13) one such prime proves that the primes of
+its joint class have positive density, so every set the ultrafilter
+contains is infinite.  An atom or a chain step without a witness is
+refused (`UnsupportedSelection`).  When every cell of the atom gives the
+field one class, every witness votes for it, so the step stops at its
+first witness.
 
 A free ultrafilter over an extension field is a section lift of a free
 rational one: it answers a query by pulling the set back along its fiber
@@ -26,10 +31,6 @@ fiber size the base ultrafilter selects.
 
 from __future__ import annotations
 
-import os
-import sys
-import warnings
-
 from . import config
 from .errors import (
     FieldMismatch,
@@ -39,7 +40,7 @@ from .errors import (
     UnsupportedSelection,
 )
 from .numberfields import NumberField, RATIONALS
-from .places import FACTOR_CAP, FinitePlace, factor_prime
+from .places import FACTOR_CAP, FinitePlace, factor_prime, splitting_class
 from .placesets import (
     KPlaceSet,
     QPlaceSet,
@@ -50,13 +51,12 @@ from .placesets import (
     finite_qset,
     pullback_section,
     section_image,
+    _cell_of_prime,
     _classes,
+    _disc_primes,
 )
 from .primes import primerange
 from .registry import ensure_registered, registered_fields
-
-# an anchor atom with fewer members below the prime bound warns as sparse
-ATOM_WITNESS_THRESHOLD = 25
 
 
 class Ultrafilter:
@@ -73,16 +73,6 @@ class Ultrafilter:
         """A canonical member set (the generator for principal
         ultrafilters, the atom or its section image for free ones)."""
         raise NotImplementedError
-
-
-def _caller_level() -> int:
-    """The `warnings.warn` stacklevel, for the function that calls this
-    one, of the first frame outside the package."""
-    package = os.path.dirname(__file__) + os.sep
-    frame, level = sys._getframe(1), 1
-    while frame is not None and frame.f_code.co_filename.startswith(package):
-        frame, level = frame.f_back, level + 1
-    return level
 
 
 def _check_set(u: Ultrafilter, s) -> None:
@@ -123,32 +113,22 @@ class PrincipalUltrafilter(Ultrafilter):
 
 
 class FreeQUltrafilter(Ultrafilter):
-    """Free ultrafilter over the rationals anchored on a class atom."""
+    """Free ultrafilter over the rationals anchored on a set with a
+    witnessed cell, such as an unramified class atom."""
 
     def __init__(self, atom: QPlaceSet, label: str = "atom"):
         self.field = RATIONALS
         self.atom = atom
         self.label = label
         self._chain: dict[NumberField, tuple] = {}
-        self._chain_order: list[NumberField] = []
-        if not atom.cells:
-            raise ValueError("a free ultrafilter needs an infinite anchor set")
-        bound = config.DEFAULT.prime_bound
-        # a bound past desk scale is refused even where sampling stops early
+        self.bound = bound = config.DEFAULT.prime_bound
+        # a bound past desk scale is refused even where the witness search stops early
         beyond = next(primerange(FACTOR_CAP, min(bound, 2 * FACTOR_CAP)), None)
         if beyond is not None:
             raise UnsupportedPrime(f"prime {beyond} exceeds the desk-scale bound")
-        witnesses = 0
-        for p in primerange(2, bound):
-            if atom.contains_prime(p):
-                witnesses += 1
-                if witnesses >= ATOM_WITNESS_THRESHOLD:
-                    break
-        if witnesses < ATOM_WITNESS_THRESHOLD:
-            warnings.warn(
-                f"free ultrafilter anchored on a sparsely witnessed atom "
-                f"({witnesses} members below {bound})",
-                stacklevel=_caller_level(),
+        if next(self._witnesses(), None) is None:
+            raise UnsupportedSelection(
+                f"no unramified prime below {bound} realizes a cell of the anchor set"
             )
 
     @property
@@ -173,45 +153,33 @@ class FreeQUltrafilter(Ultrafilter):
         self._extend_chain(K)
         return self._chain[K]
 
+    def _witnesses(self, *fields: NumberField):
+        """The primes below the bound that witness the atom together with
+        the chain so far, avoiding the discriminants of `fields` too."""
+        atom, chain = self.atom, list(self._chain.items())
+        avoid = set().union(*map(_disc_primes, (*self._chain, *fields)))
+        for p in primerange(2, self.bound):
+            if p not in avoid and _cell_of_prime(p, atom.context) in atom.cells \
+                    and all(splitting_class(G, p) == cls for G, cls in chain):
+                yield p
+
     def _extend_chain(self, F: NumberField) -> None:
         counts: dict[tuple, int] = {cls: 0 for cls in _classes(F)}
-        prefix = list(self._chain_order)
-        from .places import excluded_primes, splitting_class
-
-        def counted(p):
-            if p in excluded_primes(F):
-                return False
-            return not any(p in excluded_primes(G) or splitting_class(G, p) != self._chain[G]
-                           for G in prefix)
-
-        atom, bound = self.atom, config.DEFAULT.prime_bound
-        leader = self._cells_class(F)
-        if leader is None:
-            for p in atom.members_below(bound):
-                if counted(p):
-                    counts[splitting_class(F, p)] += 1
-        else:
-            # every member outside `plus` has the leader's class, so once
-            # the leader is ahead of every other class nothing can overtake it
-            for p in atom.plus:
-                if p < bound and counted(p):
-                    counts[splitting_class(F, p)] += 1
-            rival = max((c for cls, c in counts.items() if cls != leader), default=0)
-            for p in primerange(2, bound):
-                if counts[leader] > rival:
-                    break
-                if p not in atom.plus and atom.contains_prime(p) and counted(p):
-                    counts[leader] += 1
+        # when the cells fix F's class, every witness votes for it
+        decided = self._cells_class(F) is not None
+        for p in self._witnesses(F):
+            counts[splitting_class(F, p)] += 1
+            if decided:
+                break
         # deterministic: highest count, ties to the canonically smallest class
         top = max(counts.values())
         if top == 0:
             raise UnsupportedSelection(
-                f"no prime below {config.DEFAULT.prime_bound} supports a splitting "
+                f"no prime below {self.bound} supports a splitting "
                 f"class of {list(F.coeffs)} for this ultrafilter"
             )
         chosen = min(cls for cls, c in counts.items() if c == top)
         self._chain[F] = chosen
-        self._chain_order.append(F)
 
     def _cells_class(self, F: NumberField):
         """The class every cell of the atom gives F, if there is one."""
@@ -230,10 +198,11 @@ class FreeQUltrafilter(Ultrafilter):
         return self.atom
 
     def __eq__(self, other):
-        return isinstance(other, FreeQUltrafilter) and self.atom == other.atom
+        return isinstance(other, FreeQUltrafilter) and \
+            (self.atom, self.bound) == (other.atom, other.bound)
 
     def __hash__(self):
-        return hash(("free", self.atom))
+        return hash(("free", self.atom, self.bound))
 
     def __repr__(self):
         return f"Free({self.label})"
@@ -307,8 +276,8 @@ def free_on_atom(field: NumberField, cls, label: str | None = None) -> FreeQUltr
 
 
 def free_on_set(atom: QPlaceSet, label: str = "atom") -> FreeQUltrafilter:
-    """Free rational ultrafilter anchored on any describable set presumed
-    infinite (for instance an intersection of class atoms)."""
+    """Free rational ultrafilter anchored on any describable set with a
+    witnessed cell (for instance an intersection of class atoms)."""
     return FreeQUltrafilter(atom, label)
 
 

@@ -11,7 +11,7 @@ from adelic.adeles import (
     zero_adele,
 )
 from adelic.numberfields import RATIONALS
-from adelic.places import all_splitting_classes, factor_prime
+from adelic.places import factor_prime
 from adelic.placesets import (
     all_primes,
     class_atom,
@@ -23,6 +23,7 @@ from adelic.placesets import (
 )
 
 from conftest import CATALOGUE, CUBE2, GAUSS
+from oracles import splitting_types, unramified_classes
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -59,13 +60,14 @@ def random_qset(rng, depth=3):
     return a.union(b) if op == 1 else a.intersect(b)
 
 
-WIDE_ATOM_POOL = [(K, cls) for K in CATALOGUE for cls in all_splitting_classes(K.degree)]
+WIDE_ATOM_POOL = [(K, cls) for K in CATALOGUE for cls in splitting_types(K.degree)]
 
 
 def random_wide_qset(rng, depth=3):
     """Random sets whose contexts reach three and four catalogue fields:
-    leaves include the atom of every class, ramified ones too, and
-    intersections of one atom from each of several fields."""
+    leaves include the atom of every class, ramified ones (finite sets)
+    too, and intersections of one unramified class atom from each of
+    several fields."""
     roll = rng.random()
     if depth == 0 or roll < 0.3:
         kind = rng.randrange(4)
@@ -77,7 +79,7 @@ def random_wide_qset(rng, depth=3):
             return class_atom(*rng.choice(WIDE_ATOM_POOL))
         out = all_primes()
         for K in rng.sample(CATALOGUE, rng.randint(2, 4)):
-            out = out.intersect(class_atom(K, rng.choice(all_splitting_classes(K.degree))))
+            out = out.intersect(class_atom(K, rng.choice(sorted(unramified_classes(K.degree)))))
         return out
     a = random_wide_qset(rng, depth - 1)
     op = rng.randrange(3)

@@ -9,9 +9,12 @@ code with the sieve, Miller-Rabin, Lucas or rho steps of `adelic.primes`.
 The place-set oracles are the original Boolean-operation code: nested-loop
 context extension, a pointwise rebuild of the finite modification, then a
 canonical form that drops one cylinder field at a time and starts over.
-They read splitting classes from `adelic.places` and nothing else of
-`adelic.placesets`.  The selector oracle is the original full count of
-every atom member below the prime bound, with no early stop.
+Cells range over the unramified classes, found here by a search over all
+multisets of (e, f) pairs, and the primes dividing a discriminant, found
+here by trial division, belong to no cell.  The oracles read splitting
+classes from `adelic.places` and nothing else of `adelic.placesets`.  The
+selector oracle counts every witness below the prime bound, with no early
+stop.
 The lifting and irreducibility oracles are the original code too: Hensel
 lifting one p-adic digit at a time, and an irreducibility test that looks
 for rational roots, certifies by Rabin's test mod small primes, and
@@ -20,14 +23,15 @@ only the basic arithmetic of `adelic.polynomials` and `adelic.primes`,
 none of its lifting or factor recombination.
 """
 
-from itertools import product
+from functools import cache
+from itertools import combinations_with_replacement, product
 from math import isqrt
 
 import numpy as np
 
 from adelic import polynomials as poly
 from adelic.localfields import INF
-from adelic.places import all_splitting_classes, excluded_primes, splitting_class
+from adelic.places import splitting_class
 from adelic.primes import factorint, primerange
 
 
@@ -216,10 +220,58 @@ def is_strong_pseudoprime(n, base):
         pow(base, d * 2 ** r, n) == n - 1 for r in range(s))
 
 
+@cache
+def splitting_types(n):
+    """Every multiset of (e, f) pairs with sum e*f equal to n, each sorted,
+    found among all multisets of at most n pairs."""
+    pairs = [(e, f) for e in range(1, n + 1) for f in range(1, n // e + 1)]
+    return tuple(sorted(combo for k in range(1, n + 1)
+                        for combo in combinations_with_replacement(pairs, k)
+                        if sum(e * f for e, f in combo) == n))
+
+
+@cache
+def unramified_classes(n):
+    """The splitting types of degree n with every e = 1."""
+    return frozenset(cls for cls in splitting_types(n) if all(e == 1 for e, _ in cls))
+
+
+@cache
+def discriminant_primes(K):
+    """The primes dividing the discriminant of K's polynomial."""
+    return frozenset(trial_division_factor(abs(K.discriminant)))
+
+
+def cycle_types(generators):
+    """The cycle types of the permutation group the generators generate,
+    each as its sorted cycle lengths; permutations are tuples of images."""
+    n = len(generators[0])
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        g = frontier.pop()
+        for s in generators:
+            h = tuple(s[i] for i in g)
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    types = set()
+    for g in group:
+        seen, lengths = set(), []
+        for i in range(n):
+            k, j = 0, i
+            while j not in seen:
+                seen.add(j)
+                j, k = g[j], k + 1
+            if k:
+                lengths.append(k)
+        types.add(tuple(sorted(lengths)))
+    return types
+
+
 def _reference_cell(p, context):
-    """The joint splitting class of p over the context, or None when a
-    context field excludes p."""
-    if any(p in excluded_primes(K) for K in context):
+    """The joint splitting class of p over the context, or None when p
+    divides the discriminant of a context field."""
+    if any(p in discriminant_primes(K) for K in context):
         return None
     return tuple(splitting_class(K, p) for K in context)
 
@@ -246,10 +298,10 @@ def sequential_canonical(context, cells, plus, minus):
             groups = {}
             for cell in cells:
                 groups.setdefault(cell[:ki] + cell[ki + 1:], set()).add(cell[ki])
-            if all(g == set(all_splitting_classes(K.degree)) for g in groups.values()):
+            if all(g == unramified_classes(K.degree) for g in groups.values()):
                 new_context = context[:ki] + context[ki + 1:]
                 new_cells = {cell[:ki] + cell[ki + 1:] for cell in cells}
-                candidates = plus | minus | {p for F in context for p in excluded_primes(F)}
+                candidates = plus | minus | {p for F in context for p in discriminant_primes(F)}
                 new_plus, new_minus = set(), set()
                 for p in candidates:
                     m = p in plus or (p not in minus and _reference_cell(p, context) in cells)
@@ -267,9 +319,9 @@ def sequential_canonical(context, cells, plus, minus):
 
 
 def _reference_rebuild(context, cells, member, candidates):
-    excluded = {p for K in context for p in excluded_primes(K)}
+    disc = {p for K in context for p in discriminant_primes(K)}
     plus, minus = set(), set()
-    for p in set(candidates) | excluded:
+    for p in set(candidates) | disc:
         m, d = member(p), _reference_cell(p, context) in cells
         if m and not d:
             plus.add(p)
@@ -286,7 +338,7 @@ def _reference_extend(s, ctx):
             if K in s.context:
                 opts = [cell[s.context.index(K)]]
             else:
-                opts = all_splitting_classes(K.degree)
+                opts = unramified_classes(K.degree)
             acc = [c + (o,) for c in acc for o in opts]
         cells.update(acc)
     return cells
@@ -311,27 +363,35 @@ def reference_intersect(a, b):
 def reference_complement(a):
     everything = [()]
     for K in a.context:
-        everything = [c + (cls,) for c in everything for cls in all_splitting_classes(K.degree)]
+        everything = [c + (cls,) for c in everything for cls in unramified_classes(K.degree)]
     return _reference_rebuild(a.context, set(everything) - a.cells,
                               lambda p: not reference_contains(a, p), a.plus | a.minus)
 
 
 def reference_selector_chain(atom, fields, bound):
-    """The selector chain of a free ultrafilter anchored on `atom`, by the
-    original full count: for each field in turn, every member of the atom
-    below `bound` that avoids the excluded primes and agrees with the
-    classes chosen so far votes for its class; the most votes win, ties
-    going to the smallest class.  Returns the chain as a dict and whether
-    it stopped at a field that no prime supports."""
+    """The selector chain of a free ultrafilter anchored on `atom`, by a
+    full count.  A witness is a prime below `bound` that divides no
+    discriminant of the atom's context, of the fields chosen so far or of
+    the field being chosen, whose joint class over the atom's context is a
+    cell of the atom and whose class in every field chosen so far is the
+    chosen one.  For each field in turn every witness votes for its class;
+    the most votes win, ties going to the smallest class.  Returns None
+    when the atom itself has no witness, else the chain as a dict and
+    whether it stopped at a field without a witness."""
+    primes = list(primerange(2, bound))
+
+    def witnesses(chain, extra):
+        avoid = set().union(*(discriminant_primes(K) for K in (*atom.context, *chain, *extra)))
+        return [p for p in primes if p not in avoid
+                and _reference_cell(p, atom.context) in atom.cells
+                and all(splitting_class(G, p) == cls for G, cls in chain.items())]
+
+    if not witnesses({}, ()):
+        return None
     chain = {}
-    members = [p for p in primerange(2, bound) if reference_contains(atom, p)]
     for F in fields:
-        counts = {cls: 0 for cls in all_splitting_classes(F.degree)}
-        for p in members:
-            if p in excluded_primes(F) or any(
-                    p in excluded_primes(G) or splitting_class(G, p) != cls
-                    for G, cls in chain.items()):
-                continue
+        counts = {cls: 0 for cls in unramified_classes(F.degree)}
+        for p in witnesses(chain, (F,)):
             counts[splitting_class(F, p)] += 1
         top = max(counts.values())
         if top == 0:

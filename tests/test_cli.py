@@ -4,7 +4,6 @@ import os
 import shlex
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -288,24 +287,34 @@ def test_free_ultrafilter_without_samples_exits_2():
         code, out = run_cli("--prime-bound", "0", "density",
                             "--ultra", "free:1,0,1:1x2", "--constraint", "2:0:1:3")
     assert code == 2 and out == ""
-    lines = err.getvalue().splitlines()
-    assert lines[0].startswith("warning: free ultrafilter anchored on a sparsely witnessed atom")
-    assert lines[1].startswith("error: UnsupportedSelection: ") and len(lines) == 2
+    assert err.getvalue() == ("error: UnsupportedSelection: no unramified prime "
+                              "below 0 realizes a cell of the anchor set\n")
 
 
-@pytest.mark.parametrize("action", ["error", "ignore", "default"])
-def test_sparse_atom_warning_is_one_stderr_line(action):
-    """The CLI reports a sparse atom as one `warning:` line, whatever the
-    caller's warning filters, and shows no package source."""
+def test_free_ultrafilter_holds_no_ramified_primes():
+    """The cofinite ultrafilter used to select the totally ramified class
+    of x^3 - 2 from the primes 2 and 3 below 8, and so held {2, 3}."""
+    with _cli_state_restored():
+        code, out = run_cli("--prime-bound", "8", "member", "--ideal", "max@free:all",
+                            "--adele", "ind:-2,0,0,1:3x1")
+    assert code == 0
+    assert "member=false" in out.splitlines()
+    assert "ovr[q{ctx[] cells[] plus[2,3] minus[]}->]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("member", "--ideal", "max@free:1,-3,0,1:1x1+1x2", "--adele", "diag:6"),
+    ("member", "--ideal", "max@free:1,0,1:2x1", "--adele", "uni"),
+], ids=" ".join)
+def test_free_anchor_without_witness_exits_2(argv):
+    """x^3 - 3x + 1 has Galois group C3, so no prime has class 1x1+1x2;
+    the class 2x1 of x^2 + 1 holds only the ramified prime 2."""
     err = io.StringIO()
-    with _cli_state_restored(), contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter(action)
-        code, out = run_cli("--prime-bound", "30", "density",
-                            "--ultra", "free:1,0,1:1x2", "--constraint", "2:0:1:3")
-    assert code == 0 and "constraint p=2 satisfied=true" in out
-    assert err.getvalue() == ("warning: free ultrafilter anchored on a sparsely "
-                              "witnessed atom (5 members below 30)\n")
-    assert "ultrafilters.py" not in err.getvalue()
+    with _cli_state_restored(), contextlib.redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: UnsupportedSelection: ")
 
 
 @given(argvs())

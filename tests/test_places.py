@@ -3,7 +3,6 @@ import pytest
 from adelic.errors import NotPrime, UnsupportedPrime
 from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import (
-    all_splitting_classes,
     archimedean_places,
     class_label,
     enumerate_finite_places,
@@ -13,9 +12,11 @@ from adelic.places import (
     splitting_class,
     supported_primes,
 )
+from adelic.placesets import _classes
 from adelic.primes import primerange
 
 from conftest import CUBE2, CYCLO5, GAUSS, ROOT5
+from oracles import splitting_types, unramified_classes
 
 
 def test_factor_prime_examples():
@@ -86,15 +87,18 @@ def test_sum_ef_invariant_sampled():
 
 def test_class_labels_round_trip():
     for degree in (1, 2, 3, 4):
-        for cls in all_splitting_classes(degree):
+        for cls in splitting_types(degree):
             assert parse_class_label(class_label(cls)) == cls
 
 
 def test_abstract_class_counts():
-    assert len(all_splitting_classes(1)) == 1
-    assert len(all_splitting_classes(2)) == 3
-    assert len(all_splitting_classes(3)) == 5
-    assert len(all_splitting_classes(4)) == 11
+    """All splitting types against the unramified ones that cells use."""
+    assert [len(splitting_types(n)) for n in range(1, 7)] == [1, 3, 5, 11, 17, 34]
+    fields = (RATIONALS, GAUSS, CUBE2, CYCLO5, NumberField((-1, -1, 0, 0, 0, 1)),
+              NumberField((-2, 0, 0, 0, 0, 0, 1)))
+    assert [len(_classes(K)) for K in fields] == [1, 2, 3, 5, 7, 11]
+    for K in fields:
+        assert set(_classes(K)) == unramified_classes(K.degree)
 
 
 def test_archimedean_places():

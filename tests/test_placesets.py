@@ -5,8 +5,8 @@ from math import prod
 import pytest
 
 from adelic.errors import NotPrime
-from adelic.numberfields import RATIONALS
-from adelic.places import all_splitting_classes, enumerate_finite_places, factor_prime
+from adelic.numberfields import NumberField, RATIONALS
+from adelic.places import enumerate_finite_places, factor_prime
 from adelic.placesets import (
     QPlaceSet,
     all_primes,
@@ -33,6 +33,7 @@ from conftest import (
     CYCLO5,
     GAUSS,
     INERT_CYCLO5,
+    INERT_GAUSS,
     MIXED_CUBE2,
     ROOT5,
     SPLIT_GAUSS,
@@ -43,6 +44,7 @@ from oracles import (
     reference_contains,
     reference_intersect,
     reference_union,
+    unramified_classes,
 )
 
 
@@ -121,7 +123,24 @@ def test_excluded_primes_are_modelled_explicitly():
 
 def test_ramified_atoms_are_finite_sets_pointwise():
     ram = class_atom(GAUSS, ((2, 1),))
-    assert ram.members_below(500) == [2]
+    assert ram.is_structurally_finite() and ram.finite_members() == {2}
+    assert [p for p in primerange(2, 500) if ram.contains_prime(p)] == [2]
+    totally = class_atom(CUBE2, ((3, 1),))
+    assert totally.finite_members() == {2, 3}
+    assert class_atom(CUBE2, ((1, 1), (2, 1))).is_empty()
+    # a ramified prime stays explicit in every set built from classes
+    assert fiber_size_exactly(GAUSS, 1) == \
+        class_atom(GAUSS, INERT_GAUSS).union(finite_qset([2]))
+    assert fiber_size_at_least(CUBE2, 1).is_everything()
+
+
+def test_discriminant_primes_past_desk_scale_stay_unlisted():
+    """x^2 - 1000003 also ramifies at 1000003, past the primes the model
+    factors; sets built from its classes list only the ramified 2."""
+    K = NumberField((-1000003, 0, 1))
+    comp = class_atom(K, SPLIT_GAUSS).complement()
+    assert comp == fiber_size_exactly(K, 1)
+    assert comp.plus == {2} and comp.contains_prime(5) and not comp.contains_prime(3)
 
 
 def test_section_semantics():
@@ -189,6 +208,7 @@ def test_serialization_round_trip():
     "q{ctx[1,0,1|-5,0,1] cells[] plus[] minus[]}",           # fields out of order
     "q{ctx[] cells[] plus[3] minus[3]}",                     # prime added and removed
     "q{ctx[] cells[] plus[4] minus[]}",                      # number that is not prime
+    "q{ctx[1,0,1] cells[1x2;2x1] plus[] minus[]}",           # ramified class in a cell
 ])
 def test_parse_qset_rejects_malformed_text(text):
     with pytest.raises(ValueError):
@@ -242,5 +262,5 @@ def test_complement_of_four_field_atom_intersection():
     s = reduce(QPlaceSet.intersect, atoms)
     assert len(s.context) == 4 and len(s.cells) == 1
     comp = s.complement()
-    assert len(comp.cells) == prod(len(all_splitting_classes(K.degree)) for K in CATALOGUE) - 1
+    assert len(comp.cells) == prod(len(unramified_classes(K.degree)) for K in CATALOGUE) - 1
     assert comp.complement() == s

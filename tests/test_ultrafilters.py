@@ -1,9 +1,9 @@
 import random
-import warnings
 
 import pytest
 
 from adelic import config
+from adelic.adeles import vanishing_on
 from adelic.errors import (
     FieldMismatch,
     NotAPartition,
@@ -11,6 +11,7 @@ from adelic.errors import (
     UnsupportedPrime,
     UnsupportedSelection,
 )
+from adelic.localfields import INF
 from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import factor_prime, place_above, splitting_class
 from adelic.placesets import (
@@ -35,11 +36,17 @@ from adelic.ultrafilters import (
 )
 
 from adelic.primes import primerange
-from adelic.registry import ensure_registered, registered_fields
+from adelic.registry import clear_registry, ensure_registered, registered_fields
+from adelic.spectrum import selected_profile
 
-from conftest import CUBE2, CYCLO5, GAUSS, ROOT5, SPLIT_GAUSS
+from conftest import CUBE2, CYCLO5, GAUSS, INERT_GAUSS, ROOT5, SPLIT_GAUSS
 from gen import random_kset, random_qset, random_wide_qset
-from oracles import reference_selector_chain
+from oracles import (
+    cycle_types,
+    discriminant_primes,
+    reference_selector_chain,
+    unramified_classes,
+)
 
 QUINTIC = NumberField((-1, -1, 0, 0, 0, 1))  # x^5 - x - 1, Galois group S5
 
@@ -91,6 +98,8 @@ def test_free_ultrafilters_reject_finite_contain_cofinite():
     atom = split.anchor_set()
     assert split.contains(atom)
     assert split.contains(atom.difference(finite_qset([5])))
+    with pytest.raises(UnsupportedSelection):
+        free_on_set(finite_qset([5, 13]))
 
 
 def test_principal_semantics():
@@ -241,18 +250,71 @@ def test_field_mismatch():
         up.contains(all_primes())
 
 
-def test_sparse_atom_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        free_on_atom(GAUSS, ((2, 1),))
-    assert any("sparsely witnessed" in str(w.message) for w in caught)
+C3_CUBIC = NumberField((1, -3, 0, 1))  # x^3 - 3x + 1, Galois group C3
 
 
-def test_sparse_atom_warning_names_the_caller():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        free_on_atom(GAUSS, ((2, 1),))
-    assert [w.filename for w in caught] == [__file__]
+@pytest.mark.parametrize("field,cls", [
+    (GAUSS, ((2, 1),)),          # ramified: the finite set {2}
+    (CUBE2, ((3, 1),)),          # totally ramified: {2, 3}
+    (C3_CUBIC, ((1, 1), (1, 2))),  # unramified, but no Frobenius has this cycle type
+], ids=["ramified", "totally-ramified", "unrealized"])
+def test_anchor_without_witness_is_refused(field, cls):
+    with pytest.raises(UnsupportedSelection, match="no unramified prime below 10000"):
+        free_on_atom(field, cls)
+
+
+@pytest.mark.parametrize("field,generators", [
+    (GAUSS, [(1, 0)]),                    # C2
+    (CUBE2, [(1, 0, 2), (1, 2, 0)]),      # S3
+    (CYCLO5, [(1, 3, 0, 2)]),             # C4: zeta -> zeta^2 on the exponents 1..4
+    (C3_CUBIC, [(1, 2, 0)]),              # C3
+], ids=["x^2+1", "x^3-2", "Phi5", "x^3-3x+1"])
+def test_free_atoms_are_the_galois_cycle_types(field, generators):
+    """At the unramified primes below 10^4 the classes seen are the cycle
+    types of the Galois group, and a free ultrafilter anchors on exactly
+    those unramified classes."""
+    disc = discriminant_primes(field)
+    seen = {splitting_class(field, p) for p in primerange(2, 10_000) if p not in disc}
+    cycles = {tuple((1, f) for f in t) for t in cycle_types(generators)}
+    assert seen == cycles
+    for cls in unramified_classes(field.degree):
+        if cls in cycles:
+            assert free_on_atom(field, cls).contains(class_atom(field, cls))
+        else:
+            with pytest.raises(UnsupportedSelection):
+                free_on_atom(field, cls)
+
+
+def test_motivating_ramified_selection_is_gone(monkeypatch):
+    """At bound 8 the selector used to count the ramified primes 2 and 3
+    of x^3 - 2 and select the totally ramified class, so the free
+    ultrafilter held the finite set {2, 3}."""
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=8))
+    clear_registry()
+    ensure_registered(CUBE2)
+    u = free_cofinite()
+    totally = class_atom(CUBE2, ((3, 1),))
+    assert totally.finite_members() == {2, 3}
+    assert not u.contains(totally)
+    assert u.contains(totally.complement())
+
+
+def test_free_ultrafilters_keep_their_bound(monkeypatch):
+    """Selection reads the bound the ultrafilter was built with, and
+    equality, hashing and the profile cache tell bounds apart."""
+    selected_profile.cache_clear()
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=6))
+    small = free_cofinite()
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=10_000))
+    # witnesses below 6: 3 (inert) and 5 (split) tie, so the smaller class wins;
+    # below 10^4 the inert class has more primes
+    assert small._selected_class(GAUSS) == SPLIT_GAUSS
+    large = free_cofinite()
+    assert large != small and len({small, large}) == 2
+    assert large._selected_class(GAUSS) == INERT_GAUSS
+    alpha = vanishing_on(RATIONALS, class_atom(GAUSS, SPLIT_GAUSS))
+    assert selected_profile(small, alpha) == (INF,)
+    assert selected_profile(large, alpha) == (0,)
 
 
 def _chain(u):
@@ -268,29 +330,31 @@ def _chain(u):
 
 @pytest.mark.parametrize("bound", [300, 3000])
 def test_selector_chain_matches_full_count(bound, monkeypatch):
-    """The selector stops sampling once its choice is decided and picks
-    the chain that counting every atom member below the bound picks."""
+    """The selector stops at the first witness when the atom decides the
+    class and picks the chain that counting every witness below the bound
+    picks; an atom without a witness is refused."""
     monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=bound))
     ensure_registered(QUINTIC)
     rng = random.Random(bound)
     modifiers = list(primerange(2, 400))
-    decided_early = with_plus = refused = 0
+    decided_early = modified = refused = 0
     for _ in range(200):
         atom = random_wide_qset(rng)
         atom = atom.union(finite_qset(rng.sample(modifiers, rng.randint(0, 4))))
         atom = atom.difference(finite_qset(rng.sample(modifiers, rng.randint(0, 3))))
         if not atom.cells:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        try:
             got = _chain(free_on_set(atom))
+        except UnsupportedSelection:
+            got = None
         assert got == reference_selector_chain(atom, registered_fields(), bound), atom
         early = any(len({cell[i] for cell in atom.cells}) == 1
                     for i in range(len(atom.context)))
         decided_early += early
-        with_plus += early and bool(atom.plus)
-        refused += got[1]
-    assert decided_early >= 40 and with_plus >= 30 and refused >= 2
+        modified += early and bool(atom.plus or atom.minus)
+        refused += got is None or got[1]
+    assert decided_early >= 40 and modified >= 30 and refused >= 2
 
 
 def test_split_selector_samples_few_primes(monkeypatch):

@@ -82,11 +82,13 @@ def _disc_primes(field: NumberField) -> frozenset[int]:
 
 def _cell_of_prime(p: int, context) -> Cell | None:
     """The joint splitting class of p, or None when p divides the
-    discriminant of a context field."""
-    cell = []
+    discriminant of a context field.  The discriminants are all checked
+    before any class is read."""
     for K in context:
         if p in _disc_primes(K):
             return None
+    cell = []
+    for K in context:
         cell.append(splitting_class(K, p))
     return tuple(cell)
 

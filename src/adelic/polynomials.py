@@ -5,6 +5,16 @@ trailing zeros; the zero polynomial is the empty tuple.  Three coefficient
 domains are used: Python ints, fractions.Fraction, and ints mod a prime p
 (the mod-p helpers all take p explicitly).  Hensel lifting reuses the
 mod-p helpers with a prime power in place of p; its divisors are monic.
+
+Powers mod a monic polynomial w of degree n over F_p, the inner loop of
+distinct-degree factoring, run on packed integers instead (`_PackedRing`):
+a residue is one int with n slots of B bits, coefficient i in slot i, and
+a product is one bigint multiply whose high slots fold back through the
+packed rows x^(n+k) mod w.  No slot of a product exceeds 2 n p^2 before
+it is reduced, so B is the bit length of 2 n p^2; it is computed from n
+and p, never set.  The p-th power map is linear over F_p, so once the
+rows x^(ip) mod w are packed (Berlekamp's Q matrix), x^(p^d) follows from
+x^(p^(d-1)) by one linear combination.
 """
 
 from __future__ import annotations
@@ -231,21 +241,116 @@ def pdivmod(f, g, p):
 
 
 def pgcd(f, g, p):
-    f, g = pnorm(f, p), pnorm(g, p)
-    while g:
-        f, g = g, pdivmod(f, g, p)[1]
-    return pmonic(f, p)
+    """Monic gcd over F_p: Euclid in place on lists, each divisor made
+    monic by one inverse so that the remainder loop needs none."""
+    a = list(pnorm(f, p))
+    b = list(pnorm(g, p))
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        nb = len(b) - 1
+        while len(a) > nb:
+            c = a.pop()
+            if c:
+                top = len(a) - nb
+                a[top:] = [(u - c * v) % p for u, v in zip(a[top:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return pmonic(tuple(a), p)
+
+
+class _PackedRing:
+    """F_p[x]/(w) for a monic w of degree n >= 1, on packed integers.
+
+    A residue c_0 + c_1 x + ... + c_(n-1) x^(n-1), with 0 <= c_i < p, is
+    the int sum c_i * 2**(B*i): n slots of B bits (Kronecker
+    substitution).  A product is one bigint multiply.  Its slots below n
+    hold at most n (p-1)^2; its n-1 slots from n on are reduced mod p and
+    folded back through the packed rows x^(n+k) mod w, which adds at most
+    (n-1)(p-1)^2 more.  Every slot therefore stays below 2 n p^2, and B is
+    the bit length of that number: the width follows from n and p.
+    """
+
+    __slots__ = ("p", "n", "bits", "mask", "low", "fold")
+
+    def __init__(self, w, p):
+        n = degree(w)
+        self.p, self.n = p, n
+        self.bits = (2 * n * p * p).bit_length()
+        self.mask = (1 << self.bits) - 1
+        self.low = (1 << (self.bits * n)) - 1
+        self.fold = []
+        row = self.pack([-c % p for c in w[:-1]])  # x^n mod w
+        for _ in range(n - 1):
+            self.fold.append(row)
+            row = self.mul(row, 1 << self.bits)
+
+    def pack(self, f):
+        """f must have degree < n and coefficients in [0, p)."""
+        out = 0
+        for c in reversed(f):
+            out = (out << self.bits) | c
+        return out
+
+    def unpack(self, a):
+        bits, mask = self.bits, self.mask
+        return trim((a >> s) & mask for s in range(0, self.n * bits, bits))
+
+    def reduce(self, a):
+        """Each slot of a, below 2 n p^2, taken mod p."""
+        p, bits, mask = self.p, self.bits, self.mask
+        out = 0
+        for s in range(0, self.n * bits, bits):
+            out |= ((a >> s) & mask) % p << s
+        return out
+
+    def mul(self, a, b):
+        prod = a * b
+        low = prod & self.low
+        high = prod >> (self.n * self.bits)
+        p, bits, mask = self.p, self.bits, self.mask
+        for row in self.fold:
+            if not high:
+                break
+            c = (high & mask) % p
+            if c:
+                low += c * row
+            high >>= bits
+        return self.reduce(low)
+
+    def pow(self, a, exp):
+        """a**exp, square-and-multiply from the top bit down."""
+        if exp == 0:
+            return 1
+        out = a
+        for bit in bin(exp)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+    def frobenius(self, a, rows):
+        """a**p from the rows x^(ip) mod w, i < n: the p-th power of
+        sum a_i x^i over F_p is sum a_i x^(ip)."""
+        bits, mask = self.bits, self.mask
+        out = 0
+        for row in rows:
+            if not a:
+                break
+            c = a & mask
+            if c:
+                out += c * row
+            a >>= bits
+        return self.reduce(out)
 
 
 def ppow_mod(base, exp, mod, p):
-    result = (1,)
-    base = pdivmod(base, mod, p)[1]
-    while exp > 0:
-        if exp & 1:
-            result = pdivmod(pmul(result, base, p), mod, p)[1]
-        base = pdivmod(pmul(base, base, p), mod, p)[1]
-        exp >>= 1
-    return result
+    """base**exp mod (mod, p) for a monic modulus of degree >= 1, on the
+    packed kernel of `_PackedRing`."""
+    ring = _PackedRing(mod, p)
+    a = ring.pack(pdivmod(base, mod, p)[1])
+    return ring.unpack(ring.pow(a, exp))
 
 
 def pth_root(f, p):
@@ -297,21 +402,36 @@ def squarefree_decomposition(f, p):
 
 
 def _distinct_degree(f, p):
-    """Split squarefree monic f into (d, product of degree-d irreducibles)."""
-    out = []
-    w = f
-    frob = ppow_mod((0, 1), p, w, p)
-    d = 1
-    while degree(w) >= 2 * d:
-        g = pgcd(psub(frob, (0, 1), p), w, p)
-        if degree(g) > 0:
-            out.append((d, g))
-            w = pdivmod(w, g, p)[0]
-            frob = pdivmod(frob, w, p)[1]
-        d += 1
-        if degree(w) < 2 * d:
-            break
-        frob = ppow_mod(frob, p, w, p)
+    """Split squarefree monic f into (d, product of degree-d irreducibles).
+
+    x^(p^d) mod w comes from x^(p^(d-1)) through the Frobenius rows
+    x^(ip) mod w (Berlekamp's Q matrix), built once from x^p mod w and
+    reduced again whenever a factor splits off w.
+    """
+    out, w, d = [], f, 1
+    if degree(w) >= 2:
+        ring = _PackedRing(w, p)
+        frob = ring.pow(1 << ring.bits, p)  # x^p mod w
+        rows = None
+        while True:
+            g = pgcd(psub(ring.unpack(frob), (0, 1), p), w, p)
+            if degree(g) > 0:
+                out.append((d, g))
+                w = pdivmod(w, g, p)[0]
+            d += 1
+            if degree(w) < 2 * d:
+                break
+            if degree(g) > 0:
+                old, ring = ring, _PackedRing(w, p)
+                frob = ring.pack(pdivmod(old.unpack(frob), w, p)[1])
+                if rows:
+                    rows = [ring.pack(pdivmod(old.unpack(r), w, p)[1])
+                            for r in rows[:ring.n]]
+            if rows is None:
+                rows = [1, frob]
+                while len(rows) < ring.n:
+                    rows.append(ring.mul(rows[-1], frob))
+            frob = ring.frobenius(frob, rows)
     if degree(w) > 0:
         out.append((degree(w), w))
     return out
@@ -323,10 +443,11 @@ def _splitter(a, h, d, p):
     a + a^2 + ... + a^(2^(d-1)) when p = 2, and a^((p^d - 1)/2) - 1 for
     odd p (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14)."""
     if p == 2:
-        t = out = a
+        ring = _PackedRing(h, p)
+        t, out = ring.pack(a), a
         for _ in range(d - 1):
-            t = pdivmod(pmul(t, t, p), h, p)[1]
-            out = padd(out, t, p)
+            t = ring.mul(t, t)
+            out = padd(out, ring.unpack(t), p)
         return out
     return psub(ppow_mod(a, (p ** d - 1) // 2, h, p), (1,), p)
 

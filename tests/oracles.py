@@ -19,8 +19,13 @@ The lifting and irreducibility oracles are the original code too: Hensel
 lifting one p-adic digit at a time, and an irreducibility test that looks
 for rational roots, certifies by Rabin's test mod small primes, and
 otherwise searches a Landau-Mignotte box of candidate factors.  They use
-only the basic arithmetic of `adelic.polynomials` and `adelic.primes`,
-none of its lifting or factor recombination.
+the integer and mod-p ring operations of `adelic.polynomials` (addition,
+multiplication, division, resultants) and `adelic.primes`, none of its
+lifting or factor recombination.  Powers and gcds mod a polynomial, which
+the library computes on packed integers, are done here by schoolbook
+multiplication, `_poly_div_mod`, square-and-multiply and plain Euclid; the
+distinct-degree class oracle counts the factors of each degree from
+gcd(x^(p^d) - x, f) by Moebius inversion, without splitting f.
 """
 
 from functools import cache
@@ -493,6 +498,76 @@ def box_search_factor(f, max_deg):
     return None
 
 
+def oracle_mul_mod(a, b, m, p):
+    """a*b mod (m, p) for a monic m: schoolbook product, then `_poly_div_mod`."""
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            prod[i + j] += u * v
+    return tuple(_poly_div_mod(prod, m, p)[1])
+
+
+def oracle_pow_mod(a, e, m, p):
+    """a**e mod (m, p) for a monic m, by square-and-multiply from the
+    lowest bit up."""
+    out = tuple(_poly_div_mod([1], m, p)[1])
+    a = tuple(_poly_div_mod(list(a), m, p)[1])
+    while e:
+        if e & 1:
+            out = oracle_mul_mod(out, a, m, p)
+        a = oracle_mul_mod(a, a, m, p)
+        e >>= 1
+    return out
+
+
+def oracle_gcd(f, g, p):
+    """Monic gcd over F_p by plain Euclid on `_poly_div_mod` remainders."""
+    def strip(h):
+        h = [c % p for c in h]
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    f, g = strip(f), strip(g)
+    while g:
+        f, g = g, _poly_div_mod(f, g, p)[1]
+    if not f:
+        return ()
+    inv = pow(f[-1], -1, p)
+    return tuple(c * inv % p for c in f)
+
+
+def _minus_x(h, p):
+    h = list(h) + [0] * max(2 - len(h), 0)
+    h[1] -= 1
+    h = [c % p for c in h]
+    while h and h[-1] == 0:
+        h.pop()
+    return h
+
+
+def oracle_unramified_class(f, p):
+    """The sorted ((1, d), ...) of a monic f that is squarefree mod p.
+
+    r_d = deg gcd(x^(p^d) - x, f) sums k * N_k over the divisors k of d,
+    where N_k counts the irreducible factors of degree k; Moebius
+    inversion over d <= n/2 gives those counts, and whatever degree is
+    left is one irreducible factor of degree above n/2.
+    """
+    n = len(f) - 1
+    counts = {}
+    h = (0, 1)
+    for d in range(1, n // 2 + 1):
+        h = oracle_pow_mod(h, p, f, p)
+        r = len(oracle_gcd(_minus_x(h, p), f, p)) - 1
+        counts[d] = (r - sum(k * counts[k] for k in counts if d % k == 0)) // d
+    out = [(1, d) for d, c in counts.items() for _ in range(c)]
+    rest = n - sum(d * c for d, c in counts.items())
+    if rest:
+        out.append((1, rest))
+    return tuple(sorted(out))
+
+
 def rabin_is_irreducible_mod_p(f, p):
     """Rabin's test for a monic polynomial over F_p."""
     n = poly.degree(f)
@@ -501,12 +576,11 @@ def rabin_is_irreducible_mod_p(f, p):
     if n == 1:
         return True
     x = (0, 1)
-    h = poly.ppow_mod(x, p ** n, f, p)
-    if poly.psub(h, x, p):
+    if _minus_x(oracle_pow_mod(x, p ** n, f, p), p):
         return False
     for q in factorint(n):
-        h = poly.ppow_mod(x, p ** (n // q), f, p)
-        if poly.degree(poly.pgcd(poly.psub(h, x, p), f, p)) != 0:
+        h = oracle_pow_mod(x, p ** (n // q), f, p)
+        if len(oracle_gcd(_minus_x(h, p), f, p)) != 1:
             return False
     return True
 

@@ -349,3 +349,14 @@ def test_readme_commands_match_golden_stdout(argv, expected):
                           capture_output=True, env=_src_env())
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == expected.encode()
+
+
+@pytest.mark.parametrize("script", ["spectrum_census", "density_demo"])
+def test_scripts_match_golden_stdout(script):
+    """The census classifies four fields at every prime below 2 000, so its
+    stdout pins the mod-p kernel end to end."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(root / "scripts" / f"{script}.py")],
+                          capture_output=True, env=_src_env())
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == (GOLDEN.parent / f"{script}.txt").read_bytes()

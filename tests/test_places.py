@@ -16,7 +16,7 @@ from adelic.placesets import _classes
 from adelic.primes import primerange
 
 from conftest import CUBE2, CYCLO5, GAUSS, ROOT5
-from oracles import splitting_types, unramified_classes
+from oracles import oracle_unramified_class, splitting_types, unramified_classes
 
 
 def test_factor_prime_examples():
@@ -41,11 +41,19 @@ def test_splitting_class_examples():
 def test_splitting_class_matches_fibers(coeffs):
     """The distinct-degree classes agree with full factoring at every prime
     below 10**4, the ramified ones included (19 and 151 for x^5 - x - 1,
-    2 and 3 for x^6 - 2)."""
+    2 and 3 for x^6 - 2), and with the oracle's distinct-degree class at
+    every unramified one, and at 20 primes of the local-census range
+    10**4..3*10**4, where the packed slots are widest."""
     field = NumberField(coeffs)
     for p in primerange(2, 10_000):
         fiber = factor_prime(field, p)
-        assert splitting_class(field, p) == tuple(sorted((w.e, w.f) for w in fiber)), p
+        cls = splitting_class(field, p)
+        assert cls == tuple(sorted((w.e, w.f) for w in fiber)), p
+        if field.discriminant % p:
+            assert cls == oracle_unramified_class(coeffs, p), p
+    wide = list(primerange(10_000, 30_000))
+    for p in wide[::len(wide) // 20][:20]:
+        assert splitting_class(field, p) == oracle_unramified_class(coeffs, p), p
 
 
 def test_errors():

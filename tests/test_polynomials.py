@@ -1,11 +1,13 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from adelic import polynomials as poly
 from adelic.primes import primerange
 
-from oracles import box_search_is_irreducible, brute_factor_mod_p, linear_hensel_lift
+from oracles import (box_search_is_irreducible, brute_factor_mod_p, linear_hensel_lift,
+                     oracle_mul_mod, oracle_pow_mod, oracle_unramified_class)
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 # the catalogue, x^6 - 2 and x^5 - x - 1
@@ -115,13 +117,37 @@ def test_factor_mod_p_against_brute_force():
         assert poly.factor_mod_p(f, p) == brute_factor_mod_p(f, p), (f, p)
 
 
+def test_factor_mod_p_of_products_of_irreducibles():
+    """Products of up to five distinct irreducibles of degree 1-4 (degree up
+    to 20), so that factors split off w after the Frobenius rows are built
+    and the rows are reduced again; irreducibility comes from the brute-force
+    oracle."""
+    rng = random.Random(11)
+    for _ in range(120):
+        p = rng.choice(SMALL_PRIMES + (101, 997, 29989))
+        irreducibles, count = set(), rng.randint(2, 5)
+        while len(irreducibles) < count:
+            g = tuple(rng.randrange(p) for _ in range(rng.randint(1, 4))) + (1,)
+            if brute_factor_mod_p(g, p) == [(g, 1)]:
+                irreducibles.add(g)
+        f = (1,)
+        for g in irreducibles:
+            f = poly.pmul(f, g, p)
+        expected = sorted(((g, 1) for g in irreducibles), key=lambda t: (len(t[0]), t[0]))
+        assert poly.factor_mod_p(f, p) == expected, (f, p)
+        cls = tuple(sorted((1, poly.degree(g)) for g in irreducibles))
+        assert oracle_unramified_class(f, p) == cls, (f, p)
+
+
 @given(
     st.integers(min_value=0, max_value=len(SMALL_PRIMES) - 1),
     st.lists(st.integers(min_value=-20, max_value=20), min_size=0, max_size=5),
     st.lists(st.integers(min_value=-20, max_value=20), min_size=0, max_size=5),
+    st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=40),
 )
 @settings(max_examples=200, deadline=None)
-def test_mod_p_ring_laws(pi, a, b):
+def test_mod_p_ring_laws(pi, a, b, m, e):
     p = SMALL_PRIMES[pi]
     fa, fb = poly.pnorm(tuple(a), p), poly.pnorm(tuple(b), p)
     assert poly.pmul(fa, fb, p) == poly.pmul(fb, fa, p)
@@ -130,6 +156,24 @@ def test_mod_p_ring_laws(pi, a, b):
         q, r = poly.pdivmod(fa, fb, p)
         assert poly.padd(poly.pmul(q, fb, p), r, p) == fa
         assert poly.degree(r) < poly.degree(fb)
+    # powers mod a monic modulus of degree 1..6 against e-fold products
+    fm = tuple(c % p for c in m) + (1,)
+    power = (1,)
+    for _ in range(e):
+        power = oracle_mul_mod(power, fa, fm, p)
+    assert poly.ppow_mod(tuple(a), e, fm, p) == power
+
+
+@pytest.mark.parametrize("p", [2, 29989])  # 29989: the largest prime below 30 000
+def test_ppow_mod_edges(p):
+    rng = random.Random(p)
+    moduli = [poly.pnorm(f, p) for f in LIFT_FIELDS]
+    moduli += [tuple(rng.randrange(p) for _ in range(n)) + (1,) for n in range(1, 7)]
+    for m in moduli:
+        for a in ((0, 1), tuple(rng.randrange(p) for _ in range(poly.degree(m))),
+                  tuple(rng.randrange(-p, p) for _ in range(2 * poly.degree(m) + 1))):
+            for e in (0, 1, p, (p * p - 1) // 2):
+                assert poly.ppow_mod(a, e, m, p) == oracle_pow_mod(a, e, m, p), (m, a, e)
 
 
 @given(

@@ -43,6 +43,7 @@ from .placesets import (
     parse_kset,
     parse_qset,
 )
+from .polynomials import norm_int
 
 
 def everything_set(field: NumberField):
@@ -149,15 +150,11 @@ class TailPoly:
 def _element_suspects(c: FieldElement) -> set[int]:
     field = c.field
     out: set[int] = set()
-    den = c.denominator()
-    if den != 1:
-        out.update(supported_primes_dividing(field, den))
-    num = c.scaled_integer_numerator()
-    from . import polynomials as poly
-
-    res = poly.resultant_int(field.coeffs, num)
-    if abs(res) != 1:
-        out.update(supported_primes_dividing(field, res))
+    if c.den != 1:
+        out.update(supported_primes_dividing(field, c.den))
+    norm = norm_int(c.num, field.coeffs)
+    if abs(norm) != 1:
+        out.update(supported_primes_dividing(field, norm))
     return out
 
 
@@ -194,6 +191,14 @@ class Adele:
         """Exact valuation of the component at a finite place (INF at an
         exact zero)."""
         return valuation_of_element(self.component_at(w), w)
+
+    def pieces(self) -> list:
+        """(region, tail) pairs partitioning the finite places: each
+        override, then the default tail on the places no override takes."""
+        rest = everything_set(self.field)
+        for region, _ in self.overrides:
+            rest = rest.difference(region)
+        return list(self.overrides) + [(rest, self.tail)]
 
     # -- ring structure ----------------------------------------------------
 
@@ -240,13 +245,9 @@ class Adele:
             return val == INF if predicate == "is_zero" else val >= 1
 
         out = empty_set(self.field)
-        rest = everything_set(self.field)
-        for region, tail in self.overrides:
-            rest = rest.difference(region)
+        for region, tail in self.pieces():
             if holds(tail.min_degree()):
                 out = out.union(region)
-        if holds(self.tail.min_degree()):
-            out = out.union(rest)
         # pointwise corrections above suspect primes
         for p in sorted(self.suspect_primes()):
             for w in factor_prime(self.field, p):
@@ -274,10 +275,13 @@ class Adele:
         for w in places:
             if self.component_at(w) != other.component_at(w):
                 return False
-        for ra, ta in list(self.overrides) + [(None, self.tail)]:
-            for rb, tb in list(other.overrides) + [(None, other.tail)]:
-                region = _region_meet(self, ra, other, rb)
-                if region.is_empty() or ta.coeffs == tb.coeffs:
+        pieces_b = other.pieces()
+        for ra, ta in self.pieces():
+            for rb, tb in pieces_b:
+                if ta.coeffs == tb.coeffs:
+                    continue
+                region = ra.intersect(rb)
+                if region.is_empty():
                     continue
                 if region.is_structurally_finite():
                     # only finitely many places carry these two tails;
@@ -319,23 +323,6 @@ def membership_set(alpha: Adele, predicate: str):
     return alpha.membership_set(predicate)
 
 
-def _region_meet(a: "Adele", ra, b: "Adele", rb):
-    """Intersection of two (possibly default) regions of two adeles."""
-    if ra is None:
-        left = everything_set(a.field)
-        for r, _ in a.overrides:
-            left = left.difference(r)
-    else:
-        left = ra
-    if rb is None:
-        right = everything_set(b.field)
-        for r, _ in b.overrides:
-            right = right.difference(r)
-    else:
-        right = rb
-    return left.intersect(right)
-
-
 def _combine(a: Adele, b: Adele, field_op, tail_op) -> Adele:
     arch = tuple(field_op(x, y) for x, y in zip(a.arch, b.arch))
     places = sorted(
@@ -343,20 +330,18 @@ def _combine(a: Adele, b: Adele, field_op, tail_op) -> Adele:
         key=lambda w: (w.p, w.index),
     )
     exceptional = [(w, field_op(a.component_at(w), b.component_at(w))) for w in places]
-    pieces_a = list(a.overrides) + [(None, a.tail)]
-    pieces_b = list(b.overrides) + [(None, b.tail)]
+    pieces_a, pieces_b = a.pieces(), b.pieces()
+    last = (len(pieces_a) - 1, len(pieces_b) - 1)
+    default_tail = tail_op(a.tail, b.tail)
     overrides = []
-    default_tail = None
-    for ra, ta in pieces_a:
-        for rb, tb in pieces_b:
-            combined = tail_op(ta, tb)
-            if ra is None and rb is None:
-                default_tail = combined
-                continue
-            region = _region_meet(a, ra, b, rb)
+    for i, (ra, ta) in enumerate(pieces_a):
+        for j, (rb, tb) in enumerate(pieces_b):
+            if (i, j) == last:
+                continue  # the two defaults meet in the new default
+            region = ra.intersect(rb)
             if region.is_empty():
                 continue
-            overrides.append((region, combined))
+            overrides.append((region, tail_op(ta, tb)))
     # drop overrides indistinguishable from the default
     overrides = [(r, t) for r, t in overrides if t.coeffs != default_tail.coeffs]
     return Adele(a.field, arch, tuple(exceptional), tuple(overrides), default_tail)

@@ -20,6 +20,7 @@ from . import config
 from .adeles import (
     Adele,
     diagonal,
+    membership_set,
     one_adele,
     uniformizer_adele,
     vanishing_on,
@@ -237,7 +238,7 @@ def cmd_member(args) -> int:
     print(f"member={'true' if verdict else 'false'}")
     if ideal.kind in ("max_at", "min_at"):
         predicate = "in_m" if ideal.kind == "max_at" else "is_zero"
-        print(f"witness={alpha.membership_set(predicate).to_text()}")
+        print(f"witness={membership_set(alpha, predicate).to_text()}")
     elif ideal.kind == "between":
         from .spectrum import selected_profile
 

@@ -16,7 +16,7 @@ materialized as exceptional components with their exact rational values.
 
 from __future__ import annotations
 
-from .adeles import Adele, TailPoly, make_adele
+from .adeles import Adele, TailPoly, make_adele, membership_set
 from .errors import FieldMismatch
 from .localfields import INF
 from .numberfields import NumberField, RATIONALS
@@ -129,7 +129,7 @@ def _descend_generator(ideal: PrimeIdeal) -> Adele:
     u = ideal.ultra
     assert isinstance(u, FreeKUltrafilter)
     beta = ideal.beta
-    big = beta.membership_set("in_m")
+    big = membership_set(beta, "in_m")
     refined = section_refine(u, big)
     v_region = pullback_section(refined, u.effective_position)
     depth = selected_profile(u, beta)[0]

@@ -264,8 +264,7 @@ def embed(x: FieldElement, place: FinitePlace, digits: int = DEFAULT_DIGITS) -> 
         raise FieldMismatch("element and place fields differ")
     if x.is_zero():
         return LocalElement(place, INF, None, 0)
-    den = x.denominator()
-    num = x.scaled_integer_numerator()
+    num, den = poly.trim(x.num), x.den
     p = place.p
     k = 0
     while den % p == 0:

@@ -1,9 +1,17 @@
 """Monogenic number fields and exact arithmetic in them.
 
-A field is given by a monic irreducible integer polynomial; its elements
-are polynomials in the generator with rational coefficients, reduced mod
-the defining polynomial.  The base field of every construction here is the
+A field is given by a monic irreducible integer polynomial f of degree n;
+its elements are polynomials in the generator with rational coefficients,
+reduced mod f.  The base field of every construction here is the
 rationals, represented by the degree-one polynomial x.
+
+An element is one integer vector over one denominator: n ints reduced mod
+f and a positive int sharing no factor with all of them, so each value
+has exactly one representation.  Because f is monic, sums and products
+stay in the integers up to one gcd pass, and the norm and the inverse
+are determinants of the multiplication matrix (`polynomials.mul_matrix`).
+Rationals appear only at the text boundary: `element` and `parse_element`
+take them, and `as_rational`, `norm` and `to_text` give them back.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import polynomials as poly
 from .errors import FieldMismatch
@@ -54,12 +62,11 @@ class NumberField:
         return _signature(self.coeffs)[1]
 
     def element(self, *coeffs) -> "FieldElement":
-        """Build an element from rational coefficients, lowest power first."""
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            cs = _reduce(cs, self.coeffs)
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        """Build an element from rational coefficients (ints or Fractions),
+        lowest power first."""
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return _element(self, poly.rem_monic(num, self.coeffs), den)
 
     def zero(self) -> "FieldElement":
         return self.element()
@@ -89,22 +96,24 @@ def _signature(coeffs):
     return s1, (n - s1) // 2
 
 
-def _reduce(cs, f):
-    """Reduce a coefficient list modulo the monic integer polynomial f."""
-    cs = list(cs)
-    n = len(f) - 1
-    while len(cs) > n:
-        top = cs.pop()
-        if top:
-            for i in range(n):
-                cs[len(cs) - n + i] -= top * f[i]
-    return cs
+def _element(field: NumberField, num, den: int) -> "FieldElement":
+    """num / den in lowest terms; num holds degree ints, den > 0."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return FieldElement(field, tuple(num), den)
 
 
 @dataclass(frozen=True)
 class FieldElement:
+    """num / den: num holds the coefficients of a polynomial in the
+    generator reduced mod the defining polynomial, lowest power first, one
+    int per degree; den > 0 has no common factor with all of them."""
+
     field: NumberField
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
     def _check(self, other):
         if self.field != other.field:
@@ -112,71 +121,54 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return _element(self.field, [u * b + v * a for u, v in zip(self.num, other.num)], a * b)
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        a, b = self.den, other.den
+        return _element(self.field, [u * b - v * a for u, v in zip(self.num, other.num)], a * b)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-c for c in self.num), self.den)
 
     def __mul__(self, other):
         self._check(other)
-        prod = poly.mul(self.coeffs, other.coeffs)
-        return self.field.element(*prod)
+        prod = poly.rem_monic(poly.mul(self.num, other.num), self.field.coeffs)
+        return _element(self.field, prod, self.den * other.den)
 
     def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse by Cramer's rule: with M the matrix of
+        multiplication by num, coordinate j of 1/num is det(M with row j
+        replaced by (1, 0, ..., 0)) / det M."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        f = tuple(Fraction(c) for c in self.field.coeffs)
-        r0, r1 = f, poly.trim(self.coeffs)
-        s0, s1 = (), (Fraction(1),)
-        while poly.degree(r1) > 0:
-            q, r = poly.divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly.sub(s0, poly.mul(q, s1))
-        assert r1, "defining polynomial not irreducible?"
-        inv_lead = 1 / r1[0]
-        return self.field.element(*poly.scale(s1, inv_lead))
+        m = poly.mul_matrix(self.num, self.field.coeffs)
+        det = poly.int_det(m)
+        unit = (1,) + (0,) * (len(m) - 1)
+        num = [self.den * poly.int_det(m[:j] + [unit] + m[j + 1:]) for j in range(len(m))]
+        if det < 0:
+            num, det = [-c for c in num], -det
+        return _element(self.field, num, det)
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def norm(self) -> Fraction:
         """Field norm down to the rationals."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = poly.trim(int(c * den) for c in self.coeffs)
-        if not num:
-            return Fraction(0)
-        n = self.field.degree
-        return Fraction(poly.resultant_int(self.field.coeffs, num), den ** n)
-
-    def denominator(self) -> int:
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        return den
-
-    def scaled_integer_numerator(self) -> tuple[int, ...]:
-        """Integer coefficient tuple of (denominator * self)."""
-        den = self.denominator()
-        return poly.trim(int(c * den) for c in self.coeffs)
+        return Fraction(poly.norm_int(self.num, self.field.coeffs), self.den ** self.field.degree)
 
     def as_rational(self) -> Fraction:
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def to_text(self) -> str:
-        return ",".join(str(c) for c in self.coeffs)
+        return ",".join(str(Fraction(c, self.den)) for c in self.num)
 
     def __repr__(self):
         return f"<{self.to_text()} in deg-{self.field.degree} field>"

@@ -1,10 +1,17 @@
 """Exact univariate polynomial arithmetic.
 
 Polynomials are tuples of coefficients, lowest degree first, with no
-trailing zeros; the zero polynomial is the empty tuple.  Three coefficient
-domains are used: Python ints, fractions.Fraction, and ints mod a prime p
-(the mod-p helpers all take p explicitly).  Hensel lifting reuses the
-mod-p helpers with a prime power in place of p; its divisors are monic.
+trailing zeros; the zero polynomial is the empty tuple.  Two coefficient
+domains are used: Python ints and ints mod a prime p (the mod-p helpers
+all take p explicitly).  Hensel lifting reuses the mod-p helpers with a
+prime power in place of p; its divisors are monic.
+
+Over the integers no rationals arise: division is by a monic polynomial
+(`rem_monic`), and the Sturm chain uses pseudo-remainders.  For monic f,
+Z[x]/(f) is free with basis 1, x, ..., so the norm of a(x) in Q[x]/(f),
+the resultant Res(f, a) and, through a = f', the discriminant are one
+Bareiss determinant of the multiplication-by-a matrix (Cohen, GTM 138,
+section 4.3).
 
 Powers mod a monic polynomial w of degree n over F_p, the inner loop of
 distinct-degree factoring, run on packed integers instead (`_PackedRing`):
@@ -20,9 +27,8 @@ x^(p^(d-1)) by one linear combination.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations, count, islice
-from math import isqrt
+from math import gcd, isqrt
 
 from .primes import isprime
 
@@ -51,10 +57,6 @@ def sub(f, g):
     return trim((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n))
 
 
-def neg(f):
-    return tuple(-c for c in f)
-
-
 def mul(f, g):
     if not f or not g:
         return ()
@@ -66,31 +68,17 @@ def mul(f, g):
     return trim(out)
 
 
-def scale(f, c):
-    if c == 0:
-        return ()
-    return tuple(a * c for a in f)
-
-
-def divmod_frac(f, g):
-    """Quotient and remainder over the rationals."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = [Fraction(c) for c in f]
-    g = [Fraction(c) for c in g]
-    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    while len(f) >= len(g) and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        c = f[-1] / g[-1]
-        d = len(f) - len(g)
-        q[d] = c
-        for i in range(len(g)):
-            f[d + i] -= c * g[i]
-        f.pop()
-    return trim(q), trim(f)
+def rem_monic(f, g):
+    """Remainder of an integer polynomial f mod a monic integer polynomial
+    g, as a tuple of exactly deg g ints (trailing zeros kept)."""
+    f = list(f)
+    n = len(g) - 1
+    while len(f) > n:
+        top = f.pop()
+        if top:
+            base = len(f) - n
+            f[base:] = [u - top * v for u, v in zip(f[base:], g)]
+    return tuple(f) + (0,) * (n - len(f))
 
 
 def derivative(f):
@@ -98,10 +86,10 @@ def derivative(f):
 
 
 # ---------------------------------------------------------------------------
-# integer determinants, resultants, discriminants
+# integer determinants, norms, discriminants
 
 
-def _int_det(m):
+def int_det(m):
     """Bareiss fraction-free determinant of a square integer matrix."""
     m = [list(row) for row in m]
     n = len(m)
@@ -125,35 +113,33 @@ def _int_det(m):
     return sign * m[-1][-1]
 
 
-def resultant_int(f, g):
-    """Resultant of two integer polynomials via the Sylvester matrix."""
-    n, m = degree(f), degree(g)
-    if n < 0 or m < 0:
-        return 0
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    size = n + m
+def mul_matrix(a, f):
+    """Matrix of multiplication by a on Z[x]/(f) for monic integer f: row
+    i holds x^i * a mod f in the basis 1, x, ..., x^(deg f - 1)."""
+    row = rem_monic(a, f)
     rows = []
-    fr = list(reversed(f))  # highest degree first
-    gr = list(reversed(g))
-    for i in range(m):
-        rows.append([0] * i + fr + [0] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([0] * i + gr + [0] * (size - m - 1 - i))
-    return _int_det(rows)
+    for _ in range(degree(f)):
+        rows.append(row)
+        top = row[-1]
+        row = (0,) + row[:-1]
+        if top:
+            row = tuple(u - top * v for u, v in zip(row, f))
+    return rows
+
+
+def norm_int(a, f):
+    """Norm of a(x) in Q[x]/(f) for monic integer f, which is Res(f, a):
+    the determinant of the multiplication matrix."""
+    return int_det(mul_matrix(a, f))
 
 
 def discriminant_int(f):
-    """Discriminant of a monic integer polynomial."""
+    """Discriminant of a monic integer polynomial: the norm of f' up to
+    the sign (-1)^(n(n-1)/2)."""
     n = degree(f)
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
-    if n == 1:
-        return 1
-    res = resultant_int(f, derivative(f))
-    return (-1) ** (n * (n - 1) // 2) * res
+    return (-1) ** (n * (n - 1) // 2) * norm_int(derivative(f), f)
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +147,30 @@ def discriminant_int(f):
 
 
 def count_real_roots(f):
-    """Number of distinct real roots of a squarefree rational polynomial."""
-    f = trim(Fraction(c) for c in f)
+    """Number of distinct real roots of a squarefree integer polynomial.
+
+    Sturm's theorem reads only the signs of the chain, so each entry may
+    be any positive multiple of the negated remainder of the two before
+    it: here a pseudo-remainder, taken with the divisor's leading
+    coefficient made positive, divided by its content.
+    """
+    f = trim(f)
     if degree(f) < 1:
         return 0
-    chain = [f, trim(Fraction(c) for c in derivative(f))]
+    chain = [f, derivative(f)]
     while degree(chain[-1]) > 0:
-        _, r = divmod_frac(chain[-2], chain[-1])
+        a, b = list(chain[-2]), chain[-1]
+        nb, lead, sign = len(b) - 1, abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(a) > nb:
+            top = a.pop() * sign
+            base = len(a) - nb
+            a = [lead * u for u in a]
+            a[base:] = [u - top * v for u, v in zip(a[base:], b)]
+        r = trim(a)
         if not r:
             break
-        chain.append(neg(r))
+        content = gcd(*r)
+        chain.append(tuple(-c // content for c in r))
 
     def variations(at_plus_infinity):
         signs = []
@@ -597,6 +597,6 @@ def is_irreducible_monic_int(f):
             for u in subset:
                 g = pnorm(mul(g, u), pk)
             g = tuple(c - pk if 2 * c > pk else c for c in g)
-            if not divmod_frac(f, g)[1]:
+            if not any(rem_monic(f, g)):
                 return False
     return True

@@ -129,20 +129,6 @@ def member(alpha: Adele, ideal: PrimeIdeal) -> bool:
     return member_between(alpha, ideal.ultra, ideal.beta)
 
 
-def _pieces(a: Adele):
-    """(region-or-None, tail) pairs; None marks the default region."""
-    return list(a.overrides) + [(None, a.tail)]
-
-
-def _piece_region(a: Adele, region):
-    if region is not None:
-        return region
-    rest = everything_set(a.field)
-    for r, _ in a.overrides:
-        rest = rest.difference(r)
-    return rest
-
-
 @lru_cache(maxsize=8192)
 def selected_profile(u: Ultrafilter, *adeles: Adele):
     """Tail degrees of the given adeles on the region piece the
@@ -155,10 +141,11 @@ def selected_profile(u: Ultrafilter, *adeles: Adele):
     field = adeles[0].field
     combos = [((), everything_set(field))]
     for a in adeles:
+        pieces = a.pieces()
         new = []
         for degs, region in combos:
-            for r, tail in _pieces(a):
-                meet = region.intersect(_piece_region(a, r))
+            for r, tail in pieces:
+                meet = region.intersect(r)
                 if not meet.is_empty():
                     new.append((degs + (tail.min_degree(),), meet))
         combos = new

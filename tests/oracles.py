@@ -20,14 +20,24 @@ lifting one p-adic digit at a time, and an irreducibility test that looks
 for rational roots, certifies by Rabin's test mod small primes, and
 otherwise searches a Landau-Mignotte box of candidate factors.  They use
 the integer and mod-p ring operations of `adelic.polynomials` (addition,
-multiplication, division, resultants) and `adelic.primes`, none of its
-lifting or factor recombination.  Powers and gcds mod a polynomial, which
-the library computes on packed integers, are done here by schoolbook
-multiplication, `_poly_div_mod`, square-and-multiply and plain Euclid; the
-distinct-degree class oracle counts the factors of each degree from
-gcd(x^(p^d) - x, f) by Moebius inversion, without splitting f.
+multiplication, mod-p division, discriminants) and `adelic.primes`, none
+of its lifting or factor recombination; division over the rationals is
+the original `divmod_frac`, kept here.  Powers and gcds mod a
+polynomial, which the library computes on packed integers, are done here
+by schoolbook multiplication, `_poly_div_mod`, square-and-multiply and
+plain Euclid; the distinct-degree class oracle counts the factors of
+each degree from gcd(x^(p^d) - x, f) by Moebius inversion, without
+splitting f.
+The field-element reference is the original Fraction arithmetic: a tuple
+of rational coefficients reduced by rational division, the inverse by the
+extended Euclidean algorithm, the norm as a Sylvester resultant by
+Gaussian elimination over the rationals, and real roots from a Sturm
+chain of exact remainders.  It shares no code with the package's integer
+vectors, multiplication matrices, Bareiss determinants or
+pseudo-remainders.
 """
 
+from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
 from math import isqrt
@@ -153,20 +163,26 @@ def brute_member_between(alpha, u, beta, n_max=64):
     optimal witness set Y); the upward closure of ultrafilters makes this
     search over the generating family exact.
     """
-    from adelic.adeles import empty_set, place_singleton
-    from adelic.spectrum import _pieces, _piece_region
+    from adelic.adeles import empty_set, everything_set, place_singleton
+
+    def pieces(a):
+        rest = everything_set(a.field)
+        for r, _ in a.overrides:
+            rest = rest.difference(r)
+        return list(a.overrides) + [(rest, a.tail)]
 
     field = alpha.field
     suspects = sorted(alpha.suspect_primes() | beta.suspect_primes())
     from adelic.places import factor_prime
 
     suspect_places = [w for p in suspects for w in factor_prime(field, p)]
+    pieces_a, pieces_b = pieces(alpha), pieces(beta)
 
     for n in range(1, n_max + 1):
         bad = empty_set(field)
-        for ra, ta in _pieces(alpha):
-            for rb, tb in _pieces(beta):
-                region = _piece_region(alpha, ra).intersect(_piece_region(beta, rb))
+        for ra, ta in pieces_a:
+            for rb, tb in pieces_b:
+                region = ra.intersect(rb)
                 if region.is_empty():
                     continue
                 da, db = ta.min_degree(), tb.min_degree()
@@ -461,6 +477,27 @@ def divisors(n):
     return sorted(out)
 
 
+def divmod_frac(f, g):
+    """Quotient and remainder over the rationals."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = [Fraction(c) for c in f]
+    g = [Fraction(c) for c in g]
+    q = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(f) >= len(g) and any(f):
+        while f and f[-1] == 0:
+            f.pop()
+        if len(f) < len(g):
+            break
+        c = f[-1] / g[-1]
+        d = len(f) - len(g)
+        q[d] = c
+        for i in range(len(g)):
+            f[d + i] -= c * g[i]
+        f.pop()
+    return poly.trim(q), poly.trim(f)
+
+
 def box_search_factor(f, max_deg):
     """Look for a monic integer factor of degree 2..max_deg.
 
@@ -492,7 +529,7 @@ def box_search_factor(f, max_deg):
                     ok &= (val != 0) & (fa % np.where(val == 0, 1, val) == 0) | (fa == 0)
                 for mid in mids[ok]:
                     cand = poly.trim((sign * c0,) + tuple(int(b) for b in mid) + (1,))
-                    q, r = poly.divmod_frac(f, cand)
+                    q, r = divmod_frac(f, cand)
                     if not r and all(x.denominator == 1 for x in q):
                         return cand
     return None
@@ -610,3 +647,107 @@ def box_search_is_irreducible(f):
         if poly.degree(fp) == n and rabin_is_irreducible_mod_p(fp, p):
             return True
     return box_search_factor(f, n // 2) is None
+
+
+# ---------------------------------------------------------------------------
+# field elements over the rationals
+
+
+def _fraction_det(m):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(c) for c in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            if m[i][k]:
+                c = m[i][k] / m[k][k]
+                m[i] = [a - c * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def sylvester_resultant(f, g):
+    """Res(f, g) of two rational polynomials from the Sylvester matrix."""
+    f, g = poly.trim(f), poly.trim(g)
+    n, m = len(f) - 1, len(g) - 1
+    if n < 0 or m < 0:
+        return Fraction(0)
+    size = n + m
+    rows = [[0] * i + list(reversed(f)) + [0] * (size - n - 1 - i) for i in range(m)]
+    rows += [[0] * i + list(reversed(g)) + [0] * (size - m - 1 - i) for i in range(n)]
+    return _fraction_det(rows) if rows else Fraction(1)
+
+
+def sturm_count(f):
+    """Distinct real roots of a squarefree rational polynomial, from the
+    Sturm chain of exact remainders over the rationals."""
+    chain = [poly.trim(Fraction(c) for c in f)]
+    chain.append(poly.trim(i * c for i, c in enumerate(chain[0]) if i))
+    while len(chain[-1]) > 1:
+        r = divmod_frac(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append(tuple(-c for c in r))
+
+    def variations(sign_of_x):
+        signs = [(1 if g[-1] > 0 else -1) * sign_of_x ** (len(g) - 1) for g in chain if g]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(-1) - variations(1)
+
+
+def _fraction_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+class FractionElement:
+    """A number-field element as a tuple of Fractions reduced mod the monic
+    defining polynomial f, with the extended-Euclid inverse and the
+    Sylvester-resultant norm: the representation the package used before
+    it stored one integer vector over one denominator."""
+
+    def __init__(self, f, coeffs):
+        self.f = tuple(f)
+        n = len(f) - 1
+        r = list(divmod_frac([Fraction(c) for c in coeffs], f)[1])
+        self.coeffs = tuple(r + [Fraction(0)] * (n - len(r)))
+
+    def __add__(self, other):
+        return FractionElement(self.f, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return FractionElement(self.f, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        return FractionElement(self.f, _fraction_mul(self.coeffs, other.coeffs))
+
+    def inverse(self):
+        r0, r1 = self.f, poly.trim(self.coeffs)
+        s0, s1 = (), (Fraction(1),)
+        while len(r1) > 1:
+            q, r = divmod_frac(r0, r1)
+            r0, r1 = r1, r
+            qs1 = _fraction_mul(q, s1)
+            s0, s1 = s1, poly.trim(
+                (s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)
+                for i in range(max(len(s0), len(qs1))))
+        return FractionElement(self.f, [c / r1[0] for c in s1])
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def norm(self):
+        return sylvester_resultant(self.f, self.coeffs)
+
+    def to_text(self):
+        return ",".join(str(c) for c in self.coeffs)

@@ -456,16 +456,18 @@ def test_criterion_11_pointwise_oracle_equivalence():
         mem_a = {w.p for w in q_places if a.contains_prime(w.p)}
         mem_b = {w.p for w in q_places if b.contains_prime(w.p)}
         universe = {w.p for w in q_places}
-        assert {p for p in universe if a.union(b).contains_prime(p)} == mem_a | mem_b
-        assert {p for p in universe if a.intersect(b).contains_prime(p)} == mem_a & mem_b
-        assert {p for p in universe if a.complement().contains_prime(p)} == universe - mem_a
+        union, meet, rest = a.union(b), a.intersect(b), a.complement()
+        assert {p for p in universe if union.contains_prime(p)} == mem_a | mem_b
+        assert {p for p in universe if meet.contains_prime(p)} == mem_a & mem_b
+        assert {p for p in universe if rest.contains_prime(p)} == universe - mem_a
         instances += 3
     for _ in range(150):
         a, b = random_kset(GAUSS, rng, 2), random_kset(GAUSS, rng, 2)
         mem_a = {w for w in k_places if a.contains_place(w)}
         mem_b = {w for w in k_places if b.contains_place(w)}
-        assert {w for w in k_places if a.union(b).contains_place(w)} == mem_a | mem_b
-        assert {w for w in k_places if a.intersect(b).contains_place(w)} == mem_a & mem_b
+        union, meet = a.union(b), a.intersect(b)
+        assert {w for w in k_places if union.contains_place(w)} == mem_a | mem_b
+        assert {w for w in k_places if meet.contains_place(w)} == mem_a & mem_b
         instances += 2
     for field, places in ((RATIONALS, q_places), (GAUSS, k_places)):
         for _ in range(100):

@@ -1,14 +1,21 @@
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adelic import polynomials as poly
 from adelic.errors import FieldMismatch
 from adelic.numberfields import NumberField, RATIONALS, parse_element
 
-from conftest import CUBE2, CYCLO5, GAUSS
+from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS
+from oracles import FractionElement, sturm_count
+
+X8_PLUS_1 = (1, 0, 0, 0, 0, 0, 0, 0, 1)
+# minimal polynomial of sqrt2 + sqrt3 + sqrt5
+ROOT_SUM = (576, 0, -960, 0, 352, 0, -40, 0, 1)
 
 
 def test_construction_validates():
@@ -24,7 +31,7 @@ def test_construction_validates():
 def test_fields_without_a_mod_p_witness_construct():
     """Every prime splits x^8+1 and the minimal polynomial of
     sqrt2+sqrt3+sqrt5, so irreducibility needs factor recombination."""
-    for coeffs in ((1, 0, 0, 0, 0, 0, 0, 0, 1), (576, 0, -960, 0, 352, 0, -40, 0, 1)):
+    for coeffs in (X8_PLUS_1, ROOT_SUM):
         start = time.perf_counter()
         assert NumberField(coeffs).degree == 8
         assert time.perf_counter() - start < 1.0
@@ -97,3 +104,44 @@ def test_element_text_round_trip():
                 for _ in range(field.degree)
             ])
             assert parse_element(field, x.to_text()) == x
+
+
+def test_integer_elements_agree_with_fraction_reference():
+    """Arithmetic, norms and text against the Fraction reference in degrees
+    1-6 and 8; equal values compare and hash equal however they were
+    built; real-root counts against a Sturm chain over the rationals."""
+    rng = random.Random(11)
+    fields = (RATIONALS, GAUSS, CUBE2, CYCLO5, NumberField((-1, -1, 0, 0, 0, 1)),
+              NumberField((-2, 0, 0, 0, 0, 0, 1)), NumberField(X8_PLUS_1))
+
+    def draw(field):
+        # up to 2n - 1 coefficients, so construction also reduces mod f
+        size = rng.choice((field.degree, 2 * field.degree - 1))
+        return [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) * rng.randint(0, 1)
+                for _ in range(size)]
+
+    for field in fields:
+        for _ in range(30):
+            xc, yc = draw(field), draw(field)
+            x, y = field.element(*xc), field.element(*yc)
+            rx, ry = FractionElement(field.coeffs, xc), FractionElement(field.coeffs, yc)
+            pairs = [(x, rx), (y, ry), (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry)]
+            if not y.is_zero():
+                pairs.append((x / y, rx / ry))
+            for got, want in pairs:
+                assert got.den > 0 and gcd(got.den, *got.num) == 1
+                assert [Fraction(c, got.den) for c in got.num] == list(want.coeffs)
+                assert got.to_text() == want.to_text()
+                assert got.norm() == want.norm()
+            # the same value from unreduced sums, scalings and long vectors
+            k = rng.randint(2, 9)
+            for same in (x + y - y, (x * field.element(k)) / field.element(k),
+                         field.element(*(xc + [0] * field.degree)),
+                         x + field.element(Fraction(k, 2 * k)) - field.element(Fraction(1, 2))):
+                assert same == x and hash(same) == hash(x)
+    # the chains of x^4+4x-4 and x^5+5x^2-3 skip a degree after a negative
+    # leading coefficient, so a pseudo-remainder's sign must be corrected
+    gapped = [(-4, 4, 0, 0, 1), (-3, 0, 5, 0, 0, 1)]
+    for f in [k.coeffs for k in CATALOGUE + fields] + gapped + [ROOT_SUM]:
+        assert poly.count_real_roots(f) == sturm_count(f)
+    assert (sturm_count(X8_PLUS_1), sturm_count(ROOT_SUM)) == (0, 8)

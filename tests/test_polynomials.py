@@ -20,8 +20,8 @@ def test_resultant_and_discriminant_known_values():
     assert poly.discriminant_int((-5, 0, 1)) == 20
     assert poly.discriminant_int((-2, 0, 0, 1)) == -108
     assert poly.discriminant_int((1, 1, 1, 1, 1)) == 125
-    # resultant of x^2+1 and x-2 is f(2) = 5
-    assert abs(poly.resultant_int((1, 0, 1), (-2, 1))) == 5
+    # Res(x^2+1, x-2) = f(2) = 5 is the norm of i - 2 in Q(i)
+    assert poly.norm_int((-2, 1), (1, 0, 1)) == 5
 
 
 def test_real_root_counts():

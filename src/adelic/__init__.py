@@ -8,7 +8,7 @@ membership oracles, and the fiber structure of the spectrum under a field
 extension.
 """
 
-from .config import Settings, DEFAULT
+from .config import Settings
 from .errors import (
     AdelicError,
     DegenerateGenerator,
@@ -23,7 +23,6 @@ from .errors import (
 
 __all__ = [
     "Settings",
-    "DEFAULT",
     "AdelicError",
     "DegenerateGenerator",
     "FieldMismatch",

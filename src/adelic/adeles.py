@@ -31,6 +31,7 @@ from .places import (
     FinitePlace,
     archimedean_places,
     factor_prime,
+    place_above,
     supported_primes_dividing,
 )
 from .placesets import (
@@ -440,14 +441,15 @@ def parse_adele(text: str) -> Adele:
     arch = tuple(
         parse_element(field, t) for t in block("arch").split("|") if t
     )
+    if len(arch) != len(archimedean_places(field)):
+        raise ValueError("adele text needs one component per archimedean place")
     exceptional = []
     for chunk in block("exc").split(";"):
         if not chunk:
             continue
         left, value = chunk.split("=", 1)
         p, idx = (int(t) for t in left.split(":"))
-        w = factor_prime(field, p)[idx]
-        exceptional.append((w, parse_element(field, value)))
+        exceptional.append((place_above(field, p, idx), parse_element(field, value)))
     overrides = []
     ovr = block("ovr")
     for item in ovr.split("||") if ovr else []:

@@ -24,9 +24,9 @@ from .places import (
     ArchimedeanPlace,
     Place,
     archimedean_places,
+    disc_primes,
     excluded_primes,
     factor_prime,
-    supported_primes_dividing,
 )
 from .placesets import (
     finite_qset,
@@ -66,7 +66,9 @@ def to_extension(alpha: Adele, field: NumberField) -> Adele:
     preimages.  Places above ramified or excluded primes leave the
     uniformizer-tail pattern (p is no longer a uniformizer there), so they
     are materialized as exceptional components; places above excluded
-    primes do not exist in the model and are dropped.
+    primes do not exist in the model and are dropped.  Ramified primes of
+    desk scale or more are not absorbed: `factor_prime` refuses them, so
+    no query reads the components there.
     """
     if alpha.field != RATIONALS:
         raise FieldMismatch("only rational adeles lift along an extension")
@@ -75,20 +77,16 @@ def to_extension(alpha: Adele, field: NumberField) -> Adele:
         field.element(alpha.arch[0].as_rational())
         for _ in archimedean_places(field)
     )
-    # supported primes where some place above may be ramified
-    absorbed = set(supported_primes_dividing(field, field.discriminant))
-    absorbed.update(w.p for w, _ in alpha.exceptional)
+    # supported primes where some place above may be ramified, and those alpha lists
+    excluded = set(excluded_primes(field))
+    absorbed = sorted(disc_primes(field).union(w.p for w, _ in alpha.exceptional) - excluded)
     exceptional = []
-    for p in sorted(absorbed):
-        if p in excluded_primes(field):
-            continue
+    for p in absorbed:
         below = factor_prime(RATIONALS, p)[0]
         lifted = field.element(alpha.component_at(below).as_rational())
         for w in factor_prime(field, p):
             exceptional.append((w, lifted))
-    drop = finite_qset(sorted(absorbed)).union(
-        finite_qset(excluded_primes(field))
-    )
+    drop = finite_qset(excluded.union(absorbed))
     overrides = []
     for region, tail in alpha.overrides:
         kregion = full_preimage(field, region.difference(drop))

@@ -5,10 +5,10 @@ defining polynomial mod p, carrying its multiplicity e (ramification) and
 degree f (residue degree).  The correspondence is only valid when p does
 not divide the index of the polynomial order in the ring of integers;
 Dedekind's criterion decides this exactly, and primes failing it are
-rejected as unsupported.  Each field therefore has a finite, explicitly
-known list of excluded primes, and the modelled place set consists of the
-places above the remaining ("supported") primes together with the
-archimedean places.
+rejected as unsupported.  A field's special primes are read from here
+only: `disc_primes` (below desk scale, dividing the discriminant) and the
+`excluded_primes` among them.  The modelled place set consists of the
+places above the supported (not excluded) primes and the archimedean ones.
 """
 
 from __future__ import annotations
@@ -90,21 +90,21 @@ def _dedekind_index_coprime(field: NumberField, p: int, factors) -> bool:
 
 
 @lru_cache(maxsize=None)
-def excluded_primes(field: NumberField) -> tuple[int, ...]:
-    """Primes dividing the index of the polynomial order; finitely many.
+def disc_primes(field: NumberField) -> frozenset[int]:
+    """The primes below desk scale dividing the discriminant of the
+    field's polynomial: the ramified ones and the excluded ones.  Larger
+    primes are refused by `factor_prime`, so no query needs them listed."""
+    return frozenset(p for p in factorint(abs(field.discriminant)) if p < FACTOR_CAP)
 
-    Only primes whose square divides the polynomial discriminant can
-    divide the index, so the list is computed once from the discriminant
-    factorization.
-    """
+
+@lru_cache(maxsize=None)
+def excluded_primes(field: NumberField) -> tuple[int, ...]:
+    """The primes of `disc_primes` dividing the index of the polynomial
+    order, ascending.  Only those whose square divides the discriminant
+    can, and Dedekind's criterion decides each of them."""
     disc = field.discriminant
-    out = []
-    for p, m in sorted(factorint(abs(disc)).items()):
-        if m >= 2:
-            factors = poly.factor_mod_p(field.coeffs, p)
-            if not _dedekind_index_coprime(field, p, factors):
-                out.append(p)
-    return tuple(out)
+    return tuple(p for p in sorted(disc_primes(field)) if disc % (p * p) == 0
+                 and not _dedekind_index_coprime(field, p, poly.factor_mod_p(field.coeffs, p)))
 
 
 @lru_cache(maxsize=None)
@@ -163,15 +163,43 @@ def splitting_class(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     the distinct-degree step alone, without splitting its blocks (von zur
     Gathen & Gerhard, Modern Computer Algebra, ch. 14).  Primes dividing
     the discriminant take the full `factor_prime` path, which also rejects
-    the excluded ones.
+    the excluded ones.  Below desk scale these are the `disc_primes`; the
+    divisibility test leaves the discriminant unfactored.
     """
     _check_prime(p)
     if field.discriminant % p == 0:
         return tuple(sorted((w.e, w.f) for w in _factor_cached(field, p)))
-    blocks = poly._distinct_degree(poly.pnorm(field.coeffs, p), p)
+    blocks = poly.distinct_degree(poly.pnorm(field.coeffs, p), p)
     cls = tuple(sorted((1, d) for d, g in blocks for _ in range(poly.degree(g) // d)))
     assert sum(f for _, f in cls) == field.degree
     return cls
+
+
+def _partitions(n: int, smallest: int = 1):
+    """The unramified classes of degree n with every residue degree at
+    least `smallest`, each as its sorted (1, f) pairs."""
+    if n == 0:
+        yield ()
+    for f in range(smallest, n + 1):
+        for rest in _partitions(n - f, f):
+            yield ((1, f),) + rest
+
+
+@lru_cache(maxsize=None)
+def unramified_classes(field: NumberField) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The splitting classes of the field with every e = 1, sorted: the
+    classes the primes outside `disc_primes` can have."""
+    return tuple(sorted(_partitions(field.degree)))
+
+
+def joint_class(p: int, fields) -> tuple[tuple[tuple[int, int], ...], ...] | None:
+    """The splitting classes of p in each of the fields, or None when p is
+    in the `disc_primes` of one of them.  Every field is checked before
+    any class is read."""
+    for K in fields:
+        if p in disc_primes(K):
+            return None
+    return tuple([splitting_class(K, p) for K in fields])
 
 
 def class_label(cls: tuple[tuple[int, int], ...]) -> str:

@@ -8,8 +8,8 @@ the primes realizing all of those classes at once.  Finite sets are the
 special case of no cells, and cofinite sets have every cell.  Membership
 of any prime is decided by factoring it in each context field.
 
-Primes dividing the discriminant of a context polynomial (the finitely
-many ramified primes and those dividing the index of the polynomial
+The primes of `places.disc_primes` of a context polynomial (the ramified
+primes below desk scale and those dividing the index of the polynomial
 order) belong to no cell; their membership is always recorded explicitly
 in the finite modification.  So the atom of a ramified class, and every
 other set of primes defined by ramified classes, is structurally finite.
@@ -46,55 +46,23 @@ from .places import (
     FACTOR_CAP,
     FinitePlace,
     class_label,
+    disc_primes,
     excluded_primes,
+    factor_prime,
+    joint_class,
     parse_class_label,
     splitting_class,
+    unramified_classes,
 )
-from .primes import factorint, isprime
+from .primes import isprime
 from .registry import ensure_registered
 
 ClassId = tuple[tuple[int, int], ...]
 Cell = tuple[ClassId, ...]
 
 
-def _partitions(n: int, smallest: int = 1):
-    """The unramified classes of degree n with every residue degree at
-    least `smallest`, each as its sorted (1, f) pairs."""
-    if n == 0:
-        yield ()
-    for f in range(smallest, n + 1):
-        for rest in _partitions(n - f, f):
-            yield ((1, f),) + rest
-
-
-@lru_cache(maxsize=None)
-def _classes(field: NumberField) -> tuple[ClassId, ...]:
-    """The classes a cell can give the field: the unramified ones."""
-    return tuple(sorted(_partitions(field.degree)))
-
-
-@lru_cache(maxsize=None)
-def _disc_primes(field: NumberField) -> frozenset[int]:
-    """The primes below desk scale dividing the discriminant of the
-    field's polynomial: the ramified ones and the excluded ones."""
-    return frozenset(p for p in factorint(abs(field.discriminant)) if p < FACTOR_CAP)
-
-
-def _cell_of_prime(p: int, context) -> Cell | None:
-    """The joint splitting class of p, or None when p divides the
-    discriminant of a context field.  The discriminants are all checked
-    before any class is read."""
-    for K in context:
-        if p in _disc_primes(K):
-            return None
-    cell = []
-    for K in context:
-        cell.append(splitting_class(K, p))
-    return tuple(cell)
-
-
 def _denotes(p: int, context, cells) -> bool:
-    cell = _cell_of_prime(p, context)
+    cell = joint_class(p, context)
     return cell is not None and cell in cells
 
 
@@ -145,8 +113,6 @@ class QPlaceSet:
         return self.plus
 
     def finite_places(self) -> list[FinitePlace]:
-        from .places import factor_prime
-
         return [factor_prime(RATIONALS, p)[0] for p in sorted(self.finite_members())]
 
     # -- Boolean algebra --------------------------------------------------
@@ -191,7 +157,7 @@ class QPlaceSet:
 
 @lru_cache(maxsize=None)
 def _all_cells(context) -> frozenset[Cell]:
-    return frozenset(product(*(_classes(K) for K in context)))
+    return frozenset(product(*(unramified_classes(K) for K in context)))
 
 
 def _raw(context, cells, plus, minus) -> QPlaceSet:
@@ -212,7 +178,7 @@ def _extend(s: QPlaceSet, ctx) -> frozenset[Cell]:
     return frozenset(
         out
         for cell in s.cells
-        for out in product(*(_classes(K) if i is None else (cell[i],)
+        for out in product(*(unramified_classes(K) if i is None else (cell[i],)
                              for i, K in zip(where, ctx)))
     )
 
@@ -228,8 +194,9 @@ def _canonical(context, cells, member, candidates) -> QPlaceSet:
     """The canonical set with pointwise membership `member`, given by
     `cells` over `context` everywhere except possibly at `candidates` and
     the context's discriminant primes."""
-    keep = [i for i, K in enumerate(context) if not _cylinder(cells, i, len(_classes(K)))]
-    checked = set(candidates).union(*map(_disc_primes, context))
+    keep = [i for i, K in enumerate(context)
+            if not _cylinder(cells, i, len(unramified_classes(K)))]
+    checked = set(candidates).union(*map(disc_primes, context))
     if len(keep) < len(context):
         context = tuple(context[i] for i in keep)
         cells = {tuple(cell[i] for i in keep) for cell in cells}
@@ -282,10 +249,10 @@ def _class_set(field: NumberField, wanted) -> QPlaceSet:
     """The primes whose splitting class in the field satisfies `wanted`:
     a cell per unramified class, the discriminant primes listed."""
     ensure_registered(field)
-    excluded = excluded_primes(field)
-    plus = {p for p in _disc_primes(field)
-            if p not in excluded and wanted(splitting_class(field, p))}
-    return _from_parts((field,), {(cls,) for cls in _classes(field) if wanted(cls)}, plus)
+    plus = {p for p in disc_primes(field).difference(excluded_primes(field))
+            if wanted(splitting_class(field, p))}
+    cells = {(cls,) for cls in unramified_classes(field) if wanted(cls)}
+    return _from_parts((field,), cells, plus)
 
 
 def class_atom(field: NumberField, cls: ClassId) -> QPlaceSet:
@@ -346,8 +313,6 @@ class KPlaceSet:
         return all(c.is_structurally_finite() for c in self.coords)
 
     def finite_places(self) -> list[FinitePlace]:
-        from .places import factor_prime
-
         out = []
         for j, coord in enumerate(self.coords):
             for p in sorted(coord.finite_members()):
@@ -477,7 +442,7 @@ def parse_qset(text: str) -> QPlaceSet:
         cell = () if cell_text == "~" else \
             tuple(parse_class_label(cl) for cl in cell_text.split("*"))
         if len(cell) != len(context) or \
-                any(cls not in _classes(K) for cls, K in zip(cell, context)):
+                any(cls not in unramified_classes(K) for cls, K in zip(cell, context)):
             raise ValueError(f"cell {cell_text!r} is not a joint unramified class of the context")
         cells.add(cell)
     plus = frozenset(int(p) for p in fields["plus"].split(",") if p)
@@ -497,15 +462,18 @@ def parse_kset(text: str) -> KPlaceSet:
     start = body.index("field[") + 6
     end = body.index("]", start)
     field = NumberField(tuple(int(c) for c in body[start:end].split(",")))
-    coords = [empty_qset() for _ in range(field.degree)]
+    coords = {}
     rest = body[end + 1:].strip()
     while rest:
         colon = rest.index(":")
         position = int(rest[:colon])
+        if not 1 <= position <= field.degree or position in coords:
+            raise ValueError(f"fiber position {position} is out of range or repeated")
         qend = _matching_brace(rest, colon + 1)
-        coords[position - 1] = parse_qset(rest[colon + 1: qend + 1])
+        coords[position] = parse_qset(rest[colon + 1: qend + 1])
         rest = rest[qend + 1:].strip()
-    return kset_from_coords(field, coords)
+    return kset_from_coords(field, [coords.get(j, empty_qset())
+                                    for j in range(1, field.degree + 1)])
 
 
 def _matching_brace(text: str, start: int) -> int:

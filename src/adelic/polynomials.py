@@ -401,7 +401,7 @@ def squarefree_decomposition(f, p):
     return sorted(out.items(), key=lambda t: (t[1], t[0]))
 
 
-def _distinct_degree(f, p):
+def distinct_degree(f, p):
     """Split squarefree monic f into (d, product of degree-d irreducibles).
 
     x^(p^d) mod w comes from x^(p^(d-1)) through the Frobenius rows
@@ -488,7 +488,7 @@ def factor_mod_p(f, p):
         return []
     counts = {}
     for part, m in squarefree_decomposition(f, p):
-        for d, block in _distinct_degree(part, p):
+        for d, block in distinct_degree(part, p):
             for irr in _equal_degree(block, d, p):
                 counts[irr] = counts.get(irr, 0) + m
     out = sorted(counts.items(), key=lambda t: (degree(t[0]), t[0]))
@@ -577,7 +577,7 @@ def is_irreducible_monic_int(f):
     best = None
     good = (p for p in count(2) if isprime(p) and disc % p)
     for p in islice(good, _ZASSENHAUS_PRIMES):
-        blocks = _distinct_degree(pnorm(f, p), p)
+        blocks = distinct_degree(pnorm(f, p), p)
         r = sum(degree(g) // d for d, g in blocks)
         if r == 1:
             return True

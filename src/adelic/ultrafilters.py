@@ -40,7 +40,16 @@ from .errors import (
     UnsupportedSelection,
 )
 from .numberfields import NumberField, RATIONALS
-from .places import FACTOR_CAP, FinitePlace, factor_prime, splitting_class
+from .places import (
+    FACTOR_CAP,
+    FinitePlace,
+    class_label,
+    disc_primes,
+    factor_prime,
+    joint_class,
+    splitting_class,
+    unramified_classes,
+)
 from .placesets import (
     KPlaceSet,
     QPlaceSet,
@@ -51,9 +60,6 @@ from .placesets import (
     finite_qset,
     pullback_section,
     section_image,
-    _cell_of_prime,
-    _classes,
-    _disc_primes,
 )
 from .primes import primerange
 from .registry import ensure_registered, registered_fields
@@ -157,14 +163,14 @@ class FreeQUltrafilter(Ultrafilter):
         """The primes below the bound that witness the atom together with
         the chain so far, avoiding the discriminants of `fields` too."""
         atom, chain = self.atom, list(self._chain.items())
-        avoid = set().union(*map(_disc_primes, (*self._chain, *fields)))
+        avoid = set().union(*map(disc_primes, (*self._chain, *fields)))
         for p in primerange(2, self.bound):
-            if p not in avoid and _cell_of_prime(p, atom.context) in atom.cells \
+            if p not in avoid and joint_class(p, atom.context) in atom.cells \
                     and all(splitting_class(G, p) == cls for G, cls in chain):
                 yield p
 
     def _extend_chain(self, F: NumberField) -> None:
-        counts: dict[tuple, int] = {cls: 0 for cls in _classes(F)}
+        counts: dict[tuple, int] = {cls: 0 for cls in unramified_classes(F)}
         # when the cells fix F's class, every witness votes for it
         decided = self._cells_class(F) is not None
         for p in self._witnesses(F):
@@ -270,8 +276,6 @@ def free_on_atom(field: NumberField, cls, label: str | None = None) -> FreeQUltr
     """Free rational ultrafilter anchored on the splitting-class atom of a
     registered extension."""
     atom = class_atom(field, cls)
-    from .places import class_label
-
     return FreeQUltrafilter(atom, label or f"{list(field.coeffs)}:{class_label(tuple(sorted(cls)))}")
 
 

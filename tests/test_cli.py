@@ -317,6 +317,45 @@ def test_free_anchor_without_witness_exits_2(argv):
     assert len(lines) == 1 and lines[0].startswith("error: UnsupportedSelection: ")
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (("fiber", "--ideal", "between@free:1,0,1:1x1+1x1@uni", "--ext", "-1000003,0,1"),
+     "fiber_size=2"),
+    (("density", "--field", "1000006000009,0,1", "--ultra", "lift:2:free:1,0,1:1x1+1x1"),
+     "in_minimal_ideal=true"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_special_primes_past_desk_scale_are_not_read(argv, expected):
+    """x^2 - 1000003 ramifies at 1000003, and 1000003 divides the index of
+    x^2 + 1000003^2; neither query needs that prime.  Fresh processes, so
+    that no field registered by other tests changes the selections."""
+    done = subprocess.run([sys.executable, "-m", "adelic.cli", *argv],
+                          capture_output=True, env=_src_env(), text=True)
+    assert done.returncode == 0, done.stderr
+    assert expected in done.stdout.splitlines()
+
+
+def test_index_prime_past_desk_scale_is_refused():
+    """1000003 is not an excluded prime of x^2 + 1000003^2, since it is
+    past desk scale; a query that needs it is refused, as over x^2 + 1."""
+    done = subprocess.run([sys.executable, "-m", "adelic.cli", "member",
+                           "--field", "1000006000009,0,1", "--ideal", "max@lift:1:free:all",
+                           "--adele", "diag:1000003,0"],
+                          capture_output=True, env=_src_env(), text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: UnsupportedPrime: ")
+
+
+def test_settings_are_read_from_config_only():
+    """--prime-bound replaces config.DEFAULT; a copy the package took at
+    import would keep the old bound."""
+    import adelic
+
+    with _cli_state_restored():
+        config.set_defaults(prime_bound=50)
+        assert config.DEFAULT.prime_bound == 50
+        assert not hasattr(adelic, "DEFAULT")
+
+
 @given(argvs())
 @settings(max_examples=150, deadline=None)
 def test_front_door_exits_cleanly(argv):

@@ -1,0 +1,37 @@
+"""No module of the package imports or reads a private name of another."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "adelic"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _sibling_private_names(path: Path):
+    """(line, name) for each underscore name of a sibling module that the
+    module at path imports, or reads through a module it imported; the
+    package's modules import each other relatively."""
+    tree = ast.parse(path.read_text(), str(path))
+    modules, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if _private(alias.name):
+                    out.append((node.lineno, alias.name))
+                elif node.module is None:  # from . import polynomials as poly
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and _private(node.attr):
+            out.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return out
+
+
+def test_modules_use_only_public_names_of_siblings():
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _sibling_private_names(path)]
+    assert found == []

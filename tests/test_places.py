@@ -1,5 +1,6 @@
 import pytest
 
+from adelic import places
 from adelic.errors import NotPrime, UnsupportedPrime
 from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import (
@@ -11,12 +12,13 @@ from adelic.places import (
     parse_class_label,
     splitting_class,
     supported_primes,
+    unramified_classes,
 )
-from adelic.placesets import _classes
 from adelic.primes import primerange
 
 from conftest import CUBE2, CYCLO5, GAUSS, ROOT5
-from oracles import oracle_unramified_class, splitting_types, unramified_classes
+from oracles import oracle_unramified_class, splitting_types
+from oracles import unramified_classes as oracle_unramified_classes
 
 
 def test_factor_prime_examples():
@@ -54,6 +56,19 @@ def test_splitting_class_matches_fibers(coeffs):
     wide = list(primerange(10_000, 30_000))
     for p in wide[::len(wide) // 20][:20]:
         assert splitting_class(field, p) == oracle_unramified_class(coeffs, p), p
+
+
+def test_splitting_class_factors_no_discriminant(monkeypatch):
+    """Classifying one prime reads only whether it divides the discriminant,
+    so `adelic factor` answers over a field whose discriminant is too hard
+    to factor; x^2 - 1000003 * 1000033 is used by no other test."""
+    def refuse(n):
+        raise AssertionError(f"factorint({n}) called")
+
+    monkeypatch.setattr(places, "factorint", refuse)
+    K = NumberField((-1000003 * 1000033, 0, 1))
+    assert splitting_class(K, 5) == ((1, 1), (1, 1))
+    assert splitting_class(K, 2) == ((2, 1),)
 
 
 def test_errors():
@@ -104,9 +119,9 @@ def test_abstract_class_counts():
     assert [len(splitting_types(n)) for n in range(1, 7)] == [1, 3, 5, 11, 17, 34]
     fields = (RATIONALS, GAUSS, CUBE2, CYCLO5, NumberField((-1, -1, 0, 0, 0, 1)),
               NumberField((-2, 0, 0, 0, 0, 0, 1)))
-    assert [len(_classes(K)) for K in fields] == [1, 2, 3, 5, 7, 11]
+    assert [len(unramified_classes(K)) for K in fields] == [1, 2, 3, 5, 7, 11]
     for K in fields:
-        assert set(_classes(K)) == unramified_classes(K.degree)
+        assert set(unramified_classes(K)) == oracle_unramified_classes(K.degree)
 
 
 def test_archimedean_places():

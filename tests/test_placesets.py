@@ -4,9 +4,11 @@ from math import prod
 
 import pytest
 
+from adelic.adeles import one_adele, parse_adele
 from adelic.errors import NotPrime
+from adelic.extensions import to_extension
 from adelic.numberfields import NumberField, RATIONALS
-from adelic.places import enumerate_finite_places, factor_prime
+from adelic.places import enumerate_finite_places, excluded_primes, factor_prime
 from adelic.placesets import (
     QPlaceSet,
     all_primes,
@@ -136,11 +138,16 @@ def test_ramified_atoms_are_finite_sets_pointwise():
 
 def test_discriminant_primes_past_desk_scale_stay_unlisted():
     """x^2 - 1000003 also ramifies at 1000003, past the primes the model
-    factors; sets built from its classes list only the ramified 2."""
+    factors; sets built from its classes, and adeles lifted to it, list
+    only the ramified 2.  1000003 divides the index of x^2 + 1000003^2,
+    but is not excluded either."""
     K = NumberField((-1000003, 0, 1))
     comp = class_atom(K, SPLIT_GAUSS).complement()
     assert comp == fiber_size_exactly(K, 1)
     assert comp.plus == {2} and comp.contains_prime(5) and not comp.contains_prime(3)
+    lifted = to_extension(one_adele(RATIONALS), K)
+    assert {w.p for w, _ in lifted.exceptional} == {2}
+    assert excluded_primes(NumberField((1000003 ** 2, 0, 1))) == ()
 
 
 def test_section_semantics():
@@ -209,10 +216,19 @@ def test_serialization_round_trip():
     "q{ctx[] cells[] plus[3] minus[3]}",                     # prime added and removed
     "q{ctx[] cells[] plus[4] minus[]}",                      # number that is not prime
     "q{ctx[1,0,1] cells[1x2;2x1] plus[] minus[]}",           # ramified class in a cell
+    "k{field[1,0,1] 0:q{ctx[] cells[] plus[5] minus[]}}",     # position 0
+    "k{field[1,0,1] 3:q{ctx[] cells[] plus[5] minus[]}}",     # position past the degree
+    "k{field[1,0,1] 1:q{ctx[] cells[] plus[5] minus[]} 1:q{ctx[] cells[] plus[13] minus[]}}",
+    "adele{field[1,0,1] arch[1,0] exc[5:-1=1,0] ovr[] tail[]}",        # negative place index
+    "adele{field[1,0,1] arch[1,0|1,0] exc[] ovr[] tail[]}",            # arch too long
+    "adele{field[-2,0,0,1] arch[1,0,0] exc[] ovr[] tail[]}",           # arch too short
 ])
 def test_parse_qset_rejects_malformed_text(text):
+    """Rational and extension place-set texts and adele texts alike; the
+    third extension text repeats a position."""
+    parse = {"q": parse_qset, "k": parse_kset, "a": parse_adele}[text[0]]
     with pytest.raises(ValueError):
-        parse_qset(text)
+        parse(text)
 
 
 @pytest.mark.parametrize("build", [

@@ -48,17 +48,34 @@ def _reduce_mod(vec, G, pw):
     return tuple(vec)
 
 
-@lru_cache(maxsize=None)
+# (field, p) -> (digits, blocks): the fiber's blocks lifted to the highest
+# precision asked for so far
+_LIFTS: dict[tuple[NumberField, int], tuple[int, tuple]] = {}
+
+
 def _lifted_blocks(field: NumberField, p: int, digits: int) -> tuple:
     """The factor blocks (factor**e) of the fiber above p, in fiber order,
-    Hensel-lifted to p**digits; one lift serves every place of the fiber."""
-    blocks = []
-    for w in factor_prime(field, p):
-        block = (1,)
-        for _ in range(w.e):
-            block = poly.pmul(block, w.factor, p)
-        blocks.append(block)
-    return tuple(poly.hensel_lift(field.coeffs, blocks, p, digits))
+    Hensel-lifted to p**digits; one lift serves every place of the fiber.
+
+    Each fiber is lifted once, to the highest precision asked for so far,
+    and a request below it reduces the stored blocks mod p**digits: monic
+    coprime lifts are unique, so that equals a fresh lift.  A higher
+    request lifts from p again and replaces the stored blocks.
+    """
+    have, blocks = _LIFTS.get((field, p), (0, ()))
+    if digits > have:
+        residues = []
+        for w in factor_prime(field, p):
+            block = (1,)
+            for _ in range(w.e):
+                block = poly.pmul(block, w.factor, p)
+            residues.append(block)
+        blocks = tuple(poly.hensel_lift(field.coeffs, residues, p, digits))
+        _LIFTS[field, p] = digits, blocks
+    elif digits < have:
+        pw = p ** digits
+        blocks = tuple(tuple(c % pw for c in block) for block in blocks)
+    return blocks
 
 
 class LocalContext:
@@ -172,10 +189,10 @@ def _context(place: FinitePlace, digits: int) -> LocalContext:
 
 
 def context_for(place: FinitePlace, digits: int) -> LocalContext:
-    # quantize working precision so the cache stays small
-    tier = 32
-    while tier < digits:
-        tier *= 2
+    # round the working precision up to a multiple of DEFAULT_DIGITS, so
+    # the context cache stays small while a context never carries more
+    # than DEFAULT_DIGITS - 1 digits beyond the request
+    tier = -(-digits // DEFAULT_DIGITS) * DEFAULT_DIGITS
     return _context(place, tier)
 
 

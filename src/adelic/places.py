@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import polynomials as poly
 from .errors import NotPrime, UnsupportedPrime
 from .numberfields import NumberField
-from .primes import factorint, isprime, primerange
+from .primes import factorint, isprime, prime_divisors_below, primerange
 
 FACTOR_CAP = 1_000_000  # primes from here on are beyond desk scale
 
@@ -93,8 +93,9 @@ def _dedekind_index_coprime(field: NumberField, p: int, factors) -> bool:
 def disc_primes(field: NumberField) -> frozenset[int]:
     """The primes below desk scale dividing the discriminant of the
     field's polynomial: the ramified ones and the excluded ones.  Larger
-    primes are refused by `factor_prime`, so no query needs them listed."""
-    return frozenset(p for p in factorint(abs(field.discriminant)) if p < FACTOR_CAP)
+    primes are refused by `factor_prime`, so no query needs them listed,
+    and the discriminant is never split past them."""
+    return prime_divisors_below(abs(field.discriminant), FACTOR_CAP)
 
 
 @lru_cache(maxsize=None)
@@ -143,6 +144,11 @@ def factor_prime(field: NumberField, p: int) -> tuple[FinitePlace, ...]:
 def _check_prime(p) -> None:
     if not isinstance(p, int) or p < 2 or not isprime(p):
         raise NotPrime(f"{p} is not prime")
+    check_desk_scale(p)
+
+
+def check_desk_scale(p: int) -> None:
+    """Refuse a prime at or past FACTOR_CAP, beyond desk scale."""
     if p >= FACTOR_CAP:
         raise UnsupportedPrime(f"prime {p} exceeds the desk-scale bound")
 

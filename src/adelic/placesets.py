@@ -40,11 +40,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import FieldMismatch, NotPrime, UnsupportedPrime
+from .errors import FieldMismatch, NotPrime
 from .numberfields import NumberField, RATIONALS
 from .places import (
-    FACTOR_CAP,
     FinitePlace,
+    check_desk_scale,
     class_label,
     disc_primes,
     excluded_primes,
@@ -78,8 +78,7 @@ class QPlaceSet:
     # -- membership ------------------------------------------------------
 
     def contains_prime(self, p: int) -> bool:
-        if p >= FACTOR_CAP:
-            raise UnsupportedPrime(f"prime {p} exceeds the desk-scale bound")
+        check_desk_scale(p)
         if p in self.plus:
             return True
         if p in self.minus:

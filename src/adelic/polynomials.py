@@ -526,24 +526,29 @@ def _hensel_pair(f, g, h, p, digits):
     """Lift f = g*h from mod p to mod p**digits; f, g, h monic, g and h
     coprime mod p.
 
-    Quadratic lifting: g, h and the Bezout pair s, t of s*g + t*h = 1 go
-    from mod m to mod m**2 together (von zur Gathen & Gerhard, Modern
-    Computer Algebra, Alg. 15.10).  Monic coprime lifts are unique, so the
-    result does not depend on how the precision was reached.
+    Quadratic lifting (von zur Gathen & Gerhard, Modern Computer Algebra,
+    Alg. 15.10): each step takes g, h from mod m to mod m*k, with k = m
+    except at a last, shorter step.  The corrections are m times
+    polynomials computed mod k, not mod m*k, from the Bezout pair s, t of
+    s*g + t*h = 1; s, t are lifted the same way, and only when another
+    step follows.  Monic coprime lifts are unique, so the result does not
+    depend on how the precision was reached.
     """
     s, t = pbezout(g, h, p)
     m, target = p, p ** digits
     while m < target:
-        m = min(m * m, target)
-        e = pnorm(sub(f, mul(g, h)), m)
-        q, r = pdivmod(pnorm(mul(s, e), m), h, m)
-        g = pnorm(add(g, add(mul(t, e), mul(q, g))), m)
-        h = pnorm(add(h, r), m)
-        b = pnorm(sub(add(mul(s, g), mul(t, h)), (1,)), m)
-        c, d = pdivmod(pnorm(mul(s, b), m), h, m)
-        s = pnorm(sub(s, d), m)
-        t = pnorm(sub(t, add(mul(t, b), mul(c, g))), m)
-    return pnorm(g, target), pnorm(h, target)
+        k = min(m, target // m)
+        e = pnorm([c // m for c in sub(f, mul(g, h))], k)
+        q, r = pdivmod(pnorm(mul(s, e), k), h, k)
+        g = add(g, [m * c for c in pnorm(add(mul(t, e), mul(q, g)), k)])
+        h = add(h, [m * c for c in r])
+        if m * k < target:
+            b = pnorm([c // m for c in sub(add(mul(s, g), mul(t, h)), (1,))], k)
+            c, d = pdivmod(pnorm(mul(s, b), k), h, k)
+            s = pnorm(sub(s, [m * x for x in d]), m * k)
+            t = pnorm(sub(t, [m * x for x in pnorm(add(mul(t, b), mul(c, g)), k)]), m * k)
+        m *= k
+    return g, h
 
 
 def hensel_lift(f, factors, p, digits):

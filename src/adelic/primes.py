@@ -13,6 +13,8 @@ resultants.  Standard library only.
   on a strong Lucas test is added, which makes it the Baillie-PSW test.
 * `factorint` divides out small primes and splits what is left with
   Brent's variant of Pollard rho (Brent, BIT 20, 1980).
+  `prime_divisors_below` keeps only the prime divisors below a bound, so
+  it trial-divides up to the bound instead of splitting.
 """
 
 from __future__ import annotations
@@ -156,17 +158,24 @@ def _rho(n: int) -> int:
             return g
 
 
-def factorint(n: int) -> dict[int, int]:
-    """The factorization {p: e} of n >= 1, primes ascending."""
-    if n < 1:
-        raise ValueError(f"factorint needs n >= 1, got {n}")
-    out: dict[int, int] = {}
-    for p in primerange(2, _TRIAL_BOUND):
+def _divide_out(n: int, primes, out: dict[int, int]) -> int:
+    """Divide n by each of the ascending primes, counting exponents in out,
+    until the next prime's square exceeds n; return the cofactor."""
+    for p in primes:
         if p * p > n:
             break
         while n % p == 0:
             n //= p
             out[p] = out.get(p, 0) + 1
+    return n
+
+
+def factorint(n: int) -> dict[int, int]:
+    """The factorization {p: e} of n >= 1, primes ascending."""
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
+    out: dict[int, int] = {}
+    n = _divide_out(n, primerange(2, _TRIAL_BOUND), out)
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()
@@ -176,3 +185,19 @@ def factorint(n: int) -> dict[int, int]:
             d = _rho(m)
             pending += [d, m // d]
     return dict(sorted(out.items()))
+
+
+def prime_divisors_below(n: int, bound: int) -> frozenset[int]:
+    """The primes below bound dividing n >= 1.
+
+    Small primes are divided out as in `factorint`.  A composite cofactor
+    is then trial-divided by the primes below bound instead of split, so
+    the cost is capped by the bound whatever the size of n's other prime
+    factors; a cofactor of 1 or a prime needs no sieve.
+    """
+    out: dict[int, int] = {}
+    n = _divide_out(n, primerange(2, _TRIAL_BOUND), out)
+    if n > 1 and not isprime(n):
+        n = _divide_out(n, primerange(_TRIAL_BOUND, bound), out)
+    # the cofactor n is now 1, a prime, or free of prime factors below bound
+    return frozenset(p for p in (*out, n) if 1 < p < bound)

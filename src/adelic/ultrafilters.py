@@ -36,13 +36,13 @@ from .errors import (
     FieldMismatch,
     NotAPartition,
     NotMember,
-    UnsupportedPrime,
     UnsupportedSelection,
 )
 from .numberfields import NumberField, RATIONALS
 from .places import (
     FACTOR_CAP,
     FinitePlace,
+    check_desk_scale,
     class_label,
     disc_primes,
     factor_prime,
@@ -131,7 +131,7 @@ class FreeQUltrafilter(Ultrafilter):
         # a bound past desk scale is refused even where the witness search stops early
         beyond = next(primerange(FACTOR_CAP, min(bound, 2 * FACTOR_CAP)), None)
         if beyond is not None:
-            raise UnsupportedPrime(f"prime {beyond} exceeds the desk-scale bound")
+            check_desk_scale(beyond)
         if next(self._witnesses(), None) is None:
             raise UnsupportedSelection(
                 f"no unramified prime below {bound} realizes a cell of the anchor set"

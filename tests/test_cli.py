@@ -345,6 +345,18 @@ def test_index_prime_past_desk_scale_is_refused():
     assert len(lines) == 1 and lines[0].startswith("error: UnsupportedPrime: ")
 
 
+def test_large_composite_discriminant_is_not_factored():
+    """x^2 - N, N the product of two primes near 10**18: the special primes
+    below desk scale are found without splitting N, so the call returns
+    at once instead of running Pollard rho on N."""
+    n = 10000000000000000141000000000000000459
+    done = subprocess.run([sys.executable, "-m", "adelic.cli", "fiber",
+                           "--ideal", "between@free:all@uni", "--ext", f"-{n},0,1"],
+                          capture_output=True, env=_src_env(), text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "fiber_size=2" in done.stdout.splitlines()
+
+
 def test_settings_are_read_from_config_only():
     """--prime-bound replaces config.DEFAULT; a copy the package took at
     import would keep the old bound."""

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from adelic import localfields
+from adelic import polynomials as poly
 from adelic.adeles import diagonal
 from adelic.localfields import (
     INF,
@@ -16,6 +20,7 @@ from adelic.spectrum import quotient_eval
 from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS
 
 SEXTIC = NumberField((-2, 0, 0, 0, 0, 0, 1))   # x^6 - 2
+QUINTIC = NumberField((-1, -1, 0, 0, 0, 1))     # x^5 - x - 1
 
 
 def test_embed_inverse_of_two_at_three():
@@ -122,3 +127,65 @@ def test_product_formula_for_valuations():
                     y = x * field.element(p ** k)
                     total = sum(w.f * valuation_of_element(y, w) for w in places)
                     assert total == _vp(y.norm(), p), (field, p, y)
+
+
+# fibers with several places; x^5 - x - 1 ramifies at 19 and 151
+LIFT_FIBERS = ((CYCLO5, 11), (GAUSS, 5), (CUBE2, 31), (SEXTIC, 5), (QUINTIC, 19), (QUINTIC, 151))
+
+
+@pytest.fixture
+def cleared_lifts():
+    """Empty the lift and context caches, before the test and after it."""
+    localfields._LIFTS.clear()
+    localfields._context.cache_clear()
+    yield
+    localfields._LIFTS.clear()
+    localfields._context.cache_clear()
+
+
+def test_fiber_is_lifted_once_for_embed_then_valuations(cleared_lifts, monkeypatch):
+    """embed at 256 digits lifts the fiber; valuation reads at every place
+    of the fiber, at lower working precision, lift nothing more."""
+    lift, depth, top_level = poly.hensel_lift, [0], []
+
+    def counting_lift(f, factors, p, digits):
+        if not depth[0]:
+            top_level.append((f, p, digits))
+        depth[0] += 1
+        try:
+            return lift(f, factors, p, digits)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(poly, "hensel_lift", counting_lift)
+    rng = random.Random(11)
+    for field, p in LIFT_FIBERS:
+        places = factor_prime(field, p)
+        assert len(places) >= 2
+        x = field.element(*[rng.randint(-50, 50) for _ in range(field.degree)])
+        before = len(top_level)
+        embed(x, places[0], 256)
+        for w in places:
+            valuation_of_element(x, w)
+            valuation_of_element(x * field.element(p), w)
+        assert len(top_level) == before + 1, (field, p, top_level[before:])
+
+
+def _embed_table(order):
+    rng = random.Random(29)
+    table = {}
+    for field, p in LIFT_FIBERS:
+        xs = [field.element(*[Fraction(rng.randint(-40, 40), rng.randint(1, 7))
+                              for _ in range(field.degree)]) for _ in range(4)]
+        for digits in order:
+            for w in factor_prime(field, p):
+                for i, x in enumerate(xs):
+                    table[field, p, w.index, i, digits] = embed(x, w, digits)
+    return table
+
+
+def test_embed_does_not_depend_on_the_order_of_precisions(cleared_lifts):
+    ascending = _embed_table((16, 64, 256))
+    localfields._LIFTS.clear()
+    localfields._context.cache_clear()
+    assert _embed_table((256, 64, 16)) == ascending

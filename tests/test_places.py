@@ -14,6 +14,7 @@ from adelic.places import (
     supported_primes,
     unramified_classes,
 )
+from adelic.placesets import all_primes
 from adelic.primes import primerange
 
 from conftest import CUBE2, CYCLO5, GAUSS, ROOT5
@@ -81,6 +82,15 @@ def test_errors():
             check(ROOT5, 2)
         with pytest.raises(UnsupportedPrime):
             check(GAUSS, 1_000_003)
+
+
+def test_desk_scale_refusals_share_one_message():
+    message = r"^prime 1000003 exceeds the desk-scale bound$"
+    for refuse in (places.check_desk_scale, lambda p: factor_prime(GAUSS, p),
+                   all_primes().contains_prime):
+        with pytest.raises(UnsupportedPrime, match=message):
+            refuse(1_000_003)
+    places.check_desk_scale(999_983)
 
 
 def test_excluded_primes():

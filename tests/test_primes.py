@@ -3,6 +3,7 @@ from math import isqrt, prod
 
 from hypothesis import given, settings, strategies as st
 
+from adelic import primes
 from adelic.primes import (
     PSI_13,
     SIEVE_LIMIT,
@@ -10,6 +11,7 @@ from adelic.primes import (
     _strong_lucas_probable_prime,
     factorint,
     isprime,
+    prime_divisors_below,
     primerange,
 )
 
@@ -103,6 +105,26 @@ def test_factorint_round_trips(n):
     assert prod(p ** e for p, e in factors.items()) == n
     assert list(factors) == sorted(factors)
     assert all(isprime(p) and e >= 1 for p, e in factors.items())
+
+
+@given(st.integers(min_value=1, max_value=10 ** 9),
+       st.sampled_from((2, 3, 100, 1024, 1031, 5000, 10 ** 6)))
+@settings(max_examples=300, deadline=None)
+def test_prime_divisors_below_match_trial_division(n, bound):
+    assert prime_divisors_below(n, bound) == {p for p in trial_division_factor(n) if p < bound}
+
+
+def test_prime_divisors_below_never_split_the_cofactor(monkeypatch):
+    """A composite cofactor is trial-divided up to the bound; the prime
+    factors past the bound are left unsplit, so Pollard rho never runs."""
+    def no_rho(n):
+        raise AssertionError(f"split {n}")
+
+    monkeypatch.setattr(primes, "_rho", no_rho)
+    assert prime_divisors_below(8 * 1031 * 999983 * P31 * Q31, 10 ** 6) == {2, 1031, 999983}
+    assert prime_divisors_below(3 * P31 * Q31, 10 ** 6) == {3}
+    assert prime_divisors_below(P31 * Q31 * Q31, 10 ** 6) == frozenset()
+    assert prime_divisors_below(5 * P31, 10 ** 6) == {5}
 
 
 def test_divisors():

@@ -19,7 +19,7 @@ from functools import lru_cache
 from . import polynomials as poly
 from .errors import NotPrime, UnsupportedPrime
 from .numberfields import NumberField
-from .primes import factorint, isprime, prime_divisors_below, primerange
+from .primes import isprime, prime_divisors_below, prime_power_root, primerange
 
 FACTOR_CAP = 1_000_000  # primes from here on are beyond desk scale
 
@@ -95,7 +95,7 @@ def disc_primes(field: NumberField) -> frozenset[int]:
     field's polynomial: the ramified ones and the excluded ones.  Larger
     primes are refused by `factor_prime`, so no query needs them listed,
     and the discriminant is never split past them."""
-    return prime_divisors_below(abs(field.discriminant), FACTOR_CAP)
+    return prime_divisors_below(abs(field.discriminant), FACTOR_CAP)[0]
 
 
 @lru_cache(maxsize=None)
@@ -110,9 +110,21 @@ def excluded_primes(field: NumberField) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def supported_primes_dividing(field: NumberField, n: int) -> tuple[int, ...]:
-    """The prime divisors of n that are not excluded primes, ascending."""
+    """The prime divisors of n != 0 that are not excluded primes, ascending.
+
+    Only primes below desk scale are found by trial division.  The prime
+    of a prime-power cofactor past it is listed, so `factor_prime`
+    refuses it by name; any other cofactor cannot be named without
+    splitting it and is refused here with `UnsupportedPrime`."""
+    found, rest = prime_divisors_below(abs(n), FACTOR_CAP)
+    if rest > 1:
+        if (p := prime_power_root(rest)) is None:
+            raise UnsupportedPrime(
+                f"{rest} has more than one prime factor past the desk-scale bound"
+            )
+        found |= {p}
     excluded = excluded_primes(field)
-    return tuple(p for p in sorted(factorint(abs(n))) if p not in excluded)
+    return tuple(p for p in sorted(found) if p not in excluded)
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
-"""Integer primality, prime ranges and factorization.
+"""Integer primality, prime ranges and bounded factorization.
 
 The place machinery needs three integer tools: the primes in a range
 (selector sampling, place enumeration), a primality test (every
-`factor_prime` call) and the factorization of discriminants and
-resultants.  Standard library only.
+`factor_prime` call, and the cofactors left by trial division) and the
+prime divisors below desk scale of discriminants, denominators and
+norms.  Standard library only.
 
 * `primerange` reads a sieve of Eratosthenes, built on first use for
   each power-of-two size and then kept.
@@ -11,17 +12,17 @@ resultants.  Standard library only.
   numbers get Miller-Rabin with the 13 prime bases 2..41, which is exact
   below PSI_13 (Sorenson & Webster, Math. Comp. 86, 2017); from PSI_13
   on a strong Lucas test is added, which makes it the Baillie-PSW test.
-* `factorint` divides out small primes and splits what is left with
-  Brent's variant of Pollard rho (Brent, BIT 20, 1980).
-  `prime_divisors_below` keeps only the prime divisors below a bound, so
-  it trial-divides up to the bound instead of splitting.
+* `prime_divisors_below` trial-divides by the primes below a bound and
+  returns the cofactor left over.  Nothing is split past the bound: the
+  cofactor is 1, a prime, or a composite left whole, whose one prime
+  `prime_power_root` names if it is a prime power.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, count
-from math import gcd, isqrt
+from itertools import compress
+from math import isqrt
 
 SIEVE_LIMIT = 1 << 20  # isprime looks smaller numbers up in the sieve
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -131,73 +132,54 @@ def isprime(n: int) -> bool:
     return isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n)
 
 
-def _rho(n: int) -> int:
-    """A proper divisor of the odd composite n (Brent's variant of Pollard
-    rho, polynomials x**2 + c for c = 1, 2, ...)."""
-    for c in count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot; step through it one term at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
+def _iroot(n: int, k: int) -> int:
+    """The integer k-th root of n >= 1, rounded down (Newton's method)."""
+    r = 1 << -(-n.bit_length() // k)
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
 
 
-def _divide_out(n: int, primes, out: dict[int, int]) -> int:
-    """Divide n by each of the ascending primes, counting exponents in out,
-    until the next prime's square exceeds n; return the cofactor."""
+def prime_power_root(n: int) -> int | None:
+    """The prime p with n = p**k for some k >= 1, or None if there is none."""
+    for k in range(1, n.bit_length()):
+        r = _iroot(n, k)
+        if r ** k == n and isprime(r):
+            return r
+    return None
+
+
+def _divide_out(n: int, primes, out: set[int]) -> int:
+    """Divide n by every power of each of the ascending primes, adding the
+    divisors to out, until the next prime's square exceeds n; return the
+    cofactor."""
     for p in primes:
         if p * p > n:
             break
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
     return n
 
 
-def factorint(n: int) -> dict[int, int]:
-    """The factorization {p: e} of n >= 1, primes ascending."""
-    if n < 1:
-        raise ValueError(f"factorint needs n >= 1, got {n}")
-    out: dict[int, int] = {}
-    n = _divide_out(n, primerange(2, _TRIAL_BOUND), out)
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if isprime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
-            d = _rho(m)
-            pending += [d, m // d]
-    return dict(sorted(out.items()))
+def prime_divisors_below(n: int, bound: int) -> tuple[frozenset[int], int]:
+    """The primes below bound dividing n >= 1, and the cofactor: n with
+    every power of them divided out.
 
-
-def prime_divisors_below(n: int, bound: int) -> frozenset[int]:
-    """The primes below bound dividing n >= 1.
-
-    Small primes are divided out as in `factorint`.  A composite cofactor
-    is then trial-divided by the primes below bound instead of split, so
-    the cost is capped by the bound whatever the size of n's other prime
-    factors; a cofactor of 1 or a prime needs no sieve.
+    Small primes are divided out first.  A composite cofactor is then
+    trial-divided by the primes below bound, or up to its square root if
+    that is smaller, and never split, so the cost is capped by the bound
+    whatever the size of n's other prime factors; a cofactor of 1 or a
+    prime needs no sieve.  The cofactor returned is 1, a prime of at
+    least bound, or a composite all of whose prime factors are.
     """
-    out: dict[int, int] = {}
-    n = _divide_out(n, primerange(2, _TRIAL_BOUND), out)
+    out: set[int] = set()
+    n = _divide_out(n, primerange(2, min(bound, _TRIAL_BOUND)), out)
     if n > 1 and not isprime(n):
-        n = _divide_out(n, primerange(_TRIAL_BOUND, bound), out)
-    # the cofactor n is now 1, a prime, or free of prime factors below bound
-    return frozenset(p for p in (*out, n) if 1 < p < bound)
+        n = _divide_out(n, primerange(_TRIAL_BOUND, min(bound, isqrt(n) + 1)), out)
+    # n is now 1, a prime, or free of prime factors below bound
+    if 1 < n < bound:
+        out.add(n)
+        n = 1
+    return frozenset(out), n

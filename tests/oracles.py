@@ -5,7 +5,7 @@ rootless quartics by solving the coefficient equations directly, so it
 shares no code path with the library's distinct-degree machinery.  The
 integer oracles divide by every candidate up to the square root, and
 Mersenne primes are decided by the Lucas-Lehmer test, so neither shares
-code with the sieve, Miller-Rabin, Lucas or rho steps of `adelic.primes`.
+code with the sieve, Miller-Rabin or Lucas steps of `adelic.primes`.
 The place-set oracles are the original Boolean-operation code: nested-loop
 context extension, a pointwise rebuild of the finite modification, then a
 canonical form that drops one cylinder field at a time and starts over.
@@ -47,7 +47,7 @@ import numpy as np
 from adelic import polynomials as poly
 from adelic.localfields import INF
 from adelic.places import splitting_class
-from adelic.primes import factorint, primerange
+from adelic.primes import primerange
 
 
 def brute_roots(coeffs, p):
@@ -472,7 +472,7 @@ def linear_hensel_lift(f, blocks, p, digits):
 def divisors(n):
     """The positive divisors of n != 0, ascending."""
     out = [1]
-    for p, e in factorint(abs(n)).items():
+    for p, e in trial_division_factor(abs(n)).items():
         out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
@@ -615,7 +615,7 @@ def rabin_is_irreducible_mod_p(f, p):
     x = (0, 1)
     if _minus_x(oracle_pow_mod(x, p ** n, f, p), p):
         return False
-    for q in factorint(n):
+    for q in trial_division_factor(n):
         h = oracle_pow_mod(x, p ** (n // q), f, p)
         if len(oracle_gcd(_minus_x(h, p), f, p)) != 1:
             return False

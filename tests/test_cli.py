@@ -345,16 +345,34 @@ def test_index_prime_past_desk_scale_is_refused():
     assert len(lines) == 1 and lines[0].startswith("error: UnsupportedPrime: ")
 
 
-def test_large_composite_discriminant_is_not_factored():
-    """x^2 - N, N the product of two primes near 10**18: the special primes
-    below desk scale are found without splitting N, so the call returns
-    at once instead of running Pollard rho on N."""
-    n = 10000000000000000141000000000000000459
-    done = subprocess.run([sys.executable, "-m", "adelic.cli", "fiber",
-                           "--ideal", "between@free:all@uni", "--ext", f"-{n},0,1"],
+_N = 10000000000000000141000000000000000459  # a 19-digit prime times a 20-digit one
+_PRIME_PAST_DESK_SCALE = "error: UnsupportedPrime: prime 1000003 exceeds the desk-scale bound"
+_GAUSS_MEMBER = ("member", "--ideal", "max@free:1,0,1:1x1+1x1", "--adele")
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (("fiber", "--ideal", "between@free:all@uni", "--ext", f"-{_N},0,1"), 0, "fiber_size=2"),
+    ((*_GAUSS_MEMBER, f"diag:{_N}"), 2,
+     f"error: UnsupportedPrime: {_N} has more than one prime factor past the desk-scale bound"),
+    ((*_GAUSS_MEMBER, "diag:1000003"), 2, _PRIME_PAST_DESK_SCALE),
+    ((*_GAUSS_MEMBER, "diag:7/1000003"), 2, _PRIME_PAST_DESK_SCALE),
+    (("member", "--field", "1,0,1", "--ideal", "max@lift:1:free:1,0,1:1x1+1x1",
+      "--adele", "diag:1000003"), 2, _PRIME_PAST_DESK_SCALE),
+], ids=["fiber-discriminant", "member-norm-composite", "member-norm-prime",
+        "member-denominator-prime", "member-norm-prime-square"])
+def test_large_composite_discriminant_is_not_factored(argv, code, line):
+    """Nothing is split past desk scale.  The special primes of x^2 - N,
+    N the product of two primes near 10**18, are found without splitting
+    N; a coefficient N of an adele is refused unsplit, and one prime past
+    desk scale is refused by name, also from the norm 1000003**2 of
+    1000003 over Q(i).  Splitting N would blow the timeout."""
+    done = subprocess.run([sys.executable, "-m", "adelic.cli", *argv],
                           capture_output=True, env=_src_env(), text=True, timeout=10)
-    assert done.returncode == 0, done.stderr
-    assert "fiber_size=2" in done.stdout.splitlines()
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert line in done.stdout.splitlines()
+    else:
+        assert done.stdout == "" and done.stderr.splitlines() == [line]
 
 
 def test_settings_are_read_from_config_only():

@@ -14,10 +14,10 @@ from adelic.localfields import (
 )
 from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import excluded_primes, factor_prime, place_above
-from adelic.primes import factorint
 from adelic.spectrum import quotient_eval
 
 from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS
+from oracles import trial_division_factor
 
 SEXTIC = NumberField((-2, 0, 0, 0, 0, 0, 1))   # x^6 - 2
 QUINTIC = NumberField((-1, -1, 0, 0, 0, 1))     # x^5 - x - 1
@@ -114,7 +114,7 @@ def test_product_formula_for_valuations():
     rng = random.Random(5)
     for field in CATALOGUE + (SEXTIC,):
         disc = field.discriminant
-        ramified = [p for p in factorint(abs(disc)) if p not in excluded_primes(field)]
+        ramified = [p for p in trial_division_factor(abs(disc)) if p not in excluded_primes(field)]
         unramified = [p for p in (3, 7, 11, 13, 29, 10007) if disc % p][:3]
         for p in ramified + unramified:
             places = factor_prime(field, p)

@@ -12,6 +12,7 @@ from adelic.places import (
     parse_class_label,
     splitting_class,
     supported_primes,
+    supported_primes_dividing,
     unramified_classes,
 )
 from adelic.placesets import all_primes
@@ -63,13 +64,28 @@ def test_splitting_class_factors_no_discriminant(monkeypatch):
     """Classifying one prime reads only whether it divides the discriminant,
     so `adelic factor` answers over a field whose discriminant is too hard
     to factor; x^2 - 1000003 * 1000033 is used by no other test."""
-    def refuse(n):
-        raise AssertionError(f"factorint({n}) called")
+    def refuse(n, bound):
+        raise AssertionError(f"prime_divisors_below({n}, {bound}) called")
 
-    monkeypatch.setattr(places, "factorint", refuse)
+    monkeypatch.setattr(places, "prime_divisors_below", refuse)
     K = NumberField((-1000003 * 1000033, 0, 1))
     assert splitting_class(K, 5) == ((1, 1), (1, 1))
     assert splitting_class(K, 2) == ((2, 1),)
+
+
+def test_supported_primes_dividing():
+    """Primes past desk scale are never split: the prime of a prime-power
+    cofactor is listed, so `factor_prime` refuses it by name, and any other
+    cofactor is refused whole.  Excluded primes are dropped."""
+    assert supported_primes_dividing(GAUSS, 6 * 1000003) == (2, 3, 1000003)
+    assert supported_primes_dividing(GAUSS, 5 * 1000003 ** 2) == (5, 1000003)
+    n = 1000003 * 1000033
+    with pytest.raises(UnsupportedPrime,
+                       match=f"^{n} has more than one prime factor past the desk-scale bound$"):
+        supported_primes_dividing(GAUSS, n)
+    assert excluded_primes(ROOT5) == (2,)
+    assert supported_primes_dividing(ROOT5, 12) == (3,)
+    assert supported_primes_dividing(GAUSS, 12) == (2, 3)
 
 
 def test_errors():

@@ -3,15 +3,14 @@ from math import isqrt, prod
 
 from hypothesis import given, settings, strategies as st
 
-from adelic import primes
 from adelic.primes import (
     PSI_13,
     SIEVE_LIMIT,
     _MR_BASES,
     _strong_lucas_probable_prime,
-    factorint,
     isprime,
     prime_divisors_below,
+    prime_power_root,
     primerange,
 )
 
@@ -59,7 +58,6 @@ def test_psi13_is_a_strong_pseudoprime_that_isprime_rejects():
     assert trial_division_isprime(a) and trial_division_isprime(b)
     assert all(is_strong_pseudoprime(PSI_13, base) for base in _MR_BASES)
     assert not isprime(PSI_13)
-    assert factorint(PSI_13) == {a: 1, b: 1}
 
 
 def test_mersenne_numbers_against_lucas_lehmer():
@@ -74,12 +72,9 @@ def test_mersenne_numbers_against_lucas_lehmer():
 def test_products_of_two_primes():
     assert trial_division_isprime(P31) and trial_division_isprime(Q31)
     assert not isprime(P31 * Q31)
-    assert factorint(P31 * Q31) == {Q31: 1, P31: 1}
-    assert factorint(P31 ** 2 * Q31) == {Q31: 1, P31: 2}
     # above PSI_13: a strong pseudoprime must also fail the Lucas test
     big = 2 ** 89 - 1
     assert not isprime(big * P31) and not isprime(big * big)
-    assert factorint(big * P31) == {P31: 1, big: 1}
 
 
 def test_strong_lucas_pseudoprimes():
@@ -92,39 +87,40 @@ def test_strong_lucas_pseudoprimes():
     assert all(_strong_lucas_probable_prime(p) for p in primerange(3, 30000))
 
 
-@given(st.integers(min_value=1, max_value=10 ** 9))
-@settings(max_examples=300, deadline=None)
-def test_factorint_matches_trial_division(n):
-    assert factorint(n) == trial_division_factor(n)
-
-
-@given(st.integers(min_value=1, max_value=2 ** 90))
-@settings(max_examples=200, deadline=None)
-def test_factorint_round_trips(n):
-    factors = factorint(n)
-    assert prod(p ** e for p, e in factors.items()) == n
-    assert list(factors) == sorted(factors)
-    assert all(isprime(p) and e >= 1 for p, e in factors.items())
-
-
 @given(st.integers(min_value=1, max_value=10 ** 9),
        st.sampled_from((2, 3, 100, 1024, 1031, 5000, 10 ** 6)))
 @settings(max_examples=300, deadline=None)
 def test_prime_divisors_below_match_trial_division(n, bound):
-    assert prime_divisors_below(n, bound) == {p for p in trial_division_factor(n) if p < bound}
+    factors = trial_division_factor(n)
+    primes, cofactor = prime_divisors_below(n, bound)
+    assert primes == {p for p in factors if p < bound}
+    assert cofactor == prod(p ** e for p, e in factors.items() if p >= bound)
 
 
-def test_prime_divisors_below_never_split_the_cofactor(monkeypatch):
+def test_prime_divisors_below_never_split_the_cofactor():
     """A composite cofactor is trial-divided up to the bound; the prime
-    factors past the bound are left unsplit, so Pollard rho never runs."""
-    def no_rho(n):
-        raise AssertionError(f"split {n}")
+    factors past the bound are left unsplit in the cofactor."""
+    assert prime_divisors_below(8 * 1031 * 999983 * P31 * Q31, 10 ** 6) == (
+        {2, 1031, 999983}, P31 * Q31)
+    assert prime_divisors_below(3 * P31 * Q31, 10 ** 6) == ({3}, P31 * Q31)
+    assert prime_divisors_below(P31 * Q31 * Q31, 10 ** 6) == (frozenset(), P31 * Q31 * Q31)
+    assert prime_divisors_below(5 * P31, 10 ** 6) == ({5}, P31)
+    assert prime_divisors_below(1031 * 1033, 10 ** 6) == ({1031, 1033}, 1)
 
-    monkeypatch.setattr(primes, "_rho", no_rho)
-    assert prime_divisors_below(8 * 1031 * 999983 * P31 * Q31, 10 ** 6) == {2, 1031, 999983}
-    assert prime_divisors_below(3 * P31 * Q31, 10 ** 6) == {3}
-    assert prime_divisors_below(P31 * Q31 * Q31, 10 ** 6) == frozenset()
-    assert prime_divisors_below(5 * P31, 10 ** 6) == {5}
+
+@given(st.integers(min_value=1, max_value=10 ** 9))
+@settings(max_examples=300, deadline=None)
+def test_prime_power_root_matches_trial_division(n):
+    factors = trial_division_factor(n)
+    assert prime_power_root(n) == (next(iter(factors)) if len(factors) == 1 else None)
+
+
+def test_prime_power_roots_past_the_sieve():
+    big = 2 ** 89 - 1
+    for p in (P31, Q31, big):
+        assert all(prime_power_root(p ** k) == p for k in (1, 2, 3, 5, 6))
+    for n in (P31 * Q31, (P31 * Q31) ** 2, P31 ** 2 * Q31, big * P31, PSI_13):
+        assert prime_power_root(n) is None
 
 
 def test_divisors():

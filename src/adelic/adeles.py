@@ -385,6 +385,8 @@ def one_adele(field: NumberField) -> Adele:
 
 def vanishing_on(field: NumberField, region) -> Adele:
     """Component zero on the region, one everywhere else."""
+    if region.field != field:
+        raise FieldMismatch("place set over a different field")
     if region.is_empty():
         return one_adele(field)
     return Adele(

@@ -27,14 +27,17 @@ from .adeles import (
     zero_adele,
 )
 from .errors import AdelicError
+from .localfields import valuation_of_element
 from .numberfields import NumberField, RATIONALS
 from .places import (
     archimedean_places,
     class_label,
     factor_prime,
     parse_class_label,
+    place_above,
     splitting_class,
 )
+from .placesets import class_atom, full_preimage
 from .registry import ensure_registered
 from .spectrum import (
     Constraint,
@@ -46,6 +49,7 @@ from .spectrum import (
     max_at,
     member,
     min_at,
+    selected_profile,
     zero_at,
 )
 from .extensions import fiber_of_spec
@@ -100,20 +104,13 @@ def _parse_poly(text: str) -> NumberField:
         raise UsageError(str(exc)) from exc
 
 
-def _place(field: NumberField, prime: str, index: str):
-    fiber = factor_prime(field, int(prime))
-    if not 0 <= int(index) < len(fiber):
-        raise UsageError(f"no place with index {index} above {prime}")
-    return fiber[int(index)]
-
-
 @_spec
 def _parse_ultra(field: NumberField, text: str) -> Ultrafilter:
     parts = text.split(":")
     if parts[0] == "at":
         if len(parts) != 3:
             raise UsageError("principal ultrafilter spec is at:<prime>:<index>")
-        return PrincipalUltrafilter(_place(field, parts[1], parts[2]))
+        return PrincipalUltrafilter(place_above(field, int(parts[1]), int(parts[2])))
     if parts[0] == "lift":
         if len(parts) < 3:
             raise UsageError("lift spec is lift:<position>:<base free spec>")
@@ -152,10 +149,10 @@ def _parse_adele(field: NumberField, text: str) -> Adele:
         return result
     if head == "ind":
         ext_text, _, cls_text = rest.partition(":")
-        ext = _parse_poly(ext_text)
-        from .placesets import class_atom
-
-        return vanishing_on(field, class_atom(ext, parse_class_label(cls_text)))
+        atom = class_atom(_parse_poly(ext_text), parse_class_label(cls_text))
+        if field != RATIONALS:
+            atom = full_preimage(field, atom)
+        return vanishing_on(field, atom)
     raise UsageError(f"unknown adele spec {text!r}")
 
 
@@ -171,7 +168,7 @@ def _parse_ideal(field: NumberField, text: str) -> PrimeIdeal:
             return zero_at(places[index])
         if rest.startswith("p:"):
             _, p, idx = rest.split(":")
-            return zero_at(_place(field, p, idx))
+            return zero_at(place_above(field, int(p), int(idx)))
         raise UsageError("zero ideal spec is zero@p:<prime>:<index> or zero@inf:<index>")
     if kind in ("max", "min"):
         u = _parse_ultra(field, rest)
@@ -187,7 +184,8 @@ def _parse_ideal(field: NumberField, text: str) -> PrimeIdeal:
 @_spec
 def _parse_constraint(field: NumberField, text: str) -> Constraint:
     p, idx, target, power = text.split(":")
-    return Constraint(_place(field, p, idx), field.element(Fraction(target)), int(power))
+    return Constraint(place_above(field, int(p), int(idx)),
+                      field.element(Fraction(target)), int(power))
 
 
 def _place_text(w) -> str:
@@ -240,8 +238,6 @@ def cmd_member(args) -> int:
         predicate = "in_m" if ideal.kind == "max_at" else "is_zero"
         print(f"witness={membership_set(alpha, predicate).to_text()}")
     elif ideal.kind == "between":
-        from .spectrum import selected_profile
-
         d_alpha, d_beta = selected_profile(ideal.ultra, alpha, ideal.beta)
         print(f"profile_alpha={d_alpha}")
         print(f"profile_beta={d_beta}")
@@ -286,12 +282,8 @@ def cmd_density(args) -> int:
     witness = density_witness(u, constraints)
     print(f"ultrafilter={_ultra_text(u)}")
     print(f"witness={witness.to_text()}")
-    from .spectrum import min_at as _min
-
-    print(f"in_minimal_ideal={'true' if member(witness, _min(u)) else 'false'}")
+    print(f"in_minimal_ideal={'true' if member(witness, min_at(u)) else 'false'}")
     for c in constraints:
-        from .localfields import valuation_of_element
-
         value = witness.component_at(c.place)
         ok = valuation_of_element(value - c.target, c.place) >= c.min_valuation \
             if not (value - c.target).is_zero() else True

@@ -2,11 +2,13 @@
 
 The restriction map sends places of an extension field to the places of
 the rationals below them.  It induces contraction of prime ideals (via
-ultrafilter pushforward and a descent of the generator for intermediate
-primes) and, in the other direction, finite fibers of size at most the
-degree: one principal ideal per place of the fiber, one ultrafilter ideal
-per section lift, and exactly one intermediate prime per lifted
-ultrafilter with the generator transported upward along the diagonal.
+ultrafilter pushforward, and for intermediate primes a descended
+generator that carries the tail degree the lifted ultrafilter selects,
+which is all a free-ultrafilter prime reads) and, in the other
+direction, finite fibers of size at most the degree: one principal ideal
+per place of the fiber, one ultrafilter ideal per section lift, and
+exactly one intermediate prime per lifted ultrafilter with the generator
+transported upward along the diagonal.
 
 Rational adeles embed in extension adeles componentwise.  At unramified
 places the canonical uniformizer below and above is the same prime p, so
@@ -16,7 +18,7 @@ materialized as exceptional components with their exact rational values.
 
 from __future__ import annotations
 
-from .adeles import Adele, TailPoly, make_adele, membership_set
+from .adeles import Adele, TailPoly, make_adele, zero_adele
 from .errors import FieldMismatch
 from .localfields import INF
 from .numberfields import NumberField, RATIONALS
@@ -28,11 +30,7 @@ from .places import (
     excluded_primes,
     factor_prime,
 )
-from .placesets import (
-    finite_qset,
-    full_preimage,
-    pullback_section,
-)
+from .placesets import finite_qset, full_preimage
 from .registry import ensure_registered
 from .spectrum import (
     PrimeIdeal,
@@ -42,12 +40,7 @@ from .spectrum import (
     selected_profile,
     zero_at,
 )
-from .ultrafilters import (
-    FreeKUltrafilter,
-    lifts,
-    pushforward,
-    section_refine,
-)
+from .ultrafilters import lifts, pushforward
 
 register_extension = ensure_registered
 
@@ -117,32 +110,16 @@ def contract_prime(ideal: PrimeIdeal) -> PrimeIdeal:
 def _descend_generator(ideal: PrimeIdeal) -> Adele:
     """Carry the generator of an intermediate prime down to the rationals.
 
-    The generator's maximal-ideal set is refined to meet each fiber at
-    most once; below its image the descended generator carries the same
-    valuation pattern (p to the power of the tail degree the ultrafilter
-    selects), and it vanishes elsewhere.  Exact components cannot cross
-    completions when residue degrees exceed one, and the membership test
-    only reads valuations, so transporting the pattern is faithful.
+    Membership in a free-ultrafilter prime reads only the tail degree on
+    the piece the ultrafilter selects, and a rational adele lifts with the
+    same degree on the piece its pushforward selects.  So the descended
+    generator is p to that degree at every prime, or zero when the
+    generator vanishes on its selected piece.
     """
-    u = ideal.ultra
-    assert isinstance(u, FreeKUltrafilter)
-    beta = ideal.beta
-    big = membership_set(beta, "in_m")
-    refined = section_refine(u, big)
-    v_region = pullback_section(refined, u.effective_position)
-    depth = selected_profile(u, beta)[0]
-    q = RATIONALS
+    depth = selected_profile(ideal.ultra, ideal.beta)[0]
     if depth == INF:
-        override_tail = TailPoly.zero(q)
-    else:
-        override_tail = TailPoly.uniformizer_power(q, int(depth))
-    return make_adele(
-        q,
-        [q.zero() for _ in archimedean_places(q)],
-        (),
-        ((v_region, override_tail),),
-        TailPoly.zero(q),
-    )
+        return zero_adele(RATIONALS)
+    return make_adele(RATIONALS, tail=TailPoly.uniformizer_power(RATIONALS, depth))
 
 
 def fiber_of_spec(ideal: PrimeIdeal, field: NumberField) -> list[PrimeIdeal]:

@@ -12,13 +12,16 @@ The catalogue has four variants:
     inside max_at(U): adeles alpha such that some power of alpha has
     valuation at least that of beta on a set of U.
 
-For finite-data adeles the valuation profiles of alpha and beta are
-constant on the region piece the ultrafilter selects, which reduces the
-existential over (n, Y) in the between test to a three-way comparison of
-those constants; with a single finite-data beta the between variant is an
-honest building block but its membership oracle coincides with max_at(U)
-or min_at(U) as a set (strictly intermediate primes need unbounded
-valuation profiles, which finite tails cannot carry).
+A free ultrafilter contains no finite set, so it never reads an adele's
+finitely many pointwise corrections: all three free variants read only
+the tail degree on the one region piece of alpha that U contains (and,
+for between, that of beta).  max_at asks for degree at least one, min_at
+for the zero tail, and between reduces the existential over (n, Y) to a
+three-way comparison of the two degrees.  With a single finite-data beta
+the between variant is an honest building block but its membership
+oracle coincides with max_at(U) or min_at(U) as a set (strictly
+intermediate primes need unbounded valuation profiles, which finite
+tails cannot carry).
 
 Level ideals mirror the same variants inside the finite-level subrings
 (integral outside a finite place set S), carrying the maximal/minimal
@@ -34,7 +37,6 @@ from .adeles import (
     Adele,
     empty_set,
     membership_set,
-    everything_set,
     one_adele,
     place_singleton,
     set_component,
@@ -102,7 +104,7 @@ def between(u: Ultrafilter, beta: Adele) -> PrimeIdeal:
     _require_free(u)
     if beta.field != u.field:
         raise FieldMismatch("generator and ultrafilter over different fields")
-    if not u.contains(membership_set(beta, "in_m")):
+    if selected_profile(u, beta)[0] < 1:
         raise DegenerateGenerator(
             "the generator is a unit on the ultrafilter; the displayed "
             "membership set would be the whole ring"
@@ -122,54 +124,44 @@ def member(alpha: Adele, ideal: PrimeIdeal) -> bool:
             return alpha.arch_at(w).is_zero()
         return alpha.valuation_at(w) == INF
     if ideal.kind == "max_at":
-        return ideal.ultra.contains(membership_set(alpha, "in_m"))
+        return selected_profile(ideal.ultra, alpha)[0] >= 1
     if ideal.kind == "min_at":
-        return ideal.ultra.contains(membership_set(alpha, "is_zero"))
+        return selected_profile(ideal.ultra, alpha)[0] == INF
     assert ideal.kind == "between"
     return member_between(alpha, ideal.ultra, ideal.beta)
 
 
 @lru_cache(maxsize=8192)
 def selected_profile(u: Ultrafilter, *adeles: Adele):
-    """Tail degrees of the given adeles on the region piece the
-    ultrafilter selects.
+    """Tail degrees of the given adeles, each on the region piece of it
+    that the free ultrafilter selects.
 
-    The joint region pieces of finitely many adeles partition the finite
-    places, so a free ultrafilter selects exactly one; the finitely many
-    exceptional and suspect places never matter to it.
+    Each adele's pieces partition the finite places, so u contains one of
+    them, and it contains a joint piece exactly when it contains each
+    adele's piece.  The finitely many exceptional and suspect places never
+    matter to a free ultrafilter, so the degree there is the answer.
     """
-    field = adeles[0].field
-    combos = [((), everything_set(field))]
-    for a in adeles:
-        pieces = a.pieces()
-        new = []
-        for degs, region in combos:
-            for r, tail in pieces:
-                meet = region.intersect(r)
-                if not meet.is_empty():
-                    new.append((degs + (tail.min_degree(),), meet))
-        combos = new
-    for degs, region in combos:
-        if u.contains(region):
-            return degs
-    raise AssertionError("an ultrafilter selects one piece of a partition")
+    return tuple(
+        next(tail.min_degree() for region, tail in a.pieces() if u.contains(region))
+        for a in adeles
+    )
 
 
 def member_between(alpha: Adele, u: Ultrafilter, beta: Adele) -> bool:
     """Does some power of alpha dominate beta's valuations on a set of u?
 
     True exactly when there are n >= 1 and a member set Y of u with
-    n * val_v(alpha) >= val_v(beta) for every v in Y.
+    n * val_v(alpha) >= val_v(beta) for every v in Y.  Both valuation
+    profiles are constant on the pieces u selects, so the test compares
+    the two selected tail degrees.
     """
     _require_free(u)
-    if not u.contains(membership_set(beta, "in_m")):
-        raise DegenerateGenerator("generator is a unit on the ultrafilter")
     d_alpha, d_beta = selected_profile(u, alpha, beta)
+    if d_beta < 1:
+        raise DegenerateGenerator("generator is a unit on the ultrafilter")
     if d_beta == INF:
         return d_alpha == INF
-    if d_beta == 0:
-        return True
-    return d_alpha == INF or d_alpha >= 1
+    return d_alpha >= 1
 
 
 # -- classification and structure --------------------------------------------

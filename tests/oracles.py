@@ -45,6 +45,7 @@ from math import isqrt
 import numpy as np
 
 from adelic import polynomials as poly
+from adelic.adeles import everything_set, membership_set
 from adelic.localfields import INF
 from adelic.places import splitting_class
 from adelic.primes import primerange
@@ -201,6 +202,29 @@ def brute_member_between(alpha, u, beta, n_max=64):
         if u.contains(bad.complement()):
             return True
     return False
+
+
+def joint_selected_profile(u, *adeles):
+    """Tail degrees on the joint region piece the ultrafilter selects.
+
+    Intersects every piece of each adele with every piece of the others
+    and asks the ultrafilter about each nonempty meet, in nested order;
+    the meets partition the finite places, so it contains exactly one.
+    """
+    combos = [((), everything_set(adeles[0].field))]
+    for a in adeles:
+        combos = [(degs + (tail.min_degree(),), region.intersect(r))
+                  for degs, region in combos for r, tail in a.pieces()]
+        combos = [(degs, region) for degs, region in combos if not region.is_empty()]
+    return next(degs for degs, region in combos if u.contains(region))
+
+
+def membership_set_member(alpha, ideal):
+    """max_at / min_at membership read off the exact membership set: does
+    the ultrafilter contain the places where alpha lies in the maximal
+    ideal, or vanishes?"""
+    predicate = "in_m" if ideal.kind == "max_at" else "is_zero"
+    return ideal.ultra.contains(membership_set(alpha, predicate))
 
 
 def trial_division_factor(n):

@@ -22,7 +22,7 @@ from adelic.places import (
     enumerate_finite_places,
     place_above,
 )
-from adelic.placesets import class_atom, finite_qset
+from adelic.placesets import class_atom, finite_qset, full_preimage
 
 from conftest import CUBE2, GAUSS
 from gen import random_adele, random_element
@@ -184,6 +184,13 @@ def test_field_mismatch():
         one_adele(RATIONALS).add(one_adele(GAUSS))
     with pytest.raises(FieldMismatch):
         one_adele(GAUSS).valuation_at(place_above(RATIONALS, 3))
+    atom = class_atom(GAUSS, ((1, 1), (1, 1)))
+    with pytest.raises(FieldMismatch):
+        vanishing_on(GAUSS, atom)
+    with pytest.raises(FieldMismatch):
+        vanishing_on(RATIONALS, full_preimage(GAUSS, atom))
+    with pytest.raises(FieldMismatch):
+        vanishing_on(CUBE2, full_preimage(GAUSS, atom))
 
 
 def test_membership_cache_consistency():

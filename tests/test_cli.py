@@ -80,6 +80,28 @@ def test_member_witness_round_trips():
     parse_adele(adele_line.split("=", 1)[1])
 
 
+@pytest.mark.parametrize("field,ultra,adele,verdict", [
+    ("1,0,1", "min@lift:1:free:1,0,1:1x1+1x1", "ind:1,0,1:1x1+1x1", "true"),
+    ("1,0,1", "max@lift:1:free:1,0,1:1x2", "ind:1,0,1:1x1+1x1", "false"),
+    ("-2,0,0,1", "min@lift:1:free:-2,0,0,1:1x1+1x2", "ind:-2,0,0,1:1x1+1x2", "true"),
+])
+def test_indicator_over_an_extension_field(field, ultra, adele, verdict):
+    """Over --field, ind: vanishes at every place above a prime of the
+    class atom."""
+    with _cli_state_restored():
+        code, out = run_cli("member", "--field", field, "--ideal", ultra, "--adele", adele)
+    assert code == 0
+    assert f"member={verdict}" in out.splitlines()
+
+
+def test_bad_place_index_is_a_usage_error():
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli("classify", "--ideal", "zero@p:5:7")
+    assert code == 1 and out == ""
+    assert err.getvalue() == "usage error: bad spec 'zero@p:5:7': no place with index 7 above 5\n"
+
+
 def test_classify():
     code, out = run_cli("classify", "--ideal", "min@free:all")
     assert code == 0

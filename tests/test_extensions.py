@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from adelic.adeles import diagonal, diagonal_rational, uniformizer_adele
+from adelic.adeles import diagonal, diagonal_rational, uniformizer_adele, vanishing_on
 from adelic.errors import FieldMismatch, UnsupportedPrime
 from adelic.extensions import (
     contract_prime,
@@ -13,7 +13,15 @@ from adelic.extensions import (
 from adelic.localfields import INF
 from adelic.numberfields import RATIONALS
 from adelic.places import archimedean_places, enumerate_finite_places, place_above
-from adelic.spectrum import between, classify, max_at, member, min_at, zero_at
+from adelic.spectrum import (
+    between,
+    classify,
+    max_at,
+    member,
+    min_at,
+    selected_profile,
+    zero_at,
+)
 from adelic.ultrafilters import free_cofinite, free_on_atom, lifts
 
 from conftest import CUBE2, CYCLO5, GAUSS, ROOT5
@@ -115,6 +123,17 @@ def test_between_contract_oracle_agreement():
         assert member(alpha, down) == member(lifted, up)
         count += 1
     assert count >= 30
+
+
+def test_contracted_generator_carries_the_selected_degree():
+    split = free_on_atom(GAUSS, ((1, 1), (1, 1)), "split")
+    pi = uniformizer_adele(RATIONALS)
+    for beta, depth in ((pi, 1), (pi.mul(pi), 2),
+                        (vanishing_on(RATIONALS, split.anchor_set()), INF)):
+        for up in fiber_of_spec(between(split, beta), GAUSS):
+            down = contract_prime(up)
+            assert down.ultra == split
+            assert selected_profile(split, down.beta) == (depth,)
 
 
 def test_between_fiber_uniqueness_per_lift():

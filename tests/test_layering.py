@@ -1,4 +1,5 @@
-"""No module of the package imports or reads a private name of another."""
+"""No module of the package imports or reads a private name of another,
+and every import sits at the top level of its module."""
 
 import ast
 from pathlib import Path
@@ -34,4 +35,21 @@ def test_modules_use_only_public_names_of_siblings():
     found = [f"{path.name}:{line}: {name}"
              for path in sorted(SRC.glob("*.py"))
              for line, name in _sibling_private_names(path)]
+    assert found == []
+
+
+def _function_imports(path: Path):
+    """(line, function name) for each import inside a function body."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [(node.lineno, func.name)
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_modules_import_only_at_the_top_level():
+    found = [f"{path.name}:{line}: in {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, name in _function_imports(path)]
     assert found == []

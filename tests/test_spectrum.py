@@ -4,14 +4,23 @@ from fractions import Fraction
 import pytest
 
 from adelic.adeles import (
+    TailPoly,
     diagonal_rational,
+    make_adele,
+    membership_set,
     one_adele,
     set_component,
     uniformizer_adele,
     vanishing_on,
     zero_adele,
 )
-from adelic.errors import DegenerateGenerator, InconsistentNeighborhood, InvalidLevel
+from adelic.errors import (
+    DegenerateGenerator,
+    InconsistentNeighborhood,
+    InvalidLevel,
+    UnsupportedPrime,
+)
+from adelic.extensions import to_extension
 from adelic.numberfields import RATIONALS
 from adelic.places import archimedean_places, place_above
 from adelic.spectrum import (
@@ -29,13 +38,14 @@ from adelic.spectrum import (
     min_at,
     quotient_eval,
     restrict_to_level,
+    selected_profile,
     zero_at,
 )
-from adelic.ultrafilters import free_cofinite, free_on_atom
+from adelic.ultrafilters import free_cofinite, free_on_atom, lifts
 
-from conftest import GAUSS
+from conftest import CUBE2, FULL_SPLIT_CUBE2, GAUSS
 from gen import random_adele, random_nonzero_profile_adele
-from oracles import brute_member_between
+from oracles import brute_member_between, joint_selected_profile, membership_set_member
 
 
 def _free_split():
@@ -200,6 +210,41 @@ def test_between_decision_vs_brute_force():
             continue
         assert fast == brute_member_between(alpha, u, beta), (alpha, beta)
         checked += 1
+
+
+def test_selected_piece_rule_vs_references():
+    """The package reads each adele's selected piece on its own; the
+    references intersect all pieces, and read max_at / min_at off the
+    exact membership set."""
+    rng = random.Random(37)
+    rational = [_free_split(), _free_inert(), free_cofinite(),
+                free_on_atom(CUBE2, FULL_SPLIT_CUBE2)]
+    gaussian = lifts(_free_split(), GAUSS)
+    assert len(gaussian) == 2
+    checked = 0
+    for _ in range(30):
+        a, b = random_adele(RATIONALS, rng), random_adele(RATIONALS, rng)
+        cases = [(u, a, b) for u in rational]
+        if all(hasattr(v, "field") for x in (a, b) for _, v in x.exceptional):
+            cases += [(u, to_extension(a, GAUSS), to_extension(b, GAUSS)) for u in gaussian]
+        for u, x, y in cases:
+            assert selected_profile(u, x, y) == joint_selected_profile(u, x, y), (u, x, y)
+            for kind in (max_at, min_at):
+                assert member(x, kind(u)) == membership_set_member(x, kind(u)), (u, x)
+            checked += 1
+    assert checked >= 150
+
+
+def test_free_primes_ignore_suspect_primes_past_desk_scale():
+    """2 * 1000003 has a prime factor past desk scale, so the exact
+    membership set is refused; no free ultrafilter reads that prime."""
+    alpha = make_adele(RATIONALS, tail=TailPoly.constant(RATIONALS.element(2 * 1000003)))
+    u = _free_split()
+    assert not member(alpha, max_at(u))
+    assert not member(alpha, min_at(u))
+    assert not member(alpha, between(u, uniformizer_adele(RATIONALS)))
+    with pytest.raises(UnsupportedPrime):
+        membership_set(alpha, "in_m")
 
 
 def test_restrict_to_level_flags():

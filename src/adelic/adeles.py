@@ -41,6 +41,7 @@ from .placesets import (
     all_primes,
     finite_kset,
     finite_qset,
+    matching_bracket,
     parse_kset,
     parse_qset,
 )
@@ -319,8 +320,8 @@ class Adele:
 
 @lru_cache(maxsize=8192)
 def membership_set(alpha: Adele, predicate: str):
-    """Cached front door for Adele.membership_set; adeles are immutable,
-    and the property-test loops ask for the same sets repeatedly."""
+    """Cached front door for Adele.membership_set, for callers whose answer
+    is the exact set: the CLI's `witness=` line and `ClosedIdeal.member`."""
     return alpha.membership_set(predicate)
 
 
@@ -364,14 +365,14 @@ def diagonal_rational(field: NumberField, q) -> Adele:
     return diagonal(field.element(q))
 
 
-def uniformizer_adele(field: NumberField) -> Adele:
-    """Valuation exactly one at every finite place."""
+def uniformizer_adele(field: NumberField, power: int = 1) -> Adele:
+    """Valuation exactly `power` at every finite place."""
     return Adele(
         field,
         tuple(field.one() for _ in archimedean_places(field)),
         (),
         (),
-        TailPoly.uniformizer_power(field, 1),
+        TailPoly.uniformizer_power(field, power),
     )
 
 
@@ -423,21 +424,17 @@ def make_adele(field: NumberField, arch=None, exceptional=(), overrides=(),
 
 
 def parse_adele(text: str) -> Adele:
-    if not (text.startswith("adele{") and text.endswith("}")):
+    if not text.startswith("adele{") or matching_bracket(text, 5) != len(text) - 1:
         raise ValueError(f"bad adele text: {text!r}")
     body = text[6:-1]
 
     def block(key):
-        start = body.index(key + "[") + len(key) + 1
-        depth = 1
-        i = start
-        while depth:
-            if body[i] == "[":
-                depth += 1
-            elif body[i] == "]":
-                depth -= 1
-            i += 1
-        return body[start:i - 1]
+        start = body.index(key + "[") + len(key)
+        return body[start + 1:matching_bracket(body, start)]
+
+    def tail(coeff_text):
+        coeffs = [parse_element(field, t) for t in coeff_text.split("&") if t]
+        return TailPoly.make(field, coeffs)
 
     field = NumberField(tuple(int(c) for c in block("field").split(",")))
     arch = tuple(
@@ -452,17 +449,18 @@ def parse_adele(text: str) -> Adele:
         left, value = chunk.split("=", 1)
         p, idx = (int(t) for t in left.split(":"))
         exceptional.append((place_above(field, p, idx), parse_element(field, value)))
+    if len({w for w, _ in exceptional}) != len(exceptional):
+        raise ValueError("adele text repeats an exceptional place")
     overrides = []
     ovr = block("ovr")
     for item in ovr.split("||") if ovr else []:
         arrow = item.rindex("->")
-        region_text, tail_text = item[:arrow], item[arrow + 2:]
+        region_text = item[:arrow]
         region = parse_qset(region_text) if region_text.startswith("q{") \
             else parse_kset(region_text)
-        coeffs = [parse_element(field, t) for t in tail_text.split("&") if t]
-        overrides.append((region, TailPoly.make(field, coeffs)))
-    tail_coeffs = [
-        parse_element(field, t) for t in block("tail").split("&") if t
-    ]
-    return make_adele(field, arch, exceptional, overrides,
-                      TailPoly.make(field, tail_coeffs))
+        if region.field != field:
+            raise ValueError("adele text has an override region over another field")
+        if any(not region.intersect(r).is_empty() for r, _ in overrides):
+            raise ValueError("adele text has overlapping override regions")
+        overrides.append((region, tail(item[arrow + 2:])))
+    return make_adele(field, arch, exceptional, overrides, tail(block("tail")))

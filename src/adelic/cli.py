@@ -22,6 +22,7 @@ from .adeles import (
     diagonal,
     membership_set,
     one_adele,
+    parse_adele,
     uniformizer_adele,
     vanishing_on,
     zero_adele,
@@ -37,7 +38,7 @@ from .places import (
     place_above,
     splitting_class,
 )
-from .placesets import class_atom, full_preimage
+from .placesets import class_atom, full_preimage, parse_qset
 from .registry import ensure_registered
 from .spectrum import (
     Constraint,
@@ -55,6 +56,7 @@ from .spectrum import (
 from .extensions import fiber_of_spec
 from .ultrafilters import (
     FreeKUltrafilter,
+    FreeQUltrafilter,
     PrincipalUltrafilter,
     Ultrafilter,
     free_cofinite,
@@ -116,20 +118,28 @@ def _parse_ultra(field: NumberField, text: str) -> Ultrafilter:
             raise UsageError("lift spec is lift:<position>:<base free spec>")
         base = _parse_ultra(RATIONALS, ":".join(parts[2:]))
         return FreeKUltrafilter(field, base, int(parts[1]))
-    if parts[0] == "free":
+    if parts[0] == "free" or text.startswith("free["):
         if field != RATIONALS:
-            raise UsageError("free atoms live over the rationals; use lift:<pos>:free:...")
+            raise UsageError("free atoms live over the rationals; use lift:<pos>:free...")
+        if text.startswith("free[") and text.endswith("]"):
+            return FreeQUltrafilter(parse_qset(text[5:-1]))
         if len(parts) == 2 and parts[1] == "all":
             return free_cofinite()
         if len(parts) == 3:
             ext = _parse_poly(parts[1])
             return free_on_atom(ext, parse_class_label(parts[2]))
-        raise UsageError("free ultrafilter spec is free:all or free:<poly>:<class>")
+        raise UsageError("free ultrafilter spec is free:all, free:<poly>:<class> "
+                         "or free[<place set>]")
     raise UsageError(f"unknown ultrafilter spec {text!r}")
 
 
 @_spec
 def _parse_adele(field: NumberField, text: str) -> Adele:
+    if text.startswith("adele{"):
+        alpha = parse_adele(text)
+        if alpha.field != field:
+            raise ValueError("the adele is over another field")
+        return alpha
     head, _, rest = text.partition(":")
     if head == "zero":
         return zero_adele(field)
@@ -142,11 +152,7 @@ def _parse_adele(field: NumberField, text: str) -> Adele:
         power = int(text[4:]) if text != "uni" else 1
         if power < 1:
             raise UsageError("uniformizer powers start at uni^1")
-        out = uniformizer_adele(field)
-        result = out
-        for _ in range(power - 1):
-            result = result.mul(out)
-        return result
+        return uniformizer_adele(field, power)
     if head == "ind":
         ext_text, _, cls_text = rest.partition(":")
         atom = class_atom(_parse_poly(ext_text), parse_class_label(cls_text))

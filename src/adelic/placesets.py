@@ -419,7 +419,7 @@ def pullback_section(s: KPlaceSet, position: int) -> QPlaceSet:
 
 
 def parse_qset(text: str) -> QPlaceSet:
-    if not (text.startswith("q{") and text.endswith("}")):
+    if not text.startswith("q{") or matching_bracket(text, 1) != len(text) - 1:
         raise ValueError(f"bad rational place-set text: {text!r}")
     body = text[2:-1]
     fields = {}
@@ -455,7 +455,7 @@ def parse_qset(text: str) -> QPlaceSet:
 
 
 def parse_kset(text: str) -> KPlaceSet:
-    if not (text.startswith("k{") and text.endswith("}")):
+    if not text.startswith("k{") or matching_bracket(text, 1) != len(text) - 1:
         raise ValueError(f"bad extension place-set text: {text!r}")
     body = text[2:-1]
     start = body.index("field[") + 6
@@ -468,21 +468,22 @@ def parse_kset(text: str) -> KPlaceSet:
         position = int(rest[:colon])
         if not 1 <= position <= field.degree or position in coords:
             raise ValueError(f"fiber position {position} is out of range or repeated")
-        qend = _matching_brace(rest, colon + 1)
+        qend = matching_bracket(rest, colon + 1)
         coords[position] = parse_qset(rest[colon + 1: qend + 1])
         rest = rest[qend + 1:].strip()
     return kset_from_coords(field, [coords.get(j, empty_qset())
                                     for j in range(1, field.degree + 1)])
 
 
-def _matching_brace(text: str, start: int) -> int:
-    assert text[start] == "q" and text[start + 1] == "{"
+def matching_bracket(text: str, start: int) -> int:
+    """The index of the bracket closing the first `[` or `{` at or after
+    `start`; brackets of both kinds nest."""
     depth = 0
-    for i in range(start + 1, len(text)):
-        if text[i] == "{":
+    for i in range(start, len(text)):
+        if text[i] in "[{":
             depth += 1
-        elif text[i] == "}":
+        elif text[i] in "]}":
             depth -= 1
             if depth == 0:
                 return i
-    raise ValueError("unbalanced braces in place-set text")
+    raise ValueError(f"unbalanced brackets in {text!r}")

@@ -120,7 +120,8 @@ class PrincipalUltrafilter(Ultrafilter):
 
 class FreeQUltrafilter(Ultrafilter):
     """Free ultrafilter over the rationals anchored on a set with a
-    witnessed cell, such as an unramified class atom."""
+    witnessed cell, such as an unramified class atom or an intersection of
+    atoms of several fields."""
 
     def __init__(self, atom: QPlaceSet, label: str = "atom"):
         self.field = RATIONALS
@@ -277,12 +278,6 @@ def free_on_atom(field: NumberField, cls, label: str | None = None) -> FreeQUltr
     registered extension."""
     atom = class_atom(field, cls)
     return FreeQUltrafilter(atom, label or f"{list(field.coeffs)}:{class_label(tuple(sorted(cls)))}")
-
-
-def free_on_set(atom: QPlaceSet, label: str = "atom") -> FreeQUltrafilter:
-    """Free rational ultrafilter anchored on any describable set with a
-    witnessed cell (for instance an intersection of class atoms)."""
-    return FreeQUltrafilter(atom, label)
 
 
 def free_cofinite(label: str = "all-primes") -> FreeQUltrafilter:

@@ -250,17 +250,17 @@ def test_criterion_6_lattice_and_separators():
     # pairwise-distinct free ultrafilters: joint atoms force a different
     # selected class at some coordinate for every pair
     from adelic.placesets import class_atom
-    from adelic.ultrafilters import free_on_set, same_decisions
+    from adelic.ultrafilters import FreeQUltrafilter, same_decisions
 
     split_a = class_atom(GAUSS, ((1, 1), (1, 1)))
     inert_a = class_atom(GAUSS, ((1, 2),))
     mixed_c = class_atom(CUBE2, ((1, 1), (1, 2)))
     full_c = class_atom(CUBE2, ((1, 1), (1, 1), (1, 1)))
     refined = [
-        free_on_set(split_a.intersect(mixed_c), "split*mixed"),
-        free_on_set(split_a.intersect(full_c), "split*full"),
-        free_on_set(inert_a.intersect(mixed_c), "inert*mixed"),
-        free_on_set(inert_a.intersect(full_c), "inert*full"),
+        FreeQUltrafilter(split_a.intersect(mixed_c), "split*mixed"),
+        FreeQUltrafilter(split_a.intersect(full_c), "split*full"),
+        FreeQUltrafilter(inert_a.intersect(mixed_c), "inert*mixed"),
+        FreeQUltrafilter(inert_a.intersect(full_c), "inert*full"),
         frees["split"],
         frees["inert"],
     ]

@@ -56,10 +56,12 @@ def test_uniformizer_adele():
     square = pi.mul(pi)
     for p in (2, 7):
         assert square.valuation_at(place_above(RATIONALS, p)) == 2
+    assert uniformizer_adele(RATIONALS, 2) == square
     assert pi.mul(one_adele(RATIONALS)).equals(pi)
     piK = uniformizer_adele(GAUSS)
     for w in (place_above(GAUSS, 2), place_above(GAUSS, 5, 1), place_above(GAUSS, 7)):
         assert piK.valuation_at(w) == 1
+    assert uniformizer_adele(GAUSS, 3) == piK.mul(piK).mul(piK)
 
 
 def test_set_component():

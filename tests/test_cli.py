@@ -17,6 +17,9 @@ from adelic.registry import clear_registry, ensure_registered, registered_fields
 from adelic.spectrum import selected_profile
 
 
+_ALL = "q{ctx[] cells[~] plus[] minus[]}"  # the text of the set of all primes
+
+
 def run_cli(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -165,14 +168,28 @@ def test_between_degenerate_generator_exits_2():
     ("member", "--ideal", "max@free:all", "--adele", "diag:1/0"),
     ("member", "--ideal", "max@lift:1:free:all", "--adele", "uni"),
     ("density", "--ultra", "at:5:0"),
+    ("classify", "--ideal", f"max@free[{_ALL}"),
+    ("classify", "--ideal", f"max@free[{_ALL}}}]"),
+    ("classify", "--ideal", "max@free[q{ctx[1,0,1] cells[1x3] plus[] minus[]}]"),
+    ("classify", "--field", "1,0,1", "--ideal", f"max@free[{_ALL}]"),
+    ("classify", "--ideal", f"max@lift:1:free[{_ALL}]"),
+    ("member", "--ideal", "max@free:all", "--adele",
+     f"adele{{field[0,1] arch[1] exc[] ovr[{_ALL}->1||{_ALL}->] tail[1]}}"),
+    ("member", "--ideal", "max@free:all", "--adele",
+     "adele{field[0,1] arch[1] exc[5:0=1;5:0=0] ovr[] tail[1]}"),
+    ("member", "--field", "1,0,1", "--ideal", "zero@p:5:0", "--adele",
+     f"adele{{field[1,0,1] arch[1,0] exc[] ovr[{_ALL}->] tail[1,0]}}"),
+    ("member", "--ideal", "max@free:all", "--adele",
+     "adele{field[1,0,1] arch[1,0] exc[] ovr[] tail[1,0]}"),
+    ("member", "--ideal", "max@free:all", "--adele", "adele{field[0,1] arch[1] tail[1]}"),
 ], ids=" ".join)
 def test_malformed_spec_is_usage_error(argv):
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with _cli_state_restored(), contextlib.redirect_stderr(err):
         code, out = run_cli(*argv)
     assert code == 1 and out == ""
     assert err.getvalue().startswith("usage error: ")
-    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
 
 
 def test_deterministic_output():
@@ -229,11 +246,28 @@ ULTRAS = ("at:5:0", "at:2:0", "at:5:3", "at:4:0", "at:-3:0", "at:5", "free:all",
           "free:-5,0,1:1x1+1x1", "free:-2,0,0,1:1x1+1x2", "free:1,0,1:1x3",
           "free:0,0,1:1x1", "free:-2,0,0,1", "lift:0:free:1,0,1:1x2",
           "lift:1:free:all", "lift:2:free:-5,0,1:1x1+1x1", "lift:0:at:5:0",
-          "lift:1:at:5:0", "lift:x", "bogus")
+          "lift:1:at:5:0", "lift:x", "bogus",
+          "free[q{ctx[1,0,1] cells[1x1+1x1] plus[] minus[]}]",
+          "free[q{ctx[-2,0,0,1|1,0,1] cells[1x1+1x2*1x1+1x1] plus[] minus[]}]",
+          "free[q{ctx[] cells[] plus[5] minus[]}]", "free[q{ctx[1,0,1] cells[1x3] plus[] minus[]}]",
+          f"free[{_ALL}", f"free[{_ALL}}}]",
+          "free[]", f"free[k{{field[1,0,1] 1:{_ALL}}}]",
+          "lift:1:free[q{ctx[1,0,1] cells[1x2] plus[] minus[]}]",
+          f"lift:2:free[{_ALL}]",
+          "lift:1:free[q{ctx[1,0,1] cells[~] plus[] minus[]}]")
 ADELES = ("zero", "one", "uni", "uni^2", "uni^0", "uni^x", "uni:3", "diag:6",
           "diag:-1/2", "diag:1/0", "diag:x", "diag:", "diag:1,2,3",
           "ind:-2,0,0,1:1x1+1x2", "ind:1,0,1:1x2", "ind:1,0,1:2x1", "ind:1,0,1",
-          "ind:x:1x1")
+          "ind:x:1x1",
+          "adele{field[0,1] arch[1] exc[] ovr[] tail[0&1]}",
+          "adele{field[1,0,1] arch[1,0] exc[2:0=2,0] ovr[] tail[0,0&1,0]}",
+          f"adele{{field[0,1] arch[1] exc[] ovr[{_ALL}->] tail[1]}}",
+          f"adele{{field[0,1] arch[1] exc[] ovr[{_ALL}->1||{_ALL}->] tail[1]}}",
+          "adele{field[0,1] arch[1] exc[5:0=1;5:0=0] ovr[] tail[1]}",
+          f"adele{{field[1,0,1] arch[1,0] exc[] ovr[{_ALL}->] tail[1,0]}}",
+          "adele{field[0,1] arch[] exc[] ovr[] tail[]}",
+          "adele{field[0,1] arch[1] exc[5:0=1/0] ovr[] tail[]}",
+          "adele{field[0,1] arch[1] exc[] ovr[] tail[1]}}", "adele{", "adele{}")
 ZEROS = ("zero@p:5:0", "zero@p:2:0", "zero@p:5:7", "zero@p:4:0", "zero@p:-7:0",
          "zero@p:5", "zero@inf:0", "zero@inf:3", "zero@inf:x", "zero@q")
 IDEALS = st.one_of(
@@ -433,13 +467,79 @@ def _golden_cases():
     return [(argv, "".join(out)) for argv, out in cases]
 
 
-@pytest.mark.parametrize("argv,expected", _golden_cases(),
-                         ids=lambda v: " ".join(v) if isinstance(v, list) else "")
-def test_readme_commands_match_golden_stdout(argv, expected):
+def _fresh_stdout(argv) -> str:
     done = subprocess.run([sys.executable, "-m", "adelic.cli", *argv],
                           capture_output=True, env=_src_env())
     assert done.returncode == 0, done.stderr.decode()
-    assert done.stdout == expected.encode()
+    return done.stdout.decode()
+
+
+@pytest.mark.parametrize("argv,expected", _golden_cases(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_readme_commands_match_golden_stdout(argv, expected):
+    assert _fresh_stdout(argv) == expected
+
+
+_SPEC_FLAGS = {"ideal": "--ideal", "ultrafilter": "--ultra", "adele": "--adele"}
+
+
+def _printed_specs():
+    """(argv, expected stdout): each golden command with one spec replaced
+    by the value it printed for that spec."""
+    cases = []
+    for argv, expected in _golden_cases():
+        for line in expected.splitlines():
+            key, _, value = line.partition("=")
+            if key in _SPEC_FLAGS and _SPEC_FLAGS[key] in argv:
+                i = argv.index(_SPEC_FLAGS[key]) + 1
+                cases.append((argv[:i] + [value] + argv[i + 1:], expected))
+    return cases
+
+
+@pytest.mark.parametrize("argv,expected", _printed_specs(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_printed_specs_read_back(argv, expected):
+    """Every printed ideal, ultrafilter and adele is valid input, and a
+    fresh process reading it prints the same stdout byte for byte."""
+    assert _fresh_stdout(argv) == expected
+
+
+def _printed_fibers_and_witnesses():
+    """(argv, expected first lines): each fiber entry's ideal classified
+    over the extension, and each density witness tested against min@U."""
+    cases = []
+    for argv, expected in _golden_cases():
+        values = dict(line.partition("=")[::2] for line in expected.splitlines())
+        if argv[0] == "fiber":
+            ext = argv[argv.index("--ext") + 1]
+            for line in expected.splitlines():
+                if line.startswith("entry "):
+                    ideal, flags = line.split(" ideal=", 1)[1].split(" is_maximal=")
+                    maximal, minimal = flags.split(" is_minimal=")
+                    cases.append((["classify", "--field", ext, "--ideal", ideal],
+                                  [f"ideal={ideal}", f"is_maximal={maximal}",
+                                   f"is_minimal={minimal}"]))
+        if argv[0] == "density":
+            ultra, witness = values["ultrafilter"], values["witness"]
+            cases.append((["member", "--ideal", f"min@{ultra}", "--adele", witness],
+                          [f"ideal=min@{ultra}", f"adele={witness}",
+                           f"member={values['in_minimal_ideal']}"]))
+    return cases
+
+
+@pytest.mark.parametrize("argv,expected", _printed_fibers_and_witnesses(),
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_printed_fiber_entries_and_witnesses_read_back(argv, expected):
+    assert _fresh_stdout(argv).splitlines()[:len(expected)] == expected
+
+
+def test_free_ultrafilter_on_a_joint_atom():
+    """An anchor no class spec names: the primes with class 1x1+1x2 in
+    Q(cbrt 2) that split in Q(i)."""
+    with _cli_state_restored():
+        code, out = run_cli("member", "--ideal", "max@free[q{ctx[-2,0,0,1|1,0,1] "
+                            "cells[1x1+1x2*1x1+1x1] plus[] minus[]}]", "--adele", "uni")
+    assert code == 0 and "member=true" in out.splitlines()
 
 
 @pytest.mark.parametrize("script", ["spectrum_census", "density_demo"])

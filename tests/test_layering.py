@@ -53,3 +53,29 @@ def test_modules_import_only_at_the_top_level():
              for path in sorted(SRC.glob("*.py"))
              for line, name in _function_imports(path)]
     assert found == []
+
+
+def _parser_callers():
+    """{name: names of the functions calling it} for each `parse_*`
+    function of the package, public or private, over all of its modules."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    callers = {func.name: set() for tree in trees for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               and func.name.lstrip("_").startswith("parse_")}
+    for tree in trees:
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in callers and name != func.name:
+                        callers[name].add(func.name)
+    return callers
+
+
+def test_every_parser_has_a_caller_in_the_package():
+    """A parser only tests call reads text nothing in the package hands it."""
+    callers = _parser_callers()
+    assert "parse_adele" in callers and "_parse_ultra" in callers
+    assert sorted(name for name, found in callers.items() if not found) == []

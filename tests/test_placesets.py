@@ -222,6 +222,14 @@ def test_serialization_round_trip():
     "adele{field[1,0,1] arch[1,0] exc[5:-1=1,0] ovr[] tail[]}",        # negative place index
     "adele{field[1,0,1] arch[1,0|1,0] exc[] ovr[] tail[]}",            # arch too long
     "adele{field[-2,0,0,1] arch[1,0,0] exc[] ovr[] tail[]}",           # arch too short
+    "adele{field[0,1] arch[1] exc[] ovr[q{ctx[] cells[~] plus[] minus[]}->1"
+    "||q{ctx[] cells[~] plus[] minus[]}->] tail[1]}",                   # overlapping overrides
+    "adele{field[0,1] arch[1] exc[5:0=1;5:0=0] ovr[] tail[1]}",        # repeated place
+    "adele{field[1,0,1] arch[1,0] exc[] "
+    "ovr[q{ctx[] cells[~] plus[] minus[]}->] tail[1,0]}",              # region over Q
+    "q{ctx[] cells[~] plus[] minus[]}}",                               # text after the close
+    "k{field[1,0,1] 1:q{ctx[] cells[] plus[5] minus[]}}}",
+    "adele{field[0,1] arch[1] exc[] ovr[] tail[1]}}",
 ])
 def test_parse_qset_rejects_malformed_text(text):
     """Rational and extension place-set texts and adele texts alike; the

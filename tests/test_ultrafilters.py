@@ -24,11 +24,11 @@ from adelic.placesets import (
 )
 from adelic.ultrafilters import (
     FreeKUltrafilter,
+    FreeQUltrafilter,
     PrincipalUltrafilter,
     distinguishing_witness,
     free_cofinite,
     free_on_atom,
-    free_on_set,
     lifts,
     partition_pick,
     pushforward,
@@ -99,7 +99,7 @@ def test_free_ultrafilters_reject_finite_contain_cofinite():
     assert split.contains(atom)
     assert split.contains(atom.difference(finite_qset([5])))
     with pytest.raises(UnsupportedSelection):
-        free_on_set(finite_qset([5, 13]))
+        FreeQUltrafilter(finite_qset([5, 13]))
 
 
 def test_principal_semantics():
@@ -345,7 +345,7 @@ def test_selector_chain_matches_full_count(bound, monkeypatch):
         if not atom.cells:
             continue
         try:
-            got = _chain(free_on_set(atom))
+            got = _chain(FreeQUltrafilter(atom))
         except UnsupportedSelection:
             got = None
         assert got == reference_selector_chain(atom, registered_fields(), bound), atom

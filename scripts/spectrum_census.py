@@ -6,9 +6,10 @@ Run:  python3 scripts/spectrum_census.py [--bound 2000]
 import argparse
 from collections import Counter
 
-from adelic.extensions import fiber_of_spec, register_extension
+from adelic.extensions import fiber_of_spec
 from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import class_label, place_above, splitting_class, supported_primes
+from adelic.registry import ensure_registered
 from adelic.spectrum import between, classify, is_closed, max_at, min_at, zero_at
 from adelic.adeles import uniformizer_adele
 from adelic.ultrafilters import free_on_atom, lifts
@@ -23,7 +24,7 @@ FIELDS = {
 
 def census(bound):
     for name, field in FIELDS.items():
-        register_extension(field)
+        ensure_registered(field)
         counts = Counter()
         for p in supported_primes(field, bound):
             counts[splitting_class(field, p)] += 1

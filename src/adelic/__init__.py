@@ -16,7 +16,6 @@ from .errors import (
     InconsistentNeighborhood,
     InvalidLevel,
     NotAPartition,
-    NotMember,
     NotPrime,
     UnsupportedPrime,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "InconsistentNeighborhood",
     "InvalidLevel",
     "NotAPartition",
-    "NotMember",
     "NotPrime",
     "UnsupportedPrime",
 ]

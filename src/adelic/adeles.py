@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .errors import FieldMismatch
 from .localfields import INF, uniformizer_element, valuation_of_element
-from .numberfields import FieldElement, NumberField, RATIONALS, parse_element
+from .numberfields import FieldElement, NumberField, parse_element
 from .places import (
     ArchimedeanPlace,
     FinitePlace,
@@ -35,31 +35,16 @@ from .places import (
     supported_primes_dividing,
 )
 from .placesets import (
-    empty_kset,
-    empty_qset,
-    everything_kset,
-    all_primes,
-    finite_kset,
-    finite_qset,
-    matching_bracket,
+    empty_set,
+    everything_set,
+    finite_set,
     parse_kset,
     parse_qset,
+    read_int,
+    split_items,
+    text_blocks,
 )
 from .polynomials import norm_int
-
-
-def everything_set(field: NumberField):
-    return all_primes() if field == RATIONALS else everything_kset(field)
-
-
-def empty_set(field: NumberField):
-    return empty_qset() if field == RATIONALS else empty_kset(field)
-
-
-def place_singleton(w: FinitePlace):
-    if w.field == RATIONALS:
-        return finite_qset([w.p])
-    return finite_kset(w.field, [w])
 
 
 @dataclass(frozen=True)
@@ -251,13 +236,16 @@ class Adele:
             if holds(tail.min_degree()):
                 out = out.union(region)
         # pointwise corrections above suspect primes
+        added, dropped = [], []
         for p in sorted(self.suspect_primes()):
             for w in factor_prime(self.field, p):
                 actual = holds(self.valuation_at(w))
-                if actual and not out.contains_place(w):
-                    out = out.union(place_singleton(w))
-                elif not actual and out.contains_place(w):
-                    out = out.difference(place_singleton(w))
+                if actual != out.contains_place(w):
+                    (added if actual else dropped).append(w)
+        if added:
+            out = out.union(finite_set(self.field, added))
+        if dropped:
+            out = out.difference(finite_set(self.field, dropped))
         return out
 
     def non_integral_places(self) -> list[FinitePlace]:
@@ -424,36 +412,29 @@ def make_adele(field: NumberField, arch=None, exceptional=(), overrides=(),
 
 
 def parse_adele(text: str) -> Adele:
-    if not text.startswith("adele{") or matching_bracket(text, 5) != len(text) - 1:
+    """Read the text `to_text` prints, and nothing else."""
+    (coeffs, arch_text, exc_text, ovr_text, tail_text), rest = text_blocks(
+        text, "adele", ("field", "arch", "exc", "ovr", "tail"))
+    if rest:
         raise ValueError(f"bad adele text: {text!r}")
-    body = text[6:-1]
-
-    def block(key):
-        start = body.index(key + "[") + len(key)
-        return body[start + 1:matching_bracket(body, start)]
 
     def tail(coeff_text):
-        coeffs = [parse_element(field, t) for t in coeff_text.split("&") if t]
-        return TailPoly.make(field, coeffs)
+        return TailPoly.make(field, [parse_element(field, t)
+                                     for t in split_items(coeff_text, "&")])
 
-    field = NumberField(tuple(int(c) for c in block("field").split(",")))
-    arch = tuple(
-        parse_element(field, t) for t in block("arch").split("|") if t
-    )
+    field = NumberField(tuple(read_int(c) for c in coeffs.split(",")))
+    arch = tuple(parse_element(field, t) for t in split_items(arch_text, "|"))
     if len(arch) != len(archimedean_places(field)):
         raise ValueError("adele text needs one component per archimedean place")
     exceptional = []
-    for chunk in block("exc").split(";"):
-        if not chunk:
-            continue
+    for chunk in split_items(exc_text, ";"):
         left, value = chunk.split("=", 1)
-        p, idx = (int(t) for t in left.split(":"))
+        p, idx = (read_int(t) for t in left.split(":"))
         exceptional.append((place_above(field, p, idx), parse_element(field, value)))
     if len({w for w, _ in exceptional}) != len(exceptional):
         raise ValueError("adele text repeats an exceptional place")
     overrides = []
-    ovr = block("ovr")
-    for item in ovr.split("||") if ovr else []:
+    for item in split_items(ovr_text, "||"):
         arrow = item.rindex("->")
         region_text = item[:arrow]
         region = parse_qset(region_text) if region_text.startswith("q{") \
@@ -463,4 +444,4 @@ def parse_adele(text: str) -> Adele:
         if any(not region.intersect(r).is_empty() for r, _ in overrides):
             raise ValueError("adele text has overlapping override regions")
         overrides.append((region, tail(item[arrow + 2:])))
-    return make_adele(field, arch, exceptional, overrides, tail(block("tail")))
+    return make_adele(field, arch, exceptional, overrides, tail(tail_text))

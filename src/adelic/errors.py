@@ -27,10 +27,6 @@ class NotAPartition(AdelicError):
     """The given place sets are not pairwise disjoint or do not cover."""
 
 
-class NotMember(AdelicError):
-    """A set was expected to belong to an ultrafilter but does not."""
-
-
 class UnsupportedSelection(AdelicError):
     """No prime below the prime bound witnesses the anchor set of a free
     ultrafilter, or the part of it the selector must split next, so no

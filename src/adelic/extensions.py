@@ -42,8 +42,6 @@ from .spectrum import (
 )
 from .ultrafilters import lifts, pushforward
 
-register_extension = ensure_registered
-
 
 def restrict_place(w: Place) -> Place:
     """The place of the rationals below a place of an extension field."""

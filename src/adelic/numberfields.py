@@ -176,6 +176,8 @@ class FieldElement:
 
 def parse_element(field: NumberField, text: str) -> FieldElement:
     parts = [Fraction(t) for t in text.split(",")] if text else []
+    if len(parts) > field.degree:
+        raise ValueError(f"{text!r} has more coordinates than the degree {field.degree}")
     return field.element(*parts)
 
 

@@ -31,7 +31,13 @@ rational-level sets: coordinate j holds the primes whose fiber has the
 j-th place (in canonical fiber order) in the set.  Boolean operations act
 coordinate-wise, and the fiber-position view also models section sets for
 the restriction map, where position j of a fiber shorter than j means the
-fiber's first place.
+fiber's first place.  Operands over different fields raise
+`FieldMismatch`.
+
+This module alone chooses between the two set types for a field:
+`empty_set(field)`, `everything_set(field)` and `finite_set(field, places)`
+build a `QPlaceSet` over the rationals and a `KPlaceSet` over an extension,
+and every other module builds its field-generic sets through them.
 """
 
 from __future__ import annotations
@@ -135,9 +141,6 @@ class QPlaceSet:
     def difference(self, other: "QPlaceSet") -> "QPlaceSet":
         return self.intersect(other.complement())
 
-    def with_prime(self, p: int) -> "QPlaceSet":
-        return self.union(finite_qset([p]))
-
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -164,6 +167,8 @@ def _raw(context, cells, plus, minus) -> QPlaceSet:
 
 
 def _aligned(a: QPlaceSet, b: QPlaceSet):
+    if not isinstance(b, QPlaceSet):
+        raise FieldMismatch("place sets over different fields")
     ctx = tuple(sorted(set(a.context) | set(b.context), key=lambda K: K.coeffs))
     return _extend(a, ctx), _extend(b, ctx), ctx
 
@@ -338,11 +343,6 @@ class KPlaceSet:
     def difference(self, other: "KPlaceSet") -> "KPlaceSet":
         return self.intersect(other.complement())
 
-    def with_place(self, w: FinitePlace) -> "KPlaceSet":
-        coords = list(self.coords)
-        coords[w.index] = coords[w.index].with_prime(w.p)
-        return KPlaceSet(self.field, tuple(coords))
-
     # -- serialization ----------------------------------------------------
 
     def to_text(self) -> str:
@@ -377,11 +377,27 @@ def everything_kset(field: NumberField) -> KPlaceSet:
     return kset_from_coords(field, [all_primes()] * field.degree)
 
 
-def finite_kset(field: NumberField, places) -> KPlaceSet:
-    out = empty_kset(field)
+# -- field-generic constructors ---------------------------------------------
+
+
+def empty_set(field: NumberField):
+    return empty_qset() if field == RATIONALS else empty_kset(field)
+
+
+def everything_set(field: NumberField):
+    return all_primes() if field == RATIONALS else everything_kset(field)
+
+
+def finite_set(field: NumberField, places):
+    """The set of the given finite places of the field."""
+    primes = [[] for _ in range(field.degree)]
     for w in places:
-        out = out.with_place(w)
-    return out
+        if w.field != field:
+            raise FieldMismatch("place does not belong to this field")
+        primes[w.index].append(w.p)
+    if field == RATIONALS:
+        return finite_qset(primes[0])
+    return KPlaceSet(field, tuple(map(finite_qset, primes)))
 
 
 def section_image(field: NumberField, position: int, base: QPlaceSet) -> KPlaceSet:
@@ -405,47 +421,33 @@ def full_preimage(field: NumberField, base: QPlaceSet) -> KPlaceSet:
     return kset_from_coords(field, [base] * field.degree)
 
 
-def pullback_section(s: KPlaceSet, position: int) -> QPlaceSet:
-    """Primes whose fiber-position-`position` place (padded) lies in s."""
-    field = s.field
-    out = empty_qset()
-    for m in range(1, field.degree + 1):
-        j = position if position <= m else 1
-        out = out.union(fiber_size_exactly(field, m).intersect(s.coords[j - 1]))
-    return out
-
-
 # -- parsing ---------------------------------------------------------------
 
 
 def parse_qset(text: str) -> QPlaceSet:
-    if not text.startswith("q{") or matching_bracket(text, 1) != len(text) - 1:
+    """Read the text `to_text` prints, and nothing else."""
+    (ctx, cells_text, plus_text, minus_text), rest = text_blocks(
+        text, "q", ("ctx", "cells", "plus", "minus"))
+    if rest:
         raise ValueError(f"bad rational place-set text: {text!r}")
-    body = text[2:-1]
-    fields = {}
-    for key in ("ctx", "cells", "plus", "minus"):
-        start = body.index(key + "[") + len(key) + 1
-        end = body.index("]", start)
-        fields[key] = body[start:end]
     context = tuple(
-        NumberField(tuple(int(c) for c in chunk.split(",")))
-        for chunk in fields["ctx"].split("|")
-        if chunk
+        NumberField(tuple(read_int(c) for c in chunk.split(",")))
+        for chunk in split_items(ctx, "|")
     )
     if any(a.coeffs >= b.coeffs for a, b in zip(context, context[1:])):
         raise ValueError("context fields must be distinct and sorted by coefficients")
     for K in context:
         ensure_registered(K)
     cells = set()
-    for cell_text in fields["cells"].split(";") if fields["cells"] else ():
+    for cell_text in split_items(cells_text, ";"):
         cell = () if cell_text == "~" else \
             tuple(parse_class_label(cl) for cl in cell_text.split("*"))
         if len(cell) != len(context) or \
                 any(cls not in unramified_classes(K) for cls, K in zip(cell, context)):
             raise ValueError(f"cell {cell_text!r} is not a joint unramified class of the context")
         cells.add(cell)
-    plus = frozenset(int(p) for p in fields["plus"].split(",") if p)
-    minus = frozenset(int(p) for p in fields["minus"].split(",") if p)
+    plus = frozenset(map(read_int, split_items(plus_text, ",")))
+    minus = frozenset(map(read_int, split_items(minus_text, ",")))
     if plus & minus:
         raise ValueError(f"primes {sorted(plus & minus)} are both added and removed")
     nonprimes = sorted(p for p in plus | minus if not isprime(p))
@@ -455,24 +457,63 @@ def parse_qset(text: str) -> QPlaceSet:
 
 
 def parse_kset(text: str) -> KPlaceSet:
-    if not text.startswith("k{") or matching_bracket(text, 1) != len(text) - 1:
+    """Read the text `to_text` prints: the field block, then one space,
+    then the nonempty coordinates in increasing position, one space apart."""
+    (coeffs,), rest = text_blocks(text, "k", ("field",))
+    field = NumberField(tuple(read_int(c) for c in coeffs.split(",")))
+    if not rest.startswith(" "):
         raise ValueError(f"bad extension place-set text: {text!r}")
-    body = text[2:-1]
-    start = body.index("field[") + 6
-    end = body.index("]", start)
-    field = NumberField(tuple(int(c) for c in body[start:end].split(",")))
     coords = {}
-    rest = body[end + 1:].strip()
+    rest = rest[1:]
     while rest:
         colon = rest.index(":")
-        position = int(rest[:colon])
-        if not 1 <= position <= field.degree or position in coords:
-            raise ValueError(f"fiber position {position} is out of range or repeated")
-        qend = matching_bracket(rest, colon + 1)
-        coords[position] = parse_qset(rest[colon + 1: qend + 1])
-        rest = rest[qend + 1:].strip()
+        position = read_int(rest[:colon])
+        if not max(coords, default=0) < position <= field.degree:
+            raise ValueError(f"fiber position {position} is out of range or out of order")
+        end = matching_bracket(rest, colon + 1)
+        coords[position] = parse_qset(rest[colon + 1:end + 1])
+        rest = rest[end + 1:]
+        if rest[:1] not in ("", " ") or rest == " ":
+            raise ValueError(f"bad extension place-set text: {text!r}")
+        rest = rest[1:]
     return kset_from_coords(field, [coords.get(j, empty_qset())
                                     for j in range(1, field.degree + 1)])
+
+
+def text_blocks(text: str, head: str, keys) -> tuple[list[str], str]:
+    """The bodies of the blocks of `head{key[...] key[...] ...}`, one per
+    key in the order of `keys` and one space apart, and the text left
+    between the last block and the closing brace."""
+    if not text.startswith(head + "{") or matching_bracket(text, len(head)) != len(text) - 1:
+        raise ValueError(f"bad {head}{{...}} text: {text!r}")
+    bodies, pos = [], len(head) + 1
+    for key in keys:
+        opening = (" " if bodies else "") + key + "["
+        if not text.startswith(opening, pos):
+            raise ValueError(f"expected {opening.strip()!r} at offset {pos} of {text!r}")
+        start = pos + len(opening) - 1
+        end = matching_bracket(text, start)
+        bodies.append(text[start + 1:end])
+        pos = end + 1
+    return bodies, text[pos:-1]
+
+
+def split_items(text: str, sep: str) -> list[str]:
+    """The items of a `sep`-separated list: none for an empty text, and an
+    empty item is refused."""
+    items = text.split(sep) if text else []
+    if "" in items:
+        raise ValueError(f"empty item in the list {text!r}")
+    return items
+
+
+def read_int(text: str) -> int:
+    """An integer written as `str` writes it: no sign but a leading minus,
+    no padding and no leading zero."""
+    n = int(text)
+    if str(n) != text:
+        raise ValueError(f"{text!r} is not an integer as printed")
+    return n
 
 
 def matching_bracket(text: str, start: int) -> int:

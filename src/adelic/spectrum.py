@@ -33,15 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .adeles import (
-    Adele,
-    empty_set,
-    membership_set,
-    one_adele,
-    place_singleton,
-    set_component,
-    vanishing_on,
-)
+from .adeles import Adele, membership_set, one_adele, set_component, vanishing_on
 from .errors import (
     DegenerateGenerator,
     FieldMismatch,
@@ -51,6 +43,7 @@ from .errors import (
 from .localfields import DEFAULT_DIGITS, INF, embed, valuation_of_element
 from .numberfields import FieldElement, NumberField
 from .places import ArchimedeanPlace, FinitePlace, Place, archimedean_places
+from .placesets import finite_set
 from .ultrafilters import Ultrafilter
 
 
@@ -287,9 +280,7 @@ def density_witness(u: Ultrafilter, constraints=()) -> Adele:
             raise InconsistentNeighborhood(
                 f"constraint at p={c.place.p} excludes the value 1"
             )
-    region = u.anchor_set()
-    for c in constraints:
-        region = region.difference(place_singleton(c.place))
+    region = u.anchor_set().difference(finite_set(field, (c.place for c in constraints)))
     out = vanishing_on(field, region)
     assert member(out, min_at(u))
     return out
@@ -323,7 +314,5 @@ def closed_ideal(field: NumberField, zero_on) -> ClosedIdeal:
     finite, arch = [], []
     for w in zero_on:
         (arch if isinstance(w, ArchimedeanPlace) else finite).append(w)
-    region = empty_set(field)
-    for w in finite:
-        region = region.union(place_singleton(w))
-    return ClosedIdeal(field, region, tuple(sorted(arch, key=lambda v: v.index)))
+    return ClosedIdeal(field, finite_set(field, finite),
+                       tuple(sorted(arch, key=lambda v: v.index)))

@@ -22,22 +22,22 @@ field one class, every witness votes for it, so the step stops at its
 first witness.
 
 A free ultrafilter over an extension field is a section lift of a free
-rational one: it answers a query by pulling the set back along its fiber
-position (short fibers padding to their first place) and asking the base.
-Lifts at positions beyond the selected fiber size collapse to the lift at
-that size, which is what makes the number of distinct lifts equal the
-fiber size the base ultrafilter selects.
+rational one at a fiber position, short fibers padding to their first
+place.  Its effective position is the position itself when that is at
+most the fiber size m the base selects, and 1 otherwise; lifts beyond m
+collapse to the lift at 1, which is what makes the number of distinct
+lifts equal m.  It answers a query by asking the base about the one
+coordinate of the set at its effective position.  That is exact: the base
+contains the primes with exactly m places above them, so it contains the
+primes whose padded place lies in the set exactly when it contains those
+among them with m places, where the padded place is the one at the
+effective position.
 """
 
 from __future__ import annotations
 
 from . import config
-from .errors import (
-    FieldMismatch,
-    NotAPartition,
-    NotMember,
-    UnsupportedSelection,
-)
+from .errors import FieldMismatch, NotAPartition, UnsupportedSelection
 from .numberfields import NumberField, RATIONALS
 from .places import (
     FACTOR_CAP,
@@ -56,9 +56,7 @@ from .placesets import (
     all_primes,
     class_atom,
     fiber_size_exactly,
-    finite_kset,
-    finite_qset,
-    pullback_section,
+    finite_set,
     section_image,
 )
 from .primes import primerange
@@ -82,12 +80,8 @@ class Ultrafilter:
 
 
 def _check_set(u: Ultrafilter, s) -> None:
-    if u.field == RATIONALS:
-        if not isinstance(s, QPlaceSet):
-            raise FieldMismatch("expected a rational-level place set")
-    else:
-        if not isinstance(s, KPlaceSet) or s.field != u.field:
-            raise FieldMismatch("place set belongs to a different field")
+    if not isinstance(s, (QPlaceSet, KPlaceSet)) or s.field != u.field:
+        raise FieldMismatch("place set belongs to a different field")
 
 
 class PrincipalUltrafilter(Ultrafilter):
@@ -104,9 +98,7 @@ class PrincipalUltrafilter(Ultrafilter):
         return s.contains_place(self.place)
 
     def anchor_set(self):
-        if self.field == RATIONALS:
-            return finite_qset([self.place.p])
-        return finite_kset(self.field, [self.place])
+        return finite_set(self.field, [self.place])
 
     def __eq__(self, other):
         return isinstance(other, PrincipalUltrafilter) and self.place == other.place
@@ -245,10 +237,7 @@ class FreeKUltrafilter(Ultrafilter):
 
     def contains(self, s) -> bool:
         _check_set(self, s)
-        return self.base.contains(pullback_section(s, self.effective_position))
-
-    def section_set(self) -> KPlaceSet:
-        return section_image(self.field, self.effective_position, all_primes())
+        return self.base.contains(s.coords[self.effective_position - 1])
 
     def anchor_set(self) -> KPlaceSet:
         m = self.selected_fiber_size
@@ -340,15 +329,6 @@ def lifts(u: Ultrafilter, field: NumberField) -> list[Ultrafilter]:
     assert isinstance(u, FreeQUltrafilter)
     m = len(u._selected_class(field))
     return [FreeKUltrafilter(field, u, i) for i in range(1, m + 1)]
-
-
-def section_refine(u: FreeKUltrafilter, big: KPlaceSet) -> KPlaceSet:
-    """A member subset of `big` meeting each fiber at most once."""
-    if not isinstance(u, FreeKUltrafilter):
-        raise FieldMismatch("section refinement needs a free extension ultrafilter")
-    if not u.contains(big):
-        raise NotMember("the set does not belong to the ultrafilter")
-    return big.intersect(u.section_set())
 
 
 def distinguishing_witness(a: Ultrafilter, b: Ultrafilter):

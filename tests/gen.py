@@ -18,6 +18,7 @@ from adelic.placesets import (
     cofinite_qset,
     empty_qset,
     finite_qset,
+    finite_set,
     full_preimage,
     section_image,
 )
@@ -103,9 +104,7 @@ def random_kset(field, rng, depth=2):
             fiber = _safe_fiber(field, p)
             if fiber:
                 places.append(rng.choice(fiber))
-        from adelic.placesets import finite_kset
-
-        return finite_kset(field, places)
+        return finite_set(field, places)
     a = random_kset(field, rng, depth - 1)
     op = rng.randrange(3)
     if op == 0:

@@ -14,7 +14,9 @@ multisets of (e, f) pairs, and the primes dividing a discriminant, found
 here by trial division, belong to no cell.  The oracles read splitting
 classes from `adelic.places` and nothing else of `adelic.placesets`.  The
 selector oracle counts every witness below the prime bound, with no early
-stop.
+stop.  The section-lift oracle is the original pullback rule: it builds
+the whole padded preimage of a set with the place-set operations and asks
+the base ultrafilter about it.
 The lifting and irreducibility oracles are the original code too: Hensel
 lifting one p-adic digit at a time, and an irreducibility test that looks
 for rational roots, certifies by Rabin's test mod small primes, and
@@ -45,9 +47,11 @@ from math import isqrt
 import numpy as np
 
 from adelic import polynomials as poly
-from adelic.adeles import everything_set, membership_set
+from adelic.adeles import membership_set
 from adelic.localfields import INF
-from adelic.places import splitting_class
+from adelic.numberfields import RATIONALS
+from adelic.places import factor_prime, splitting_class
+from adelic.placesets import empty_set, everything_set, fiber_size_exactly, finite_set
 from adelic.primes import primerange
 
 
@@ -164,8 +168,6 @@ def brute_member_between(alpha, u, beta, n_max=64):
     optimal witness set Y); the upward closure of ultrafilters makes this
     search over the generating family exact.
     """
-    from adelic.adeles import empty_set, everything_set, place_singleton
-
     def pieces(a):
         rest = everything_set(a.field)
         for r, _ in a.overrides:
@@ -174,8 +176,6 @@ def brute_member_between(alpha, u, beta, n_max=64):
 
     field = alpha.field
     suspects = sorted(alpha.suspect_primes() | beta.suspect_primes())
-    from adelic.places import factor_prime
-
     suspect_places = [w for p in suspects for w in factor_prime(field, p)]
     pieces_a, pieces_b = pieces(alpha), pieces(beta)
 
@@ -196,9 +196,9 @@ def brute_member_between(alpha, u, beta, n_max=64):
             fails = not (vb == INF and va == INF or
                          vb != INF and n * va >= vb)
             if fails and not bad.contains_place(w):
-                bad = bad.union(place_singleton(w))
+                bad = bad.union(finite_set(field, [w]))
             elif not fails and bad.contains_place(w):
-                bad = bad.difference(place_singleton(w))
+                bad = bad.difference(finite_set(field, [w]))
         if u.contains(bad.complement()):
             return True
     return False
@@ -225,6 +225,20 @@ def membership_set_member(alpha, ideal):
     ideal, or vanishes?"""
     predicate = "in_m" if ideal.kind == "max_at" else "is_zero"
     return ideal.ultra.contains(membership_set(alpha, predicate))
+
+
+def pullback_contains(base, s, position):
+    """Whether the section lift of the free rational ultrafilter `base` at
+    `position` contains the extension-level set s, by the original rule:
+    pull s back to the primes whose fiber-position place, padded to the
+    first place on fibers shorter than the position, lies in s, and ask
+    the base about that union over every fiber size."""
+    field = s.field
+    back = empty_set(RATIONALS)
+    for m in range(1, field.degree + 1):
+        j = position if position <= m else 1
+        back = back.union(fiber_size_exactly(field, m).intersect(s.coords[j - 1]))
+    return base.contains(back)
 
 
 def trial_division_factor(n):

@@ -182,6 +182,9 @@ def test_between_degenerate_generator_exits_2():
     ("member", "--ideal", "max@free:all", "--adele",
      "adele{field[1,0,1] arch[1,0] exc[] ovr[] tail[1,0]}"),
     ("member", "--ideal", "max@free:all", "--adele", "adele{field[0,1] arch[1] tail[1]}"),
+    ("member", "--ideal", "max@free[q{minus[] plus[] cells[~] ctx[]}]", "--adele", "uni"),
+    ("member", "--ideal", "max@free:all", "--adele",
+     "adele{field[0,1] arch[1] exc[] ovr[] tail[1&&2]}"),
 ], ids=" ".join)
 def test_malformed_spec_is_usage_error(argv):
     err = io.StringIO()

@@ -79,3 +79,16 @@ def test_every_parser_has_a_caller_in_the_package():
     callers = _parser_callers()
     assert "parse_adele" in callers and "_parse_ultra" in callers
     assert sorted(name for name, found in callers.items() if not found) == []
+
+
+def test_only_placesets_builds_extension_sets_by_name():
+    """Other modules build field-generic sets through `empty_set`,
+    `everything_set` and `finite_set`, so the choice of set type for a
+    field is made in `placesets` alone."""
+    owned = {"empty_kset", "everything_kset", "finite_kset"}
+    found = [f"{path.name}:{node.lineno}: {alias.name}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "placesets.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names if alias.name in owned]
+    assert found == []

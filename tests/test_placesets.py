@@ -5,29 +5,32 @@ from math import prod
 import pytest
 
 from adelic.adeles import one_adele, parse_adele
-from adelic.errors import NotPrime
+from adelic.errors import FieldMismatch, NotPrime
 from adelic.extensions import to_extension
 from adelic.numberfields import NumberField, RATIONALS
-from adelic.places import enumerate_finite_places, excluded_primes, factor_prime
+from adelic.places import enumerate_finite_places, excluded_primes, factor_prime, place_above
 from adelic.placesets import (
     QPlaceSet,
     all_primes,
     class_atom,
     cofinite_qset,
     empty_qset,
+    empty_set,
     everything_kset,
+    everything_set,
     fiber_size_at_least,
     fiber_size_exactly,
     finite_qset,
+    finite_set,
     full_preimage,
     parse_kset,
     parse_qset,
-    pullback_section,
     section_image,
     supported_qset,
 )
 
 from adelic.primes import primerange
+from adelic.spectrum import closed_ideal
 
 from conftest import (
     CATALOGUE,
@@ -167,17 +170,6 @@ def test_section_semantics():
                 assert hits == [expected]
 
 
-def test_pullback_inverts_section_image():
-    rng = random.Random(13)
-    for field in (GAUSS, CUBE2):
-        for _ in range(20):
-            base = random_qset(rng, 2)
-            for position in range(1, field.degree + 1):
-                sec = section_image(field, position, base)
-                back = pullback_section(sec, position)
-                assert back == base.intersect(supported_qset(field))
-
-
 def test_preimage_membership():
     base = class_atom(GAUSS, ((1, 1), (1, 1)))
     pre = full_preimage(GAUSS, base)
@@ -230,6 +222,23 @@ def test_serialization_round_trip():
     "q{ctx[] cells[~] plus[] minus[]}}",                               # text after the close
     "k{field[1,0,1] 1:q{ctx[] cells[] plus[5] minus[]}}}",
     "adele{field[0,1] arch[1] exc[] ovr[] tail[1]}}",
+    "q{ctx[] junk cells[~] plus[] minus[]}",                           # text between blocks
+    "q{minus[] plus[] cells[~] ctx[]}",                                # blocks out of order
+    "q{ctx[]  cells[~] plus[] minus[]}",                               # two spaces
+    "q{ctx[] cells[~] plus[,3] minus[]}",                              # empty list item
+    "q{ctx[] cells[~] plus[03] minus[]}",                              # padded number
+    "k{junk field[1,0,1] 1:q{ctx[] cells[] plus[5] minus[]}}",
+    "k{field[1,0,1]}",                                                 # no space after field
+    "k{field[1,0,1] 2:q{ctx[] cells[] plus[5] minus[]} 1:q{ctx[] cells[] plus[13] minus[]}}",
+    "k{field[1,0,1] 1:q{ctx[] cells[] plus[5] minus[]} }",             # trailing space
+    "k{field[-2,0,0,1] 1:q{ctx[] cells[] plus[5] minus[]}  2:q{ctx[] cells[] plus[5] minus[]}}",
+    "adele{tail[1] ovr[] exc[] arch[1] field[0,1]}",                   # blocks out of order
+    "adele{field[0,1] arch[1] exc[] ovr[] tail[1] junk[]}",            # extra block
+    "adele{field[0,1] arch[1] exc[] ovr[] tail[1&&2]}",                # empty tail item
+    "adele{field[0,1] arch[|1] exc[] ovr[] tail[1]}",                  # empty arch item
+    "adele{field[0,1] arch[1] exc[;5:0=1] ovr[] tail[1]}",             # empty exc item
+    "adele{field[1,0,1] arch[1,0] exc[] ovr[] tail[1,2,3]}",           # element past the degree
+    "adele{field[0,1] arch[1,2] exc[] ovr[] tail[1]}",
 ])
 def test_parse_qset_rejects_malformed_text(text):
     """Rational and extension place-set texts and adele texts alike; the
@@ -242,11 +251,35 @@ def test_parse_qset_rejects_malformed_text(text):
 @pytest.mark.parametrize("build", [
     lambda: finite_qset([161, 4]),
     lambda: cofinite_qset([3, 1]),
-    lambda: all_primes().with_prime(9),
 ])
 def test_finite_modifications_reject_non_primes(build):
     with pytest.raises(NotPrime):
         build()
+
+
+def test_field_generic_constructors():
+    for field in (RATIONALS, *CATALOGUE):
+        assert empty_set(field).is_empty() and everything_set(field).is_everything()
+        assert empty_set(field).field == everything_set(field).field == field
+        places = [w for p in (5, 13, 29) for w in factor_prime(field, p)][::2]
+        s = finite_set(field, places)
+        assert s.field == field and s.is_structurally_finite()
+        assert s.finite_places() == sorted(places, key=lambda w: (w.p, w.index))
+    with pytest.raises(FieldMismatch):
+        finite_set(RATIONALS, [place_above(GAUSS, 5, 1)])
+    with pytest.raises(FieldMismatch):
+        finite_set(GAUSS, [place_above(RATIONALS, 5)])
+
+
+def test_boolean_operations_refuse_sets_over_another_field():
+    q, k = all_primes(), full_preimage(GAUSS, all_primes())
+    for op in ("union", "intersect", "difference"):
+        with pytest.raises(FieldMismatch):
+            getattr(q, op)(k)
+        with pytest.raises(FieldMismatch):
+            getattr(k, op)(q)
+    with pytest.raises(FieldMismatch):
+        closed_ideal(RATIONALS, [place_above(GAUSS, 5, 1)])
 
 
 def _parts(s):

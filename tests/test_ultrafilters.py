@@ -7,7 +7,6 @@ from adelic.adeles import vanishing_on
 from adelic.errors import (
     FieldMismatch,
     NotAPartition,
-    NotMember,
     UnsupportedPrime,
     UnsupportedSelection,
 )
@@ -32,18 +31,18 @@ from adelic.ultrafilters import (
     lifts,
     partition_pick,
     pushforward,
-    section_refine,
 )
 
 from adelic.primes import primerange
 from adelic.registry import clear_registry, ensure_registered, registered_fields
 from adelic.spectrum import selected_profile
 
-from conftest import CUBE2, CYCLO5, GAUSS, INERT_GAUSS, ROOT5, SPLIT_GAUSS
+from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS, INERT_GAUSS, ROOT5, SPLIT_GAUSS
 from gen import random_kset, random_qset, random_wide_qset
 from oracles import (
     cycle_types,
     discriminant_primes,
+    pullback_contains,
     reference_selector_chain,
     unramified_classes,
 )
@@ -226,19 +225,27 @@ def test_padding_collapses_high_positions():
     assert high.effective_position == 1
 
 
-def test_section_refine():
-    split = free_on_atom(GAUSS, ((1, 1), (1, 1)))
-    up = lifts(split, GAUSS)[1]
-    big = full_preimage(GAUSS, split.anchor_set())
-    refined = section_refine(up, big)
-    assert up.contains(refined)
-    for p in (5, 13, 17, 29):
-        fiber = factor_prime(GAUSS, p)
-        assert sum(1 for w in fiber if refined.contains_place(w)) <= 1
-    already = up.section_set().intersect(big)
-    assert section_refine(up, already) == already
-    with pytest.raises(NotMember):
-        section_refine(up, finite_qset([5]) and full_preimage(GAUSS, finite_qset([5])))
+def test_lifts_answer_as_the_pullback_rule():
+    """Every lift of seven free ultrafilters to each catalogue field, at
+    every position up to the degree (padded ones included), answers as
+    the original pullback rule on random extension-level sets."""
+    rng = random.Random(41)
+    bases = [free_on_atom(GAUSS, SPLIT_GAUSS), free_on_atom(GAUSS, INERT_GAUSS),
+             free_on_atom(ROOT5, ((1, 2),)), free_on_atom(CUBE2, ((1, 1), (1, 2))),
+             free_on_atom(CYCLO5, ((1, 4),)), free_on_atom(CYCLO5, ((1, 1),) * 4),
+             free_cofinite()]
+    answers, padded = set(), 0
+    for field in CATALOGUE:
+        sets = [random_kset(field, rng) for _ in range(12)]
+        for base in bases:
+            for position in range(1, field.degree + 1):
+                up = FreeKUltrafilter(field, base, position)
+                padded += up.effective_position != position
+                for s in sets:
+                    want = pullback_contains(base, s, position)
+                    assert up.contains(s) == want
+                    answers.add(want)
+    assert answers == {True, False} and padded >= 10
 
 
 def test_field_mismatch():

@@ -20,12 +20,11 @@ queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FieldMismatch
 from .localfields import INF, uniformizer_element, valuation_of_element
-from .numberfields import FieldElement, NumberField, parse_element
+from .numberfields import FieldElement, NumberField, parse_element, read_int
 from .places import (
     ArchimedeanPlace,
     FinitePlace,
@@ -40,19 +39,29 @@ from .placesets import (
     finite_set,
     parse_kset,
     parse_qset,
-    read_int,
     split_items,
     text_blocks,
 )
 from .polynomials import norm_int
+from .records import Record
 
 
-@dataclass(frozen=True)
-class TailPoly:
+class TailPoly(Record):
     """Polynomial in the formal uniformizer with field coefficients."""
 
-    field: NumberField
-    coeffs: tuple[FieldElement, ...]
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: NumberField, coeffs: tuple[FieldElement, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.coeffs) == (other.field, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     @staticmethod
     def make(field: NumberField, coeffs) -> "TailPoly":
@@ -145,15 +154,28 @@ def _element_suspects(c: FieldElement) -> set[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Adele:
+class Adele(Record):
     """A finite-data adele; see the module docstring for the layout."""
 
-    field: NumberField
-    arch: tuple[FieldElement, ...]
-    exceptional: tuple[tuple[FinitePlace, FieldElement], ...]
-    overrides: tuple[tuple[object, TailPoly], ...]
-    tail: TailPoly
+    __slots__ = ("field", "arch", "exceptional", "overrides", "tail")
+
+    def __init__(self, field: NumberField, arch: tuple[FieldElement, ...],
+                 exceptional: tuple[tuple[FinitePlace, FieldElement], ...],
+                 overrides: tuple[tuple[object, TailPoly], ...], tail: TailPoly):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "arch", arch)
+        object.__setattr__(self, "exceptional", exceptional)
+        object.__setattr__(self, "overrides", overrides)
+        object.__setattr__(self, "tail", tail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.arch, self.exceptional, self.overrides, self.tail) == \
+                (other.field, other.arch, other.exceptional, other.overrides, other.tail)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.arch, self.exceptional, self.overrides, self.tail))
 
     # -- component access --------------------------------------------------
 

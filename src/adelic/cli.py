@@ -14,7 +14,6 @@ import argparse
 import functools
 import re
 import sys
-from fractions import Fraction
 
 from . import config
 from .adeles import (
@@ -29,7 +28,7 @@ from .adeles import (
 )
 from .errors import AdelicError
 from .localfields import valuation_of_element
-from .numberfields import NumberField, RATIONALS
+from .numberfields import NumberField, RATIONALS, parse_element, read_rational
 from .places import (
     archimedean_places,
     class_label,
@@ -146,8 +145,7 @@ def _parse_adele(field: NumberField, text: str) -> Adele:
     if head == "one":
         return one_adele(field)
     if head == "diag":
-        coeffs = [Fraction(t) for t in rest.split(",")] if rest else []
-        return diagonal(field.element(*coeffs))
+        return diagonal(parse_element(field, rest))
     if text == "uni" or text.startswith("uni^"):
         power = int(text[4:]) if text != "uni" else 1
         if power < 1:
@@ -191,7 +189,7 @@ def _parse_ideal(field: NumberField, text: str) -> PrimeIdeal:
 def _parse_constraint(field: NumberField, text: str) -> Constraint:
     p, idx, target, power = text.split(":")
     return Constraint(place_above(field, int(p), int(idx)),
-                      field.element(Fraction(target)), int(power))
+                      field.element(read_rational(target)), int(power))
 
 
 def _place_text(w) -> str:

@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Settings:
+class Settings(Record):
     """Numeric limits for free-ultrafilter witnesses.
 
     prime_bound: a free ultrafilter looks for the witnesses of its
         selector among the primes below this bound, read when it is built.
     """
 
-    prime_bound: int = 10_000
+    __slots__ = ("prime_bound",)
+
+    def __init__(self, prime_bound: int = 10_000):
+        object.__setattr__(self, "prime_bound", prime_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.prime_bound == other.prime_bound
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prime_bound,))
 
 
 DEFAULT = Settings()
@@ -22,5 +32,5 @@ DEFAULT = Settings()
 def set_defaults(**overrides) -> Settings:
     """Replace the process-wide settings (used by the CLI's global flags)."""
     global DEFAULT
-    DEFAULT = Settings(**{**DEFAULT.__dict__, **overrides})
+    DEFAULT = Settings(**{"prime_bound": DEFAULT.prime_bound, **overrides})
     return DEFAULT

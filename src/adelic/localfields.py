@@ -20,7 +20,6 @@ valuation read off the norm, so no readout runs out of digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import log2
 
@@ -28,6 +27,7 @@ from . import polynomials as poly
 from .errors import FieldMismatch
 from .numberfields import FieldElement, NumberField
 from .places import FinitePlace, factor_prime
+from .records import Record
 
 INF = float("inf")
 
@@ -196,8 +196,7 @@ def context_for(place: FinitePlace, digits: int) -> LocalContext:
     return _context(place, tier)
 
 
-@dataclass(frozen=True)
-class LocalElement:
+class LocalElement(Record):
     """An element of the completion at a finite place.
 
     valuation is exact (INF for the exact zero); unit is the coefficient
@@ -205,10 +204,23 @@ class LocalElement:
     the lifted generator.
     """
 
-    place: FinitePlace
-    valuation: int | float
-    unit: tuple[int, ...] | None
-    precision: int
+    __slots__ = ("place", "valuation", "unit", "precision")
+
+    def __init__(self, place: FinitePlace, valuation: int | float,
+                 unit: tuple[int, ...] | None, precision: int):
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "valuation", valuation)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "precision", precision)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.place, self.valuation, self.unit, self.precision) == \
+                (other.place, other.valuation, other.unit, other.precision)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.place, self.valuation, self.unit, self.precision))
 
     @property
     def is_zero(self) -> bool:

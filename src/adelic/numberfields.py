@@ -16,26 +16,25 @@ take them, and `as_rational`, `norm` and `to_text` give them back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from . import polynomials as poly
 from .errors import FieldMismatch
+from .records import Record
 
 
-@dataclass(frozen=True)
-class NumberField:
+class NumberField(Record):
     """A number field Q[x]/(f) for monic irreducible integer f.
 
     coeffs holds f lowest degree first, including the leading 1.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs", "_hash")
 
-    def __post_init__(self):
-        f = self.coeffs
+    def __init__(self, coeffs: tuple[int, ...]):
+        f = coeffs
         if len(f) < 2:
             raise ValueError("defining polynomial must have degree >= 1")
         if f[-1] != 1:
@@ -44,6 +43,17 @@ class NumberField:
             raise ValueError("defining polynomial must have integer coefficients")
         if not poly.is_irreducible_monic_int(f):
             raise ValueError("defining polynomial is reducible over Q")
+        object.__setattr__(self, "coeffs", coeffs)
+        # fields key most caches of the package: hash once, as (coeffs,)
+        object.__setattr__(self, "_hash", hash((coeffs,)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -105,15 +115,25 @@ def _element(field: NumberField, num, den: int) -> "FieldElement":
     return FieldElement(field, tuple(num), den)
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Record):
     """num / den: num holds the coefficients of a polynomial in the
     generator reduced mod the defining polynomial, lowest power first, one
     int per degree; den > 0 has no common factor with all of them."""
 
-    field: NumberField
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.num, self.den) == (other.field, other.num, other.den)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.num, self.den))
 
     def _check(self, other):
         if self.field != other.field:
@@ -175,10 +195,30 @@ class FieldElement:
 
 
 def parse_element(field: NumberField, text: str) -> FieldElement:
-    parts = [Fraction(t) for t in text.split(",")] if text else []
+    """Read the text `FieldElement.to_text` prints."""
+    parts = [read_rational(t) for t in text.split(",")] if text else []
     if len(parts) > field.degree:
         raise ValueError(f"{text!r} has more coordinates than the degree {field.degree}")
     return field.element(*parts)
+
+
+def read_int(text: str) -> int:
+    """An integer written as `str` writes it: no sign but a leading minus,
+    no padding and no leading zero."""
+    n = int(text)
+    if str(n) != text:
+        raise ValueError(f"{text!r} is not an integer as printed")
+    return n
+
+
+def read_rational(text: str) -> Fraction:
+    """A rational written as `str(Fraction)` writes it: an integer as
+    `read_int` reads it, or n/d with d > 1 in lowest terms."""
+    num, _, den = text.partition("/")
+    d = int(den or "1")
+    if d < 1 or str(q := Fraction(int(num), d)) != text:
+        raise ValueError(f"{text!r} is not a rational as printed")
+    return q
 
 
 RATIONALS = NumberField((0, 1))

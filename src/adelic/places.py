@@ -13,25 +13,49 @@ places above the supported (not excluded) primes and the archimedean ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from . import polynomials as poly
 from .errors import NotPrime, UnsupportedPrime
 from .numberfields import NumberField
 from .primes import isprime, prime_divisors_below, prime_power_root, primerange
+from .records import Record
 
 FACTOR_CAP = 1_000_000  # primes from here on are beyond desk scale
 
 
-@dataclass(frozen=True, order=True)
-class FinitePlace:
-    field: NumberField
-    p: int
-    e: int
-    f: int
-    factor: tuple[int, ...]  # monic irreducible factor mod p, lowest degree first
-    index: int               # position in the canonical fiber ordering
+@total_ordering
+class FinitePlace(Record):
+    """The place above p with ramification e and residue degree f; factor
+    is its monic irreducible factor mod p, lowest degree first, and index
+    its position in the canonical fiber ordering.  Places order as their
+    field tuples."""
+
+    __slots__ = ("field", "p", "e", "f", "factor", "index")
+
+    def __init__(self, field: NumberField, p: int, e: int, f: int,
+                 factor: tuple[int, ...], index: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.p, self.e, self.f, self.factor, self.index) == \
+                (other.field, other.p, other.e, other.f, other.factor, other.index)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.p, self.e, self.f, self.factor, self.index))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.p, self.e, self.f, self.factor, self.index) < \
+                (other.field, other.p, other.e, other.f, other.factor, other.index)
+        return NotImplemented
 
     @property
     def is_finite(self) -> bool:
@@ -41,11 +65,30 @@ class FinitePlace:
         return f"Place(p={self.p}, e={self.e}, f={self.f}, i={self.index})"
 
 
-@dataclass(frozen=True, order=True)
-class ArchimedeanPlace:
-    field: NumberField
-    index: int
-    real: bool
+@total_ordering
+class ArchimedeanPlace(Record):
+    """The real or complex embedding at position index; places order as
+    their field tuples."""
+
+    __slots__ = ("field", "index", "real")
+
+    def __init__(self, field: NumberField, index: int, real: bool):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "real", real)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.index, self.real) == (other.field, other.index, other.real)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.index, self.real))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.index, self.real) < (other.field, other.index, other.real)
+        return NotImplemented
 
     @property
     def is_finite(self) -> bool:

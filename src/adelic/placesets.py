@@ -42,12 +42,11 @@ and every other module builds its field-generic sets through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .errors import FieldMismatch, NotPrime
-from .numberfields import NumberField, RATIONALS
+from .numberfields import NumberField, RATIONALS, read_int
 from .places import (
     FinitePlace,
     check_desk_scale,
@@ -61,6 +60,7 @@ from .places import (
     unramified_classes,
 )
 from .primes import isprime
+from .records import Record
 from .registry import ensure_registered
 
 ClassId = tuple[tuple[int, int], ...]
@@ -72,14 +72,26 @@ def _denotes(p: int, context, cells) -> bool:
     return cell is not None and cell in cells
 
 
-@dataclass(frozen=True)
-class QPlaceSet:
+class QPlaceSet(Record):
     """A describable set of finite places of the rationals (primes)."""
 
-    context: tuple[NumberField, ...]
-    cells: frozenset[Cell]
-    plus: frozenset[int]
-    minus: frozenset[int]
+    __slots__ = ("context", "cells", "plus", "minus")
+
+    def __init__(self, context: tuple[NumberField, ...], cells: frozenset[Cell],
+                 plus: frozenset[int], minus: frozenset[int]):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.context, self.cells, self.plus, self.minus) == \
+                (other.context, other.cells, other.plus, other.minus)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.context, self.cells, self.plus, self.minus))
 
     # -- membership ------------------------------------------------------
 
@@ -285,16 +297,26 @@ def supported_qset(field: NumberField) -> QPlaceSet:
 # -- extension-level sets --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KPlaceSet:
+class KPlaceSet(Record):
     """A describable set of finite places of an extension field.
 
     coords[j] is the rational-level set of primes p such that the place at
     position j (0-based) of the fiber above p lies in the set.
     """
 
-    field: NumberField
-    coords: tuple[QPlaceSet, ...]
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field: NumberField, coords: tuple[QPlaceSet, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.coords) == (other.field, other.coords)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.coords))
 
     def _check(self, other):
         if self.field != other.field:
@@ -476,8 +498,13 @@ def parse_kset(text: str) -> KPlaceSet:
         if rest[:1] not in ("", " ") or rest == " ":
             raise ValueError(f"bad extension place-set text: {text!r}")
         rest = rest[1:]
-    return kset_from_coords(field, [coords.get(j, empty_qset())
-                                    for j in range(1, field.degree + 1)])
+    read = [coords.get(j, empty_qset()) for j in range(1, field.degree + 1)]
+    out = kset_from_coords(field, read)
+    for position, (coord, kept) in enumerate(zip(read, out.coords), 1):
+        if coord != kept:
+            raise ValueError(f"fiber position {position} names primes with no place "
+                             f"there: {coord.difference(kept).to_text()}")
+    return out
 
 
 def text_blocks(text: str, head: str, keys) -> tuple[list[str], str]:
@@ -505,15 +532,6 @@ def split_items(text: str, sep: str) -> list[str]:
     if "" in items:
         raise ValueError(f"empty item in the list {text!r}")
     return items
-
-
-def read_int(text: str) -> int:
-    """An integer written as `str` writes it: no sign but a leading minus,
-    no padding and no leading zero."""
-    n = int(text)
-    if str(n) != text:
-        raise ValueError(f"{text!r} is not an integer as printed")
-    return n
 
 
 def matching_bracket(text: str, start: int) -> int:

@@ -30,7 +30,6 @@ flags appropriate to the level, and restrict compatibly along S-chains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .adeles import Adele, membership_set, one_adele, set_component, vanishing_on
@@ -44,6 +43,7 @@ from .localfields import DEFAULT_DIGITS, INF, embed, valuation_of_element
 from .numberfields import FieldElement, NumberField
 from .places import ArchimedeanPlace, FinitePlace, Place, archimedean_places
 from .placesets import finite_set
+from .records import Record
 from .ultrafilters import Ultrafilter
 
 
@@ -55,13 +55,28 @@ class _NotPrincipal:
 NOT_PRINCIPAL = _NotPrincipal()
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
-    field: NumberField
-    kind: str  # "zero_at" | "max_at" | "min_at" | "between"
-    place: Place | None = None
-    ultra: Ultrafilter | None = None
-    beta: Adele | None = None
+class PrimeIdeal(Record):
+    """kind is "zero_at" (with place), "max_at" or "min_at" (with ultra) or
+    "between" (with ultra and beta)."""
+
+    __slots__ = ("field", "kind", "place", "ultra", "beta")
+
+    def __init__(self, field: NumberField, kind: str, place: Place | None = None,
+                 ultra: Ultrafilter | None = None, beta: Adele | None = None):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "ultra", ultra)
+        object.__setattr__(self, "beta", beta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.kind, self.place, self.ultra, self.beta) == \
+                (other.field, other.kind, other.place, other.ultra, other.beta)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.kind, self.place, self.ultra, self.beta))
 
     def __repr__(self):
         if self.kind == "zero_at":
@@ -193,16 +208,32 @@ def is_closed(ideal: PrimeIdeal) -> bool:
 # -- levels -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LevelIdeal:
-    field: NumberField
-    level: frozenset[Place]
-    kind: str
-    is_maximal: bool
-    is_minimal: bool
-    place: Place | None = None
-    ultra: Ultrafilter | None = None
-    beta: Adele | None = None
+class LevelIdeal(Record):
+    __slots__ = ("field", "level", "kind", "is_maximal", "is_minimal", "place", "ultra", "beta")
+
+    def __init__(self, field: NumberField, level: frozenset[Place], kind: str,
+                 is_maximal: bool, is_minimal: bool, place: Place | None = None,
+                 ultra: Ultrafilter | None = None, beta: Adele | None = None):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "is_maximal", is_maximal)
+        object.__setattr__(self, "is_minimal", is_minimal)
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "ultra", ultra)
+        object.__setattr__(self, "beta", beta)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.level, self.kind, self.is_maximal, self.is_minimal,
+                    self.place, self.ultra, self.beta) == \
+                (other.field, other.level, other.kind, other.is_maximal, other.is_minimal,
+                 other.place, other.ultra, other.beta)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.level, self.kind, self.is_maximal, self.is_minimal,
+                     self.place, self.ultra, self.beta))
 
     def member(self, alpha: Adele) -> bool:
         return member(alpha, self._adelic())
@@ -255,13 +286,24 @@ def quotient_eval(alpha: Adele, place: Place, digits: int = DEFAULT_DIGITS):
     return embed(alpha.component_at(place), place, digits)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """Requires val(x - target) >= min_valuation at the place."""
 
-    place: FinitePlace
-    target: FieldElement
-    min_valuation: int
+    __slots__ = ("place", "target", "min_valuation")
+
+    def __init__(self, place: FinitePlace, target: FieldElement, min_valuation: int):
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "min_valuation", min_valuation)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.place, self.target, self.min_valuation) == \
+                (other.place, other.target, other.min_valuation)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.place, self.target, self.min_valuation))
 
 
 def density_witness(u: Ultrafilter, constraints=()) -> Adele:
@@ -286,13 +328,25 @@ def density_witness(u: Ultrafilter, constraints=()) -> Adele:
     return out
 
 
-@dataclass(frozen=True)
-class ClosedIdeal:
-    """The closed ideal of adeles vanishing on a fixed set of places."""
+class ClosedIdeal(Record):
+    """The closed ideal of adeles vanishing on a fixed set of places:
+    finite_part is a describable place set."""
 
-    field: NumberField
-    finite_part: object            # a describable place set
-    arch_part: tuple[ArchimedeanPlace, ...]
+    __slots__ = ("field", "finite_part", "arch_part")
+
+    def __init__(self, field: NumberField, finite_part, arch_part: tuple[ArchimedeanPlace, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "finite_part", finite_part)
+        object.__setattr__(self, "arch_part", arch_part)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.finite_part, self.arch_part) == \
+                (other.field, other.finite_part, other.arch_part)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.finite_part, self.arch_part))
 
     def member(self, alpha: Adele) -> bool:
         if alpha.field != self.field:

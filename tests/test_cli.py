@@ -185,6 +185,14 @@ def test_between_degenerate_generator_exits_2():
     ("member", "--ideal", "max@free[q{minus[] plus[] cells[~] ctx[]}]", "--adele", "uni"),
     ("member", "--ideal", "max@free:all", "--adele",
      "adele{field[0,1] arch[1] exc[] ovr[] tail[1&&2]}"),
+    ("member", "--field", "1,0,1", "--ideal", "zero@p:5:0", "--adele", "diag:1,2,3"),
+    ("member", "--ideal", "max@free:all", "--adele",
+     "adele{field[0,1] arch[1.5] exc[] ovr[] tail[ 0 & 1e0]}"),
+    ("member", "--ideal", "max@free:all", "--adele", "diag:0.5"),
+    ("density", "--ultra", "free:1,0,1:1x1+1x1", "--constraint", "2:0:2/2:3"),
+    ("member", "--field", "1,0,1", "--ideal", "zero@p:2:0", "--adele",
+     "adele{field[1,0,1] arch[1,0] exc[] "
+     "ovr[k{field[1,0,1] 2:q{ctx[] cells[] plus[2] minus[]}}->0,0] tail[1,0]}"),
 ], ids=" ".join)
 def test_malformed_spec_is_usage_error(argv):
     err = io.StringIO()

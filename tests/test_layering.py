@@ -1,7 +1,11 @@
 """No module of the package imports or reads a private name of another,
-and every import sits at the top level of its module."""
+every import sits at the top level of its module, and the CLI imports no
+standard-library module that a cold call cannot afford."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "adelic"
@@ -53,6 +57,18 @@ def test_modules_import_only_at_the_top_level():
              for path in sorted(SRC.glob("*.py"))
              for line, name in _function_imports(path)]
     assert found == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    """Every CLI call is a fresh process, and `dataclasses` (with `inspect`)
+    would be most of its import time."""
+    probe = ("import sys; before = set(sys.modules); import adelic.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def _parser_callers():

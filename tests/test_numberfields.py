@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from adelic import polynomials as poly
 from adelic.errors import FieldMismatch
-from adelic.numberfields import NumberField, RATIONALS, parse_element
+from adelic.numberfields import NumberField, RATIONALS, parse_element, read_rational
 
 from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS
 from oracles import FractionElement, sturm_count
@@ -104,6 +104,18 @@ def test_element_text_round_trip():
                 for _ in range(field.degree)
             ])
             assert parse_element(field, x.to_text()) == x
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=1, max_value=10**6))
+@settings(max_examples=200, deadline=None)
+def test_rationals_read_only_as_printed(n, d):
+    """`read_rational` reads back what `str(Fraction)` prints and refuses
+    every other spelling `Fraction` itself would accept."""
+    q = Fraction(n, d)
+    assert read_rational(str(q)) == q
+    for text in ("1.5", "1e0", " 1", "2/4", "+1", "1_0", "-0", "3/1"):
+        with pytest.raises(ValueError):
+            read_rational(text)
 
 
 def test_integer_elements_agree_with_fraction_reference():

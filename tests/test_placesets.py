@@ -239,6 +239,8 @@ def test_serialization_round_trip():
     "adele{field[0,1] arch[1] exc[;5:0=1] ovr[] tail[1]}",             # empty exc item
     "adele{field[1,0,1] arch[1,0] exc[] ovr[] tail[1,2,3]}",           # element past the degree
     "adele{field[0,1] arch[1,2] exc[] ovr[] tail[1]}",
+    "k{field[1,0,1] 2:q{ctx[] cells[] plus[2] minus[]}}",              # 2 has one place
+    "adele{field[0,1] arch[1.5] exc[] ovr[] tail[ 0 & 1e0]}",          # numbers not as printed
 ])
 def test_parse_qset_rejects_malformed_text(text):
     """Rational and extension place-set texts and adele texts alike; the

@@ -1,0 +1,107 @@
+"""The package's value records: equality, hashing, printing, immutability
+and the ordering of places, for every record class."""
+
+from fractions import Fraction
+
+import pytest
+
+from adelic.adeles import Adele, TailPoly, one_adele
+from adelic.config import Settings
+from adelic.localfields import LocalElement, embed
+from adelic.numberfields import FieldElement, NumberField, RATIONALS
+from adelic.places import (
+    ArchimedeanPlace,
+    FinitePlace,
+    archimedean_places,
+    factor_prime,
+    place_above,
+)
+from adelic.placesets import KPlaceSet, QPlaceSet, finite_qset, finite_set
+from adelic.spectrum import (
+    ClosedIdeal,
+    Constraint,
+    LevelIdeal,
+    PrimeIdeal,
+    closed_ideal,
+    restrict_to_level,
+    zero_at,
+)
+
+from conftest import CUBE2, GAUSS
+
+_P5 = "Place(p=5, e=1, f=1, i=0)"
+
+# (class, builder of one record, builder of a different one, its repr)
+CASES = [
+    (Settings, lambda: Settings(prime_bound=8), lambda: Settings(), "Settings(prime_bound=8)"),
+    (NumberField, lambda: NumberField((1, 0, 1)), lambda: CUBE2, "NumberField([1, 0, 1])"),
+    (FieldElement, lambda: GAUSS.element(1, Fraction(1, 2)), lambda: GAUSS.one(),
+     "<1,1/2 in deg-2 field>"),
+    (FinitePlace, lambda: place_above(RATIONALS, 5, 0), lambda: place_above(RATIONALS, 7, 0), _P5),
+    (ArchimedeanPlace, lambda: archimedean_places(CUBE2)[1], lambda: archimedean_places(CUBE2)[0],
+     "Place(inf:1, complex)"),
+    (QPlaceSet, lambda: finite_qset([5]), lambda: finite_qset([7]),
+     "q{ctx[] cells[] plus[5] minus[]}"),
+    (KPlaceSet, lambda: finite_set(GAUSS, factor_prime(GAUSS, 5)[:1]),
+     lambda: finite_set(GAUSS, factor_prime(GAUSS, 5)[1:]),
+     "k{field[1,0,1] 1:q{ctx[] cells[] plus[5] minus[]}}"),
+    (LocalElement, lambda: embed(RATIONALS.element(Fraction(1, 2)), place_above(RATIONALS, 5), 3),
+     lambda: embed(RATIONALS.element(2), place_above(RATIONALS, 5), 3),
+     "Local(v=0, unit=[63] mod 5^3)"),
+    (TailPoly, lambda: TailPoly.constant(RATIONALS.element(2)), lambda: TailPoly.zero(RATIONALS),
+     "Tail(2)"),
+    (Adele, lambda: one_adele(RATIONALS), lambda: one_adele(GAUSS),
+     "adele{field[0,1] arch[1] exc[] ovr[] tail[1]}"),
+    (PrimeIdeal, lambda: zero_at(place_above(RATIONALS, 5)),
+     lambda: zero_at(place_above(RATIONALS, 7)), f"PrimeIdeal(zero_at {_P5})"),
+    (LevelIdeal,
+     lambda: restrict_to_level(zero_at(place_above(RATIONALS, 5)),
+                               [place_above(RATIONALS, 5), *archimedean_places(RATIONALS)]),
+     lambda: restrict_to_level(zero_at(place_above(RATIONALS, 5)), archimedean_places(RATIONALS)),
+     "LevelIdeal(zero_at, S_f=[(5, 0)], max=True, min=True)"),
+    (Constraint, lambda: Constraint(place_above(RATIONALS, 5), RATIONALS.one(), 3),
+     lambda: Constraint(place_above(RATIONALS, 5), RATIONALS.one(), 2),
+     f"Constraint(place={_P5}, target=<1 in deg-1 field>, min_valuation=3)"),
+    (ClosedIdeal, lambda: closed_ideal(RATIONALS, [place_above(RATIONALS, 5)]),
+     lambda: closed_ideal(RATIONALS, [place_above(RATIONALS, 7)]),
+     "ClosedIdeal(field=NumberField([0, 1]), finite_part=q{ctx[] cells[] plus[5] minus[]}, "
+     "arch_part=())"),
+]
+
+
+def _fields(record):
+    return tuple(getattr(record, name) for name in type(record).__slots__
+                 if not name.startswith("_"))
+
+
+@pytest.mark.parametrize("cls,make,make_other,text", CASES, ids=[c[0].__name__ for c in CASES])
+def test_records_compare_hash_and_print_as_their_fields(cls, make, make_other, text):
+    x = make()
+    assert type(x) is cls
+    twin = cls(*_fields(x))
+    assert twin is not x and twin == x and not twin != x
+    assert hash(twin) == hash(x) == hash(_fields(x))
+    assert make_other() != x
+    # a class with the same field values is another record
+    lookalike = type(cls.__name__, (cls,), {"__slots__": ()})(*_fields(x))
+    assert lookalike != x and x != lookalike
+    assert repr(x) == text
+    for name in (type(x).__slots__[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+
+
+def test_places_order_as_their_field_tuples():
+    fiber = factor_prime(GAUSS, 5)
+    assert fiber[0] < fiber[1] and fiber[0] <= fiber[1] and fiber[1] > fiber[0]
+    assert fiber[1] >= fiber[1] and not fiber[1] < fiber[1]
+    five, seven = place_above(RATIONALS, 5), place_above(RATIONALS, 7)
+    assert sorted([seven, five]) == [five, seven]
+    real, cx = archimedean_places(CUBE2)
+    assert real < cx and not cx <= real and cx > real and real >= real
+    with pytest.raises(TypeError):
+        five < real
+    with pytest.raises(TypeError):
+        five < factor_prime(GAUSS, 5)[0]   # fields have no order

@@ -28,7 +28,7 @@ from .adeles import (
 )
 from .errors import AdelicError
 from .localfields import valuation_of_element
-from .numberfields import NumberField, RATIONALS, parse_element, read_rational
+from .numberfields import NumberField, RATIONALS, parse_element, read_int, read_rational
 from .places import (
     archimedean_places,
     class_label,
@@ -94,7 +94,7 @@ def _spec(parse):
 
 def _parse_poly(text: str) -> NumberField:
     try:
-        coeffs = tuple(int(c) for c in text.split(","))
+        coeffs = tuple(map(read_int, text.split(",")))
     except ValueError as exc:
         raise UsageError(f"bad polynomial {text!r}: {exc}") from exc
     if len(coeffs) < 2:
@@ -111,12 +111,12 @@ def _parse_ultra(field: NumberField, text: str) -> Ultrafilter:
     if parts[0] == "at":
         if len(parts) != 3:
             raise UsageError("principal ultrafilter spec is at:<prime>:<index>")
-        return PrincipalUltrafilter(place_above(field, int(parts[1]), int(parts[2])))
+        return PrincipalUltrafilter(place_above(field, read_int(parts[1]), read_int(parts[2])))
     if parts[0] == "lift":
         if len(parts) < 3:
             raise UsageError("lift spec is lift:<position>:<base free spec>")
         base = _parse_ultra(RATIONALS, ":".join(parts[2:]))
-        return FreeKUltrafilter(field, base, int(parts[1]))
+        return FreeKUltrafilter(field, base, read_int(parts[1]))
     if parts[0] == "free" or text.startswith("free["):
         if field != RATIONALS:
             raise UsageError("free atoms live over the rationals; use lift:<pos>:free...")
@@ -147,7 +147,7 @@ def _parse_adele(field: NumberField, text: str) -> Adele:
     if head == "diag":
         return diagonal(parse_element(field, rest))
     if text == "uni" or text.startswith("uni^"):
-        power = int(text[4:]) if text != "uni" else 1
+        power = read_int(text[4:]) if text != "uni" else 1
         if power < 1:
             raise UsageError("uniformizer powers start at uni^1")
         return uniformizer_adele(field, power)
@@ -165,14 +165,14 @@ def _parse_ideal(field: NumberField, text: str) -> PrimeIdeal:
     kind, _, rest = text.partition("@")
     if kind == "zero":
         if rest.startswith("inf:"):
-            index = int(rest[4:])
+            index = read_int(rest[4:])
             places = archimedean_places(field)
             if not 0 <= index < len(places):
                 raise UsageError(f"no archimedean place {index}")
             return zero_at(places[index])
         if rest.startswith("p:"):
             _, p, idx = rest.split(":")
-            return zero_at(place_above(field, int(p), int(idx)))
+            return zero_at(place_above(field, read_int(p), read_int(idx)))
         raise UsageError("zero ideal spec is zero@p:<prime>:<index> or zero@inf:<index>")
     if kind in ("max", "min"):
         u = _parse_ultra(field, rest)
@@ -188,8 +188,8 @@ def _parse_ideal(field: NumberField, text: str) -> PrimeIdeal:
 @_spec
 def _parse_constraint(field: NumberField, text: str) -> Constraint:
     p, idx, target, power = text.split(":")
-    return Constraint(place_above(field, int(p), int(idx)),
-                      field.element(read_rational(target)), int(power))
+    return Constraint(place_above(field, read_int(p), read_int(idx)),
+                      field.element(read_rational(target)), read_int(power))
 
 
 def _place_text(w) -> str:

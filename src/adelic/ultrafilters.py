@@ -4,11 +4,12 @@ Principal ultrafilters are anchored at a single place.  A free ultrafilter
 over the rationals is anchored on a set with cells and, to stay a genuine
 ultrafilter on the whole algebra (which keeps refining as more extensions
 enter the picture), carries a selector: for every registered extension,
-one unramified splitting class chosen greedily in registration order by
-counting witnesses below the prime bound the ultrafilter was built with.
-Every membership query answers "does the selected joint class lie among
-the set's cells", so the four ultrafilter axioms hold by construction,
-finite sets are never members, and cofinite sets always are.
+one unramified splitting class chosen greedily in registration order:
+the class of the first witness below the prime bound the ultrafilter was
+built with.  Every membership query answers "does the selected joint
+class lie among the set's cells", so the four ultrafilter axioms hold by
+construction, finite sets are never members, and cofinite sets always
+are.
 
 A witness is a prime below the bound that divides no discriminant of the
 atom's context, of the chain's fields or of the field being selected,
@@ -17,9 +18,9 @@ class in every chain field.  By Chebotarev's density theorem (Neukirch,
 Algebraic Number Theory, VII.13) one such prime proves that the primes of
 its joint class have positive density, so every set the ultrafilter
 contains is infinite.  An atom or a chain step without a witness is
-refused (`UnsupportedSelection`).  When every cell of the atom gives the
-field one class, every witness votes for it, so the step stops at its
-first witness.
+refused (`UnsupportedSelection`).  The first witness below a bound is the
+first witness below every larger bound, so the bound decides only whether
+a step is refused, never which class it selects.
 
 A free ultrafilter over an extension field is a section lift of a free
 rational one at a fiber position, short fibers padding to their first
@@ -48,7 +49,6 @@ from .places import (
     factor_prime,
     joint_class,
     splitting_class,
-    unramified_classes,
 )
 from .placesets import (
     KPlaceSet,
@@ -163,30 +163,13 @@ class FreeQUltrafilter(Ultrafilter):
                 yield p
 
     def _extend_chain(self, F: NumberField) -> None:
-        counts: dict[tuple, int] = {cls: 0 for cls in unramified_classes(F)}
-        # when the cells fix F's class, every witness votes for it
-        decided = self._cells_class(F) is not None
-        for p in self._witnesses(F):
-            counts[splitting_class(F, p)] += 1
-            if decided:
-                break
-        # deterministic: highest count, ties to the canonically smallest class
-        top = max(counts.values())
-        if top == 0:
+        p = next(self._witnesses(F), None)
+        if p is None:
             raise UnsupportedSelection(
                 f"no prime below {self.bound} supports a splitting "
                 f"class of {list(F.coeffs)} for this ultrafilter"
             )
-        chosen = min(cls for cls, c in counts.items() if c == top)
-        self._chain[F] = chosen
-
-    def _cells_class(self, F: NumberField):
-        """The class every cell of the atom gives F, if there is one."""
-        if F not in self.atom.context:
-            return None
-        i = self.atom.context.index(F)
-        classes = {cell[i] for cell in self.atom.cells}
-        return classes.pop() if len(classes) == 1 else None
+        self._chain[F] = splitting_class(F, p)
 
     def contains(self, s) -> bool:
         _check_set(self, s)

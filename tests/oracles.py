@@ -13,10 +13,10 @@ Cells range over the unramified classes, found here by a search over all
 multisets of (e, f) pairs, and the primes dividing a discriminant, found
 here by trial division, belong to no cell.  The oracles read splitting
 classes from `adelic.places` and nothing else of `adelic.placesets`.  The
-selector oracle counts every witness below the prime bound, with no early
-stop.  The section-lift oracle is the original pullback rule: it builds
-the whole padded preimage of a set with the place-set operations and asks
-the base ultrafilter about it.
+selector oracle lists every witness below the prime bound and takes the
+class of the smallest.  The section-lift oracle is the original pullback
+rule: it builds the whole padded preimage of a set with the place-set
+operations and asks the base ultrafilter about it.
 The lifting and irreducibility oracles are the original code too: Hensel
 lifting one p-adic digit at a time, and an irreducibility test that looks
 for rational roots, certifies by Rabin's test mod small primes, and
@@ -429,14 +429,14 @@ def reference_complement(a):
 
 def reference_selector_chain(atom, fields, bound):
     """The selector chain of a free ultrafilter anchored on `atom`, by a
-    full count.  A witness is a prime below `bound` that divides no
-    discriminant of the atom's context, of the fields chosen so far or of
-    the field being chosen, whose joint class over the atom's context is a
-    cell of the atom and whose class in every field chosen so far is the
-    chosen one.  For each field in turn every witness votes for its class;
-    the most votes win, ties going to the smallest class.  Returns None
-    when the atom itself has no witness, else the chain as a dict and
-    whether it stopped at a field without a witness."""
+    full list of witnesses.  A witness is a prime below `bound` that
+    divides no discriminant of the atom's context, of the fields chosen so
+    far or of the field being chosen, whose joint class over the atom's
+    context is a cell of the atom and whose class in every field chosen so
+    far is the chosen one.  For each field in turn the class of the
+    smallest witness is chosen.  Returns None when the atom itself has no
+    witness, else the chain as a dict and whether it stopped at a field
+    without a witness."""
     primes = list(primerange(2, bound))
 
     def witnesses(chain, extra):
@@ -449,13 +449,10 @@ def reference_selector_chain(atom, fields, bound):
         return None
     chain = {}
     for F in fields:
-        counts = {cls: 0 for cls in unramified_classes(F.degree)}
-        for p in witnesses(chain, (F,)):
-            counts[splitting_class(F, p)] += 1
-        top = max(counts.values())
-        if top == 0:
+        found = witnesses(chain, (F,))
+        if not found:
             return chain, True
-        chain[F] = min(cls for cls, c in counts.items() if c == top)
+        chain[F] = splitting_class(F, found[0])
     return chain, False
 
 

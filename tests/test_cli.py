@@ -193,6 +193,13 @@ def test_between_degenerate_generator_exits_2():
     ("member", "--field", "1,0,1", "--ideal", "zero@p:2:0", "--adele",
      "adele{field[1,0,1] arch[1,0] exc[] "
      "ovr[k{field[1,0,1] 2:q{ctx[] cells[] plus[2] minus[]}}->0,0] tail[1,0]}"),
+    ("classify", "--ideal", "zero@p:1_3:0"),
+    ("member", "--ideal", "max@free:all", "--adele", "uni^+0_2"),
+    ("density", "--ultra", "free:1,0,1:1x1+1x1", "--constraint", " 2:0:1:+3"),
+    ("factor", "--poly", " 1,0,+1", "--prime", "5"),
+    ("classify", "--ideal", "max@at:05:0"),
+    ("classify", "--field", "1,0,1", "--ideal", "max@lift:+1:free:all"),
+    ("classify", "--ideal", "zero@inf:-0"),
 ], ids=" ".join)
 def test_malformed_spec_is_usage_error(argv):
     err = io.StringIO()
@@ -385,8 +392,10 @@ def test_free_anchor_without_witness_exits_2(argv):
 
 
 @pytest.mark.parametrize("argv,expected", [
+    # the split anchor's first witness is 5, and 1000003 = 3 mod 5 is no
+    # square mod 5, so x^2 - 1000003 is selected inert
     (("fiber", "--ideal", "between@free:1,0,1:1x1+1x1@uni", "--ext", "-1000003,0,1"),
-     "fiber_size=2"),
+     "fiber_size=1"),
     (("density", "--field", "1000006000009,0,1", "--ultra", "lift:2:free:1,0,1:1x1+1x1"),
      "in_minimal_ideal=true"),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")

@@ -310,18 +310,21 @@ def test_free_ultrafilters_keep_their_bound(monkeypatch):
     """Selection reads the bound the ultrafilter was built with, and
     equality, hashing and the profile cache tell bounds apart."""
     selected_profile.cache_clear()
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=3))
+    tiny = free_cofinite()
     monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=6))
     small = free_cofinite()
     monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=10_000))
-    # witnesses below 6: 3 (inert) and 5 (split) tie, so the smaller class wins;
-    # below 10^4 the inert class has more primes
-    assert small._selected_class(GAUSS) == SPLIT_GAUSS
     large = free_cofinite()
-    assert large != small and len({small, large}) == 2
+    # 2 ramifies in x^2+1, so 3 (inert) is the first witness below 6 and below 10^4
+    assert small._selected_class(GAUSS) == INERT_GAUSS
     assert large._selected_class(GAUSS) == INERT_GAUSS
+    assert large != small and len({tiny, small, large}) == 3
     alpha = vanishing_on(RATIONALS, class_atom(GAUSS, SPLIT_GAUSS))
-    assert selected_profile(small, alpha) == (INF,)
     assert selected_profile(large, alpha) == (0,)
+    # below 3 the only prime, 2, ramifies: the cached answer for 10^4 is not reused
+    with pytest.raises(UnsupportedSelection):
+        selected_profile(tiny, alpha)
 
 
 def _chain(u):
@@ -336,15 +339,15 @@ def _chain(u):
 
 
 @pytest.mark.parametrize("bound", [300, 3000])
-def test_selector_chain_matches_full_count(bound, monkeypatch):
-    """The selector stops at the first witness when the atom decides the
-    class and picks the chain that counting every witness below the bound
-    picks; an atom without a witness is refused."""
+def test_selector_chain_matches_first_witness(bound, monkeypatch):
+    """Every chain step takes the class of its smallest witness below the
+    bound, the chain an independent list of all witnesses picks; an atom
+    without a witness is refused."""
     monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=bound))
     ensure_registered(QUINTIC)
     rng = random.Random(bound)
     modifiers = list(primerange(2, 400))
-    decided_early = modified = refused = 0
+    fixes = modified = refused = 0
     for _ in range(200):
         atom = random_wide_qset(rng)
         atom = atom.union(finite_qset(rng.sample(modifiers, rng.randint(0, 4))))
@@ -356,12 +359,46 @@ def test_selector_chain_matches_full_count(bound, monkeypatch):
         except UnsupportedSelection:
             got = None
         assert got == reference_selector_chain(atom, registered_fields(), bound), atom
-        early = any(len({cell[i] for cell in atom.cells}) == 1
+        # the cells give some context field one class
+        fixed = any(len({cell[i] for cell in atom.cells}) == 1
                     for i in range(len(atom.context)))
-        decided_early += early
-        modified += early and bool(atom.plus or atom.minus)
+        fixes += fixed
+        modified += fixed and bool(atom.plus or atom.minus)
         refused += got is None or got[1]
-    assert decided_early >= 40 and modified >= 30 and refused >= 2
+    assert fixes >= 40 and modified >= 30 and refused >= 2
+
+
+def test_selector_chain_does_not_depend_on_the_bound(monkeypatch):
+    """Each free ultrafilter on an unramified atom of the five fields, and
+    the cofinite one, selects the same chain at every bound where it is
+    not refused; the bound decides only refusal."""
+    ensure_registered(QUINTIC)
+    anchors = [(K, cls) for K in registered_fields()
+               for cls in sorted(unramified_classes(K.degree))] + [None]
+    chains = {}
+    for bound in (1_000, 10_000, 100_000):
+        monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=bound))
+        for anchor in anchors:
+            try:
+                u = free_cofinite() if anchor is None else free_on_atom(*anchor)
+            except UnsupportedSelection:
+                chains[anchor, bound] = None
+            else:
+                chains[anchor, bound] = _chain(u)
+    answered = 0
+    for anchor in anchors:
+        runs = [chains[anchor, bound] for bound in (1_000, 10_000, 100_000)]
+        whole = [chain for chain, stopped in filter(None, runs) if not stopped]
+        answered += bool(whole)
+        assert all(chain == whole[0] for chain in whole), anchor
+        for run in filter(None, runs):
+            # a refused step leaves a prefix of the chain a larger bound completes
+            assert not whole or list(run[0].items()) == list(whole[0].items())[:len(run[0])]
+    assert answered >= 12
+    totally_split = (QUINTIC, ((1, 1),) * 5)
+    assert chains[totally_split, 1_000] is None
+    assert chains[totally_split, 10_000] == chains[totally_split, 100_000]
+    assert not chains[totally_split, 10_000][1]
 
 
 def test_split_selector_samples_few_primes(monkeypatch):

@@ -28,7 +28,7 @@ from .adeles import (
 )
 from .errors import AdelicError
 from .localfields import valuation_of_element
-from .numberfields import NumberField, RATIONALS, parse_element, read_int, read_rational
+from .numberfields import NumberField, RATIONALS, parse_element, read_int
 from .places import (
     archimedean_places,
     class_label,
@@ -79,30 +79,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _spec(parse):
     """Report a ValueError, IndexError or ZeroDivisionError raised while
-    reading a spec as a usage error; errors raised once the spec is read
-    pass through."""
+    reading a command-line value, the last argument, as a usage error;
+    errors raised once the value is read pass through."""
 
     @functools.wraps(parse)
-    def wrapped(field, text):
+    def wrapped(*args):
         try:
-            return parse(field, text)
+            return parse(*args)
         except (ValueError, IndexError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad spec {text!r}: {exc}") from exc
+            raise UsageError(f"bad spec {args[-1]!r}: {exc}") from exc
 
     return wrapped
 
 
+_read_int = _spec(read_int)
+
+
+@_spec
 def _parse_poly(text: str) -> NumberField:
-    try:
-        coeffs = tuple(map(read_int, text.split(",")))
-    except ValueError as exc:
-        raise UsageError(f"bad polynomial {text!r}: {exc}") from exc
+    coeffs = tuple(map(read_int, text.split(",")))
     if len(coeffs) < 2:
         raise UsageError("polynomial must have degree >= 1 (low degree first)")
-    try:
-        return NumberField(coeffs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return NumberField(coeffs)
 
 
 @_spec
@@ -189,7 +187,7 @@ def _parse_ideal(field: NumberField, text: str) -> PrimeIdeal:
 def _parse_constraint(field: NumberField, text: str) -> Constraint:
     p, idx, target, power = text.split(":")
     return Constraint(place_above(field, read_int(p), read_int(idx)),
-                      field.element(read_rational(target)), read_int(power))
+                      parse_element(RATIONALS, target).lift(field), read_int(power))
 
 
 def _place_text(w) -> str:
@@ -217,14 +215,15 @@ def _ideal_text(ideal: PrimeIdeal) -> str:
 
 def cmd_factor(args) -> int:
     field = _parse_poly(args.poly)
-    places = factor_prime(field, args.prime)
+    p = _read_int(args.prime)
+    places = factor_prime(field, p)
     print(f"field={args.poly}")
-    print(f"prime={args.prime}")
+    print(f"prime={p}")
     print(f"places={len(places)}")
     for w in places:
         factor = ",".join(str(c) for c in w.factor)
         print(f"place index={w.index} e={w.e} f={w.f} factor={factor}")
-    print(f"class={class_label(splitting_class(field, args.prime))}")
+    print(f"class={class_label(splitting_class(field, p))}")
     print(f"sum_ef={sum(w.e * w.f for w in places)}")
     print(f"degree={field.degree}")
     return 0
@@ -300,13 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="adelic",
         description="Query places, adeles, and the prime spectrum of adele rings.",
     )
-    parser.add_argument("--prime-bound", type=int, default=None,
+    parser.add_argument("--prime-bound", default=None,
                         help="bound on the primes that witness free ultrafilters (default 10000)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="splitting of a prime in a field")
     p.add_argument("--poly", required=True, help="defining polynomial, low degree first")
-    p.add_argument("--prime", required=True, type=int)
+    p.add_argument("--prime", required=True)
     p.set_defaults(run=cmd_factor)
 
     p = sub.add_parser("member", help="prime-ideal membership of an adele")
@@ -340,9 +339,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    if args.prime_bound is not None:
-        config.set_defaults(prime_bound=args.prime_bound)
     try:
+        if args.prime_bound is not None:
+            config.set_defaults(prime_bound=_read_int(args.prime_bound))
         return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

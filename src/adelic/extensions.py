@@ -64,17 +64,14 @@ def to_extension(alpha: Adele, field: NumberField) -> Adele:
     if alpha.field != RATIONALS:
         raise FieldMismatch("only rational adeles lift along an extension")
     ensure_registered(field)
-    arch = tuple(
-        field.element(alpha.arch[0].as_rational())
-        for _ in archimedean_places(field)
-    )
+    arch = tuple(alpha.arch[0].lift(field) for _ in archimedean_places(field))
     # supported primes where some place above may be ramified, and those alpha lists
     excluded = set(excluded_primes(field))
     absorbed = sorted(disc_primes(field).union(w.p for w, _ in alpha.exceptional) - excluded)
     exceptional = []
     for p in absorbed:
         below = factor_prime(RATIONALS, p)[0]
-        lifted = field.element(alpha.component_at(below).as_rational())
+        lifted = alpha.component_at(below).lift(field)
         for w in factor_prime(field, p):
             exceptional.append((w, lifted))
     drop = finite_qset(excluded.union(absorbed))
@@ -88,7 +85,7 @@ def to_extension(alpha: Adele, field: NumberField) -> Adele:
 
 
 def _lift_tail(tail: TailPoly, field: NumberField) -> TailPoly:
-    return TailPoly.make(field, [field.element(c.as_rational()) for c in tail.coeffs])
+    return TailPoly.make(field, [c.lift(field) for c in tail.coeffs])
 
 
 def contract_prime(ideal: PrimeIdeal) -> PrimeIdeal:

@@ -10,13 +10,12 @@ f and a positive int sharing no factor with all of them, so each value
 has exactly one representation.  Because f is monic, sums and products
 stay in the integers up to one gcd pass, and the norm and the inverse
 are determinants of the multiplication matrix (`polynomials.mul_matrix`).
-Rationals appear only at the text boundary: `element` and `parse_element`
-take them, and `as_rational`, `norm` and `to_text` give them back.
+`to_text` prints each coordinate as n/d from num and den, `read_rational`
+reads it back as an int pair, and `lift` puts a rational in any field.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -72,8 +71,8 @@ class NumberField(Record):
         return _signature(self.coeffs)[1]
 
     def element(self, *coeffs) -> "FieldElement":
-        """Build an element from rational coefficients (ints or Fractions),
-        lowest power first."""
+        """Build an element from rational coefficients, lowest power first:
+        ints, or any rationals with integer `numerator` and `denominator`."""
         den = lcm(*(c.denominator for c in coeffs))
         num = [c.numerator * (den // c.denominator) for c in coeffs]
         return _element(self, poly.rem_monic(num, self.coeffs), den)
@@ -178,28 +177,30 @@ class FieldElement(Record):
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def norm(self) -> Fraction:
-        """Field norm down to the rationals."""
-        return Fraction(poly.norm_int(self.num, self.field.coeffs), self.den ** self.field.degree)
-
-    def as_rational(self) -> Fraction:
+    def lift(self, field: NumberField) -> "FieldElement":
+        """This element, which must be rational, as an element of `field`."""
         if any(self.num[1:]):
             raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
+        return FieldElement(field, (self.num[0],) + (0,) * (field.degree - 1), self.den)
 
     def to_text(self) -> str:
-        return ",".join(str(Fraction(c, self.den)) for c in self.num)
+        out = []
+        for c in self.num:
+            g = gcd(c, self.den)
+            out.append(str(c // g) if g == self.den else f"{c // g}/{self.den // g}")
+        return ",".join(out)
 
     def __repr__(self):
         return f"<{self.to_text()} in deg-{self.field.degree} field>"
 
 
 def parse_element(field: NumberField, text: str) -> FieldElement:
-    """Read the text `FieldElement.to_text` prints."""
-    parts = [read_rational(t) for t in text.split(",")] if text else []
+    """Read the text `FieldElement.to_text` prints, or its first coordinates."""
+    parts = [read_rational(t) for t in text.split(",")]
     if len(parts) > field.degree:
         raise ValueError(f"{text!r} has more coordinates than the degree {field.degree}")
-    return field.element(*parts)
+    den = lcm(*(d for _, d in parts))
+    return _element(field, poly.rem_monic([n * (den // d) for n, d in parts], field.coeffs), den)
 
 
 def read_int(text: str) -> int:
@@ -211,14 +212,14 @@ def read_int(text: str) -> int:
     return n
 
 
-def read_rational(text: str) -> Fraction:
-    """A rational written as `str(Fraction)` writes it: an integer as
+def read_rational(text: str) -> tuple[int, int]:
+    """(n, d) from a rational as `to_text` writes it: an integer as
     `read_int` reads it, or n/d with d > 1 in lowest terms."""
-    num, _, den = text.partition("/")
-    d = int(den or "1")
-    if d < 1 or str(q := Fraction(int(num), d)) != text:
+    num, slash, den = text.partition("/")
+    n, d = read_int(num), read_int(den) if slash else 1
+    if slash and (d < 2 or gcd(n, d) != 1):
         raise ValueError(f"{text!r} is not a rational as printed")
-    return q
+    return n, d
 
 
 RATIONALS = NumberField((0, 1))

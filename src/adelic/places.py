@@ -17,7 +17,7 @@ from functools import lru_cache, total_ordering
 
 from . import polynomials as poly
 from .errors import NotPrime, UnsupportedPrime
-from .numberfields import NumberField
+from .numberfields import NumberField, read_int
 from .primes import isprime, prime_divisors_below, prime_power_root, primerange
 from .records import Record
 
@@ -117,15 +117,12 @@ def _dedekind_index_coprime(field: NumberField, p: int, factors) -> bool:
     monic integer polynomials, p avoids the index iff
     gcd((g*h - f)/p, g, h) = 1 mod p.
     """
-    radical = (1,)
-    cofactor = (1,)
+    radical = cofactor = (1,)
     for g, e in factors:
         radical = poly.pmul(radical, g, p)
         for _ in range(e - 1):
             cofactor = poly.pmul(cofactor, g, p)
-    g_lift = tuple(int(c) for c in radical)
-    h_lift = tuple(int(c) for c in cofactor)
-    diff = poly.sub(poly.mul(g_lift, h_lift), field.coeffs)
+    diff = poly.sub(poly.mul(radical, cofactor), field.coeffs)
     assert all(c % p == 0 for c in diff)
     t_bar = poly.pnorm(tuple(c // p for c in diff), p)
     common = poly.pgcd(poly.pgcd(t_bar, radical, p), cofactor, p)
@@ -268,11 +265,15 @@ def class_label(cls: tuple[tuple[int, int], ...]) -> str:
 
 
 def parse_class_label(text: str) -> tuple[tuple[int, int], ...]:
+    """Read the label `class_label` prints, and nothing else."""
     pairs = []
     for part in text.split("+"):
         e, f = part.split("x")
-        pairs.append((int(e), int(f)))
-    return tuple(sorted(pairs))
+        pairs.append((read_int(e), read_int(f)))
+    cls = tuple(sorted(pairs))
+    if class_label(cls) != text:
+        raise ValueError(f"{text!r} is not a class label as printed")
+    return cls
 
 
 def supported_primes(field: NumberField, bound: int):

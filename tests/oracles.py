@@ -786,3 +786,10 @@ class FractionElement:
 
     def to_text(self):
         return ",".join(str(c) for c in self.coeffs)
+
+
+def element_norm(x):
+    """The norm of a package element as a Fraction, from the package's
+    multiplication-matrix determinant (`polynomials.norm_int`) over
+    den^degree; `FractionElement.norm`, a Sylvester resultant, checks it."""
+    return Fraction(poly.norm_int(x.num, x.field.coeffs), x.den ** x.field.degree)

@@ -200,6 +200,15 @@ def test_between_degenerate_generator_exits_2():
     ("classify", "--ideal", "max@at:05:0"),
     ("classify", "--field", "1,0,1", "--ideal", "max@lift:+1:free:all"),
     ("classify", "--ideal", "zero@inf:-0"),
+    ("factor", "--poly", "1,0,1", "--prime", " +0_5"),
+    ("--prime-bound", " 1_0", "classify", "--ideal", "max@free:1,0,1:1x2"),
+    ("classify", "--ideal", "max@free:1,0,1:01x1+1x1"),
+    ("classify", "--ideal", "max@free:1,0,1:1x1+1x1 "),
+    ("classify", "--ideal", "max@free:-2,0,0,1:1x2+1x1"),
+    ("classify", "--ideal", "max@free[q{ctx[-2,0,0,1] cells[1x2+1x1] plus[] minus[]}]"),
+    ("member", "--ideal", "max@free:all", "--adele", "diag:"),
+    ("density", "--ultra", "free:1,0,1:1x1+1x1", "--constraint", "2:0::3"),
+    ("density", "--field", "1,0,1", "--ultra", "lift:1:free:all", "--constraint", "5:0:1,0:3"),
 ], ids=" ".join)
 def test_malformed_spec_is_usage_error(argv):
     err = io.StringIO()

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "adelic"
 
 
@@ -59,11 +61,14 @@ def test_modules_import_only_at_the_top_level():
     assert found == []
 
 
-def test_cli_import_loads_no_dataclasses():
+@pytest.mark.parametrize("modules", [("dataclasses", "inspect"), ("fractions", "decimal", "numbers")],
+                         ids=" ".join)
+def test_cli_import_loads_no_dataclasses(modules):
     """Every CLI call is a fresh process, and `dataclasses` (with `inspect`)
-    would be most of its import time."""
+    would be most of its import time; `fractions` (with `decimal` and
+    `numbers`) was its largest import after `argparse`."""
     probe = ("import sys; before = set(sys.modules); import adelic.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+             f"print(sorted(set({modules!r}) & (set(sys.modules) - before)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, text=True)

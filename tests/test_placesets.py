@@ -227,6 +227,9 @@ def test_serialization_round_trip():
     "q{ctx[]  cells[~] plus[] minus[]}",                               # two spaces
     "q{ctx[] cells[~] plus[,3] minus[]}",                              # empty list item
     "q{ctx[] cells[~] plus[03] minus[]}",                              # padded number
+    "q{ctx[-2,0,0,1] cells[1x2+1x1] plus[] minus[]}",                  # summands unsorted
+    "q{ctx[1,0,1] cells[01x1+1x1] plus[] minus[]}",                    # padded class label
+    "q{ctx[1,0,1] cells[1x1+1x1 ] plus[] minus[]}",                    # class label, space
     "k{junk field[1,0,1] 1:q{ctx[] cells[] plus[5] minus[]}}",
     "k{field[1,0,1]}",                                                 # no space after field
     "k{field[1,0,1] 2:q{ctx[] cells[] plus[5] minus[]} 1:q{ctx[] cells[] plus[13] minus[]}}",

@@ -39,6 +39,7 @@ from .placesets import (
     finite_set,
     parse_kset,
     parse_qset,
+    printed,
     split_items,
     text_blocks,
 )
@@ -434,11 +435,9 @@ def make_adele(field: NumberField, arch=None, exceptional=(), overrides=(),
 
 
 def parse_adele(text: str) -> Adele:
-    """Read the text `to_text` prints, and nothing else."""
-    (coeffs, arch_text, exc_text, ovr_text, tail_text), rest = text_blocks(
+    """Read the text `to_text` prints, and refuse any other."""
+    (coeffs, arch_text, exc_text, ovr_text, tail_text), _ = text_blocks(
         text, "adele", ("field", "arch", "exc", "ovr", "tail"))
-    if rest:
-        raise ValueError(f"bad adele text: {text!r}")
 
     def tail(coeff_text):
         return TailPoly.make(field, [parse_element(field, t)
@@ -466,4 +465,4 @@ def parse_adele(text: str) -> Adele:
         if any(not region.intersect(r).is_empty() for r, _ in overrides):
             raise ValueError("adele text has overlapping override regions")
         overrides.append((region, tail(item[arrow + 2:])))
-    return make_adele(field, arch, exceptional, overrides, tail(tail_text))
+    return printed(make_adele(field, arch, exceptional, overrides, tail(tail_text)), text)

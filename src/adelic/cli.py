@@ -1,18 +1,17 @@
 """Batch command-line front door.
 
-Output is line-oriented structured text: one record per line with a
-stable key order, so identical invocations are byte-identical and easy to
-diff.  Exit codes: 0 success, 1 usage error, 2 domain error (an
-unsupported prime, a degenerate generator, an inconsistent neighborhood,
-a free ultrafilter with no witness below the prime bound).  Errors are one
-line on stderr.
+`read_argv` reads argv against the one table `COMMANDS`, and any argv
+outside its grammar is a usage error.  Output is line-oriented structured
+text: one record per line with a stable key order, so identical
+invocations are byte-identical and easy to diff.  Exit codes: 0 success,
+1 usage error, 2 domain error (an unsupported prime, a degenerate
+generator, an inconsistent neighborhood, a free ultrafilter with no
+witness below the prime bound).  Errors are one line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import re
 import sys
 
 from . import config
@@ -65,16 +64,6 @@ from .ultrafilters import (
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reads an argument that starts with a minus and a digit, such as the
-    polynomial ``-2,0,0,1``, as a value: no option of this CLI looks like
-    that, and argparse alone accepts only plain negative numbers."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d")
 
 
 def _spec(parse):
@@ -213,11 +202,11 @@ def _ideal_text(ideal: PrimeIdeal) -> str:
     return f"{tag}@{_ultra_text(ideal.ultra)}"
 
 
-def cmd_factor(args) -> int:
-    field = _parse_poly(args.poly)
-    p = _read_int(args.prime)
+def cmd_factor(opts) -> int:
+    field = _parse_poly(opts["poly"])
+    p = _read_int(opts["prime"])
     places = factor_prime(field, p)
-    print(f"field={args.poly}")
+    print(f"field={opts['poly']}")
     print(f"prime={p}")
     print(f"places={len(places)}")
     for w in places:
@@ -229,10 +218,10 @@ def cmd_factor(args) -> int:
     return 0
 
 
-def cmd_member(args) -> int:
-    field = _parse_poly(args.field)
-    ideal = _parse_ideal(field, args.ideal)
-    alpha = _parse_adele(field, args.adele)
+def cmd_member(opts) -> int:
+    field = _parse_poly(opts["field"])
+    ideal = _parse_ideal(field, opts["ideal"])
+    alpha = _parse_adele(field, opts["adele"])
     verdict = member(alpha, ideal)
     print(f"ideal={_ideal_text(ideal)}")
     print(f"adele={alpha.to_text()}")
@@ -247,9 +236,9 @@ def cmd_member(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    field = _parse_poly(args.field)
-    ideal = _parse_ideal(field, args.ideal)
+def cmd_classify(opts) -> int:
+    field = _parse_poly(opts["field"])
+    ideal = _parse_ideal(field, opts["ideal"])
     flags = classify(ideal)
     print(f"ideal={_ideal_text(ideal)}")
     print(f"is_maximal={'true' if flags['is_maximal'] else 'false'}")
@@ -258,13 +247,13 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def cmd_fiber(args) -> int:
-    ext = _parse_poly(args.ext)
+def cmd_fiber(opts) -> int:
+    ext = _parse_poly(opts["ext"])
     ensure_registered(ext)
-    ideal = _parse_ideal(RATIONALS, args.ideal)
+    ideal = _parse_ideal(RATIONALS, opts["ideal"])
     fiber = fiber_of_spec(ideal, ext)
     print(f"ideal={_ideal_text(ideal)}")
-    print(f"ext={args.ext}")
+    print(f"ext={opts['ext']}")
     print(f"fiber_size={len(fiber)}")
     for i, up in enumerate(sorted(fiber, key=_ideal_text)):
         flags = classify(up)
@@ -276,12 +265,12 @@ def cmd_fiber(args) -> int:
     return 0
 
 
-def cmd_density(args) -> int:
-    field = _parse_poly(args.field)
-    u = _parse_ultra(field, args.ultra)
+def cmd_density(opts) -> int:
+    field = _parse_poly(opts["field"])
+    u = _parse_ultra(field, opts["ultra"])
     if u.is_principal:
         raise UsageError("density takes a free ultrafilter spec")
-    constraints = [_parse_constraint(field, text) for text in args.constraint or []]
+    constraints = [_parse_constraint(field, text) for text in opts["constraint"]]
     witness = density_witness(u, constraints)
     print(f"ultrafilter={_ultra_text(u)}")
     print(f"witness={witness.to_text()}")
@@ -294,55 +283,70 @@ def cmd_density(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="adelic",
-        description="Query places, adeles, and the prime spectrum of adele rings.",
-    )
-    parser.add_argument("--prime-bound", default=None,
-                        help="bound on the primes that witness free ultrafilters (default 10000)")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's function and options.  An option's value is its
+# default: None when the option is required, a list when it repeats.
+COMMANDS = {
+    "factor": (cmd_factor, {"poly": None, "prime": None}),
+    "member": (cmd_member, {"field": "0,1", "ideal": None, "adele": None}),
+    "classify": (cmd_classify, {"field": "0,1", "ideal": None}),
+    "fiber": (cmd_fiber, {"ideal": None, "ext": None}),
+    "density": (cmd_density, {"field": "0,1", "ultra": None, "constraint": []}),
+}
 
-    p = sub.add_parser("factor", help="splitting of a prime in a field")
-    p.add_argument("--poly", required=True, help="defining polynomial, low degree first")
-    p.add_argument("--prime", required=True)
-    p.set_defaults(run=cmd_factor)
 
-    p = sub.add_parser("member", help="prime-ideal membership of an adele")
-    p.add_argument("--field", default="0,1", help="field of the ideal (default rationals)")
-    p.add_argument("--ideal", required=True)
-    p.add_argument("--adele", required=True)
-    p.set_defaults(run=cmd_member)
+def cmd_help(opts) -> int:
+    print("usage: adelic [--prime-bound <n>] <command> --<option> <value> ...\n"
+          "Query places, adeles, and the prime spectrum of adele rings.  --prime-bound bounds\n"
+          f"the primes that witness free ultrafilters (default {config.DEFAULT.prime_bound}).")
+    for command, (_, table) in COMMANDS.items():
+        usage = (f"--{name} <{name}>" if default is None else
+                 f"[--{name} <{name}>{' ...' * isinstance(default, list)}]"
+                 for name, default in table.items())
+        print(f"  adelic {command} {' '.join(usage)}")
+    return 0
 
-    p = sub.add_parser("classify", help="maximal/minimal/closed flags of an ideal")
-    p.add_argument("--field", default="0,1")
-    p.add_argument("--ideal", required=True)
-    p.set_defaults(run=cmd_classify)
 
-    p = sub.add_parser("fiber", help="fiber of the spectrum map over a rational ideal")
-    p.add_argument("--ideal", required=True, help="ideal over the rationals")
-    p.add_argument("--ext", required=True, help="extension field polynomial")
-    p.set_defaults(run=cmd_fiber)
-
-    p = sub.add_parser("density", help="density witness for a minimal ultrafilter ideal")
-    p.add_argument("--field", default="0,1")
-    p.add_argument("--ultra", required=True, help="free ultrafilter spec")
-    p.add_argument("--constraint", action="append",
-                   help="p:<prime>:<index>:<target>:<min valuation>, repeatable")
-    p.set_defaults(run=cmd_density)
-    return parser
+def read_argv(argv) -> tuple:
+    """The function to run and its options' values, read from
+    `[--prime-bound <n>] <command> --<option> <value> ...`: each option
+    spelled out in full, as `--option value` or `--option=value`, and
+    given once unless its default is a list.  A value may start with `-`.
+    `-h` or `--help` in place of an option asks for `cmd_help`."""
+    command, table, opts = None, {"prime-bound": None}, {}
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return cmd_help, {}
+        if command is None and word in COMMANDS:
+            command, table = word, COMMANDS[word][1]
+            continue
+        flag, eq, value = word.partition("=")
+        name = flag[2:]
+        if flag[:2] != "--" or name not in table:
+            raise UsageError(f"{word!r} is not " + (f"an option of {command}" if command
+                                                    else "a command"))
+        value = value if eq else next(words, None)
+        if value is None:
+            raise UsageError(f"option {flag} needs a value")
+        repeats = isinstance(table[name], list)
+        if name in opts and not repeats:
+            raise UsageError(f"option {flag} is given twice")
+        opts[name] = opts.get(name, []) + [value] if repeats else value
+    if command is None:
+        raise UsageError("no command; one of " + ", ".join(COMMANDS))
+    for name, default in table.items():
+        if default is None and name not in opts:
+            raise UsageError(f"{command} needs --{name}")
+        opts.setdefault(name, default)
+    return COMMANDS[command][0], opts
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    try:
-        if args.prime_bound is not None:
-            config.set_defaults(prime_bound=_read_int(args.prime_bound))
-        return args.run(args)
+        run, opts = read_argv(sys.argv[1:] if argv is None else argv)
+        if "prime-bound" in opts:
+            config.set_defaults(prime_bound=_read_int(opts["prime-bound"]))
+        return run(opts)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

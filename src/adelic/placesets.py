@@ -20,8 +20,9 @@ classes of K; the finite modification is then recomputed pointwise, once.
 Dropping one cylinder field neither creates nor removes another, so the
 fields to drop are decided in one pass over the original cells and do not
 depend on order.  Since every cell holds one valid class per context field
-(`parse_qset` rejects any other text), the cells are a cylinder along K
-exactly when projecting K away divides their number by K's class count.
+(`parse_qset` reads only what `to_text` prints), the cells are a cylinder
+along K exactly when projecting K away divides their number by K's class
+count.
 Structurally different but pointwise-equal descriptions (say, a cell that
 no prime realizes versus no cell) can remain distinct; all Boolean
 identities hold on canonical forms, and the pointwise semantics is exact.
@@ -447,11 +448,9 @@ def full_preimage(field: NumberField, base: QPlaceSet) -> KPlaceSet:
 
 
 def parse_qset(text: str) -> QPlaceSet:
-    """Read the text `to_text` prints, and nothing else."""
-    (ctx, cells_text, plus_text, minus_text), rest = text_blocks(
+    """Read the text `to_text` prints, and refuse any other."""
+    (ctx, cells_text, plus_text, minus_text), _ = text_blocks(
         text, "q", ("ctx", "cells", "plus", "minus"))
-    if rest:
-        raise ValueError(f"bad rational place-set text: {text!r}")
     context = tuple(
         NumberField(tuple(read_int(c) for c in chunk.split(",")))
         for chunk in split_items(ctx, "|")
@@ -470,41 +469,36 @@ def parse_qset(text: str) -> QPlaceSet:
         cells.add(cell)
     plus = frozenset(map(read_int, split_items(plus_text, ",")))
     minus = frozenset(map(read_int, split_items(minus_text, ",")))
-    if plus & minus:
-        raise ValueError(f"primes {sorted(plus & minus)} are both added and removed")
     nonprimes = sorted(p for p in plus | minus if not isprime(p))
     if nonprimes:
         raise ValueError(f"numbers {nonprimes} are not prime")
-    return _from_parts(context, cells, plus, minus)
+    return printed(_from_parts(context, cells, plus, minus), text)
 
 
 def parse_kset(text: str) -> KPlaceSet:
-    """Read the text `to_text` prints: the field block, then one space,
-    then the nonempty coordinates in increasing position, one space apart."""
+    """Read the text `to_text` prints, and refuse any other: the field
+    block of an extension field, then one space, then the nonempty
+    coordinates in increasing position, one space apart."""
     (coeffs,), rest = text_blocks(text, "k", ("field",))
     field = NumberField(tuple(read_int(c) for c in coeffs.split(",")))
-    if not rest.startswith(" "):
-        raise ValueError(f"bad extension place-set text: {text!r}")
-    coords = {}
-    rest = rest[1:]
+    if field.degree < 2:
+        raise ValueError(f"k{{...}} sets live over extension fields: {text!r}")
+    coords, rest = {}, rest[1:]
     while rest:
         colon = rest.index(":")
-        position = read_int(rest[:colon])
-        if not max(coords, default=0) < position <= field.degree:
-            raise ValueError(f"fiber position {position} is out of range or out of order")
-        end = matching_bracket(rest, colon + 1)
-        coords[position] = parse_qset(rest[colon + 1:end + 1])
-        rest = rest[end + 1:]
-        if rest[:1] not in ("", " ") or rest == " ":
-            raise ValueError(f"bad extension place-set text: {text!r}")
-        rest = rest[1:]
+        end = matching_bracket(rest, colon)
+        coords[read_int(rest[:colon])] = parse_qset(rest[colon + 1:end + 1])
+        rest = rest[end + 2:]
     read = [coords.get(j, empty_qset()) for j in range(1, field.degree + 1)]
-    out = kset_from_coords(field, read)
-    for position, (coord, kept) in enumerate(zip(read, out.coords), 1):
-        if coord != kept:
-            raise ValueError(f"fiber position {position} names primes with no place "
-                             f"there: {coord.difference(kept).to_text()}")
-    return out
+    return printed(kset_from_coords(field, read), text)
+
+
+def printed(value, text: str):
+    """`value`, read from `text`, if it prints as `text`; a text that
+    would print back otherwise is refused."""
+    if value.to_text() != text:
+        raise ValueError(f"{text!r} prints back as {value.to_text()!r}")
+    return value
 
 
 def text_blocks(text: str, head: str, keys) -> tuple[list[str], str]:

@@ -209,7 +209,15 @@ def test_between_degenerate_generator_exits_2():
     ("member", "--ideal", "max@free:all", "--adele", "diag:"),
     ("density", "--ultra", "free:1,0,1:1x1+1x1", "--constraint", "2:0::3"),
     ("density", "--field", "1,0,1", "--ultra", "lift:1:free:all", "--constraint", "5:0:1,0:3"),
-], ids=" ".join)
+    ("member", "--adele", "uni"),
+    ("member", "--ide", "max@free:all", "--adele", "uni"),
+    ("member", "--ideal", "max@free:all", "--adele", "uni", "--adele", "one"),
+    ("nosuch",),
+    (),
+    ("classify", "--ideal", "max@free[q{ctx[1,0,1] cells[1x1+1x1;1x2] plus[] minus[]}]"),
+    ("member", "--ideal", "zero@p:5:0", "--adele", "adele{field[0,1] arch[1] exc[] "
+     "ovr[k{field[0,1] 1:q{ctx[] cells[] plus[5] minus[]}}->] tail[1]}"),
+], ids=lambda argv: " ".join(argv) or "no-argv")
 def test_malformed_spec_is_usage_error(argv):
     err = io.StringIO()
     with _cli_state_restored(), contextlib.redirect_stderr(err):
@@ -217,6 +225,15 @@ def test_malformed_spec_is_usage_error(argv):
     assert code == 1 and out == ""
     assert err.getvalue().startswith("usage error: ")
     assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_names_every_command(flag):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(flag)
+    assert code == 0 and err.getvalue() == ""
+    assert {"factor", "member", "classify", "fiber", "density"} <= set(out.split())
 
 
 def test_deterministic_output():

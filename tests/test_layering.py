@@ -61,12 +61,13 @@ def test_modules_import_only_at_the_top_level():
     assert found == []
 
 
-@pytest.mark.parametrize("modules", [("dataclasses", "inspect"), ("fractions", "decimal", "numbers")],
-                         ids=" ".join)
+@pytest.mark.parametrize("modules", [("dataclasses", "inspect"), ("fractions", "decimal", "numbers"),
+                                     ("argparse", "gettext")], ids=" ".join)
 def test_cli_import_loads_no_dataclasses(modules):
     """Every CLI call is a fresh process, and `dataclasses` (with `inspect`)
-    would be most of its import time; `fractions` (with `decimal` and
-    `numbers`) was its largest import after `argparse`."""
+    would be most of its import time; `argparse` (with `gettext`) and
+    `fractions` (with `decimal` and `numbers`) were its largest imports
+    after that."""
     probe = ("import sys; before = set(sys.modules); import adelic.cli; "
              f"print(sorted(set({modules!r}) & (set(sys.modules) - before)))")
     env = dict(os.environ)

@@ -3,6 +3,7 @@ from functools import reduce
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adelic.adeles import one_adele, parse_adele
 from adelic.errors import FieldMismatch, NotPrime
@@ -23,9 +24,11 @@ from adelic.placesets import (
     finite_qset,
     finite_set,
     full_preimage,
+    matching_bracket,
     parse_kset,
     parse_qset,
     section_image,
+    split_items,
     supported_qset,
 )
 
@@ -43,7 +46,7 @@ from conftest import (
     ROOT5,
     SPLIT_GAUSS,
 )
-from gen import random_kset, random_qset, random_wide_qset
+from gen import random_adele, random_kset, random_place_set, random_qset, random_wide_qset
 from oracles import (
     reference_complement,
     reference_contains,
@@ -223,6 +226,7 @@ def test_serialization_round_trip():
     "k{field[1,0,1] 1:q{ctx[] cells[] plus[5] minus[]}}}",
     "adele{field[0,1] arch[1] exc[] ovr[] tail[1]}}",
     "q{ctx[] junk cells[~] plus[] minus[]}",                           # text between blocks
+    "q{ctx[] cells[~] plus[] minus[] junk}",                           # text before the close
     "q{minus[] plus[] cells[~] ctx[]}",                                # blocks out of order
     "q{ctx[]  cells[~] plus[] minus[]}",                               # two spaces
     "q{ctx[] cells[~] plus[,3] minus[]}",                              # empty list item
@@ -244,13 +248,83 @@ def test_serialization_round_trip():
     "adele{field[0,1] arch[1,2] exc[] ovr[] tail[1]}",
     "k{field[1,0,1] 2:q{ctx[] cells[] plus[2] minus[]}}",              # 2 has one place
     "adele{field[0,1] arch[1.5] exc[] ovr[] tail[ 0 & 1e0]}",          # numbers not as printed
+    "q{ctx[1,0,1] cells[1x2;1x2] plus[] minus[]}",                     # repeated cell
+    "q{ctx[] cells[~] plus[7,5] minus[]}",                             # plus inside the cells
+    "q{ctx[] cells[~] plus[] minus[7,5]}",                             # unsorted
+    "q{ctx[1,0,1] cells[1x2] plus[] minus[5]}",                        # 5 is not in the cell
+    "q{ctx[1,0,1] cells[1x1+1x1;1x2] plus[] minus[]}",                 # a cylinder along x^2+1
+    "k{field[0,1] 1:q{ctx[] cells[] plus[5] minus[]}}",                # a field of degree 1
+    "adele{field[0,1] arch[1] exc[] "
+    "ovr[k{field[0,1] 1:q{ctx[] cells[] plus[5] minus[]}}->] tail[1]}",
+    "k{field[1,0,1] 1:q{ctx[] cells[] plus[] minus[]}}",               # empty coordinate
+    "adele{field[0,1] arch[1] exc[] ovr[] tail[1&0]}",                 # zero top coefficient
+    "adele{field[0,1] arch[1] exc[] ovr[] tail[0]}",
+    "adele{field[0,1] arch[1] exc[7:0=1;5:0=2] ovr[] tail[1]}",        # places unsorted
 ])
 def test_parse_qset_rejects_malformed_text(text):
     """Rational and extension place-set texts and adele texts alike; the
-    third extension text repeats a position."""
+    third extension text repeats a position.  Each text that builds a
+    value prints back as other text."""
     parse = {"q": parse_qset, "k": parse_kset, "a": parse_adele}[text[0]]
     with pytest.raises(ValueError):
         parse(text)
+
+
+_SEPARATORS = {"ctx": "|", "cells": ";", "plus": ",", "minus": ",",
+               "arch": "|", "exc": ";", "ovr": "||", "tail": "&"}
+
+
+def _edits(text):
+    """Every text one edit away from `text`: an item of a list duplicated,
+    two items of a list swapped, `&0` appended to a tail, or an empty
+    coordinate added to an extension place set."""
+    out = []
+    for key, sep in _SEPARATORS.items():
+        start = text.find(key + "[")
+        while start != -1:
+            body, close = start + len(key) + 1, matching_bracket(text, start)
+            items = split_items(text[body:close], sep)
+            edited = [items[:i + 1] + items[i:] for i in range(len(items))]
+            for i in range(len(items)):
+                for j in range(i + 1, len(items)):
+                    swapped = list(items)
+                    swapped[i], swapped[j] = items[j], items[i]
+                    edited.append(swapped)
+            if key == "tail":
+                edited.append(items + ["0"])
+            out += [text[:body] + sep.join(new) + text[close:] for new in edited]
+            start = text.find(key + "[", close)
+    start = text.find("k{field[")
+    while start != -1:
+        close = matching_bracket(text, start + 2) + 1
+        out += [f"{text[:close]} {j}:q{{ctx[] cells[] plus[] minus[]}}{text[close:]}"
+                for j in (1, 2)]
+        start = text.find("k{field[", close)
+    return out
+
+
+@st.composite
+def _edited_texts(draw):
+    """A parser and a text printed from `tests/gen.py`, edited once."""
+    rng = draw(st.randoms(use_true_random=False))
+    field = draw(st.sampled_from((RATIONALS, GAUSS, CUBE2)))
+    if draw(st.booleans()):
+        value, parse = random_adele(field, rng), parse_adele
+    else:
+        value = random_place_set(field, rng)
+        parse = parse_qset if field == RATIONALS else parse_kset
+    return parse, draw(st.sampled_from(_edits(value.to_text()) or [value.to_text()]))
+
+
+@given(_edited_texts())
+@settings(max_examples=100, deadline=None)
+def test_edited_printed_text_is_refused_or_read_as_printed(case):
+    parse, text = case
+    try:
+        value = parse(text)
+    except ValueError:
+        return
+    assert value.to_text() == text
 
 
 @pytest.mark.parametrize("build", [

@@ -317,10 +317,8 @@ class Adele(Record):
             f"{w.p}:{w.index}={v.to_text()}"
             for w, v in sorted(self.exceptional, key=lambda t: (t[0].p, t[0].index))
         )
-        ovr = "||".join(
-            f"{region.to_text()}->{tail.to_text()}"
-            for region, tail in sorted(self.overrides, key=lambda t: t[0].to_text())
-        )
+        ovr = "||".join(f"{region.to_text()}->{tail.to_text()}"
+                        for region, tail in self.overrides)
         f = ",".join(str(c) for c in self.field.coeffs)
         return (f"adele{{field[{f}] arch[{arch}] exc[{exc}] "
                 f"ovr[{ovr}] tail[{self.tail.to_text()}]}}")
@@ -357,7 +355,13 @@ def _combine(a: Adele, b: Adele, field_op, tail_op) -> Adele:
             overrides.append((region, tail_op(ta, tb)))
     # drop overrides indistinguishable from the default
     overrides = [(r, t) for r, t in overrides if t.coeffs != default_tail.coeffs]
-    return Adele(a.field, arch, tuple(exceptional), tuple(overrides), default_tail)
+    return Adele(a.field, arch, tuple(exceptional), _printed_order(overrides), default_tail)
+
+
+def _printed_order(overrides) -> tuple:
+    """Overrides sorted by region text, the order `to_text` prints, so that
+    equal adeles hold equal override tuples."""
+    return tuple(sorted(overrides, key=lambda t: t[0].to_text()))
 
 
 # -- constructors -----------------------------------------------------------
@@ -431,7 +435,7 @@ def make_adele(field: NumberField, arch=None, exceptional=(), overrides=(),
     if tail is None:
         tail = TailPoly.zero(field)
     exceptional = tuple(sorted(exceptional, key=lambda t: (t[0].p, t[0].index)))
-    return Adele(field, tuple(arch), exceptional, tuple(overrides), tail)
+    return Adele(field, tuple(arch), exceptional, _printed_order(overrides), tail)
 
 
 def parse_adele(text: str) -> Adele:

@@ -34,20 +34,6 @@ INF = float("inf")
 DEFAULT_DIGITS = 32
 
 
-def _reduce_mod(vec, G, pw):
-    """Reduce an integer coefficient tuple mod (G, p**w); G monic."""
-    vec = [c % pw for c in vec]
-    n = len(G) - 1
-    while len(vec) > n:
-        top = vec.pop()
-        if top:
-            base = len(vec) - n
-            for i in range(n):
-                vec[base + i] = (vec[base + i] - top * G[i]) % pw
-    vec += [0] * (n - len(vec))
-    return tuple(vec)
-
-
 # (field, p) -> (digits, blocks): the fiber's blocks lifted to the highest
 # precision asked for so far
 _LIFTS: dict[tuple[NumberField, int], tuple[int, tuple]] = {}
@@ -92,39 +78,31 @@ class LocalContext:
         self.gbar = place.factor
         if self.e >= 2:
             p = self.p
-            pi = _reduce_mod(tuple(place.factor), self.G, self.pw)
+            pi = poly.divmod_monic(place.factor, self.G, self.pw)[1]
             self.pi = pi
-            power = self.one()
-            for _ in range(self.e):
+            power = pi
+            for _ in range(self.e - 1):
                 power = self.mul(power, pi)
             assert all(c % p == 0 for c in power), "uniformizer power not divisible by p"
             unit = tuple((c // p) % (self.pw // p) for c in power)
             self.unit_digits = digits - 1
             self.unit_inv = self._invert(unit, self.unit_digits)
 
-    def one(self):
-        return _reduce_mod((1,), self.G, self.pw)
-
     def mul(self, a, b):
-        return _reduce_mod(poly.mul(a, b), self.G, self.pw)
+        return poly.mulmod(a, b, self.G, self.pw)
 
     def residue_is_unit(self, vec) -> bool:
-        mod_p = poly.pnorm(vec, self.p)
-        return bool(poly.pdivmod(mod_p, self.gbar, self.p)[1])
+        return any(poly.divmod_monic(vec, self.gbar, self.p)[1])
 
     def _invert(self, vec, digits):
         """Inverse of a unit mod (G, p**digits) by Newton lifting."""
         p = self.p
-        gbar_block = poly.pnorm(self.G, p)
-        z = poly.pbezout(poly.pnorm(vec, p), gbar_block, p)[0]
+        z = poly.pbezout(vec, self.G, p)[0]
         have = 1
         while have < digits:
             have = min(2 * have, digits)
-            pw = p ** have
-            zz = _reduce_mod(poly.mul(z, z), self.G, pw)
-            uzz = _reduce_mod(poly.mul(vec, zz), self.G, pw)
-            z = tuple((2 * a - b) % pw for a, b in zip(_reduce_mod(z, self.G, pw), uzz))
-        return _reduce_mod(z, self.G, p ** digits)
+            z = poly.newton_inverse(z, vec, self.G, p ** have)
+        return poly.divmod_monic(z, self.G, p ** digits)[1]
 
     def divide_by_uniformizer(self, vec, prec):
         """Divide an element of positive valuation by the uniformizer."""
@@ -287,10 +265,13 @@ def embed(x: FieldElement, place: FinitePlace, digits: int = DEFAULT_DIGITS) -> 
 
     The valuation is exact.  The working precision is sized once, from a
     bound on the valuation of the numerator, so the readout never runs out
-    of digits; digits=0 reads the valuation alone.
+    of digits; digits=0 reads the valuation alone, and digits that is not
+    an int >= 0 raises ValueError.
     """
     if x.field != place.field:
         raise FieldMismatch("element and place fields differ")
+    if type(digits) is not int or digits < 0:
+        raise ValueError(f"embed needs an int digits >= 0, not {digits!r}")
     if x.is_zero():
         return LocalElement(place, INF, None, 0)
     num, den = poly.trim(x.num), x.den
@@ -300,7 +281,7 @@ def embed(x: FieldElement, place: FinitePlace, digits: int = DEFAULT_DIGITS) -> 
         den //= p
         k += 1
     ctx = context_for(place, digits + _valuation_bound(num, place) + 2)
-    vec = _reduce_mod(num, ctx.G, ctx.pw)
+    vec = poly.divmod_monic(num, ctx.G, ctx.pw)[1]
     if den != 1:
         inv = pow(den, -1, ctx.pw)
         vec = tuple(c * inv % ctx.pw for c in vec)

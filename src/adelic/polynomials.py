@@ -3,15 +3,24 @@
 Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  Two coefficient
 domains are used: Python ints and ints mod a prime p (the mod-p helpers
-all take p explicitly).  Hensel lifting reuses the mod-p helpers with a
-prime power in place of p; its divisors are monic.
+all take p explicitly).
 
 Over the integers no rationals arise: division is by a monic polynomial
-(`rem_monic`), and the Sturm chain uses pseudo-remainders.  For monic f,
+(`divmod_monic`), and the Sturm chain uses pseudo-remainders.  For monic f,
 Z[x]/(f) is free with basis 1, x, ..., so the norm of a(x) in Q[x]/(f),
 the resultant Res(f, a) and, through a = f', the discriminant are one
 Bareiss determinant of the multiplication-by-a matrix (Cohen, GTM 138,
 section 4.3).
+
+Hensel lifting runs on plain lists in Z/m[x]/(g) for a monic g, with one
+division (`divmod_monic`, which over Z/m reduces only each quotient
+coefficient it pops and the final remainder) and one product (`mulmod`).
+It lifts one factor g of f at a time by Newton's iteration: a step from
+mod m to mod m*k sets
+G = g + m*((f rem g)/m * t rem g) mod k, where t inverts f quo g mod
+(g, k) and is refreshed by one Newton step t(2 - t*h) per step.  After
+each lifted factor, f becomes its exact cofactor f quo G, so the
+dividends shrink and the last block is a quotient, not a lift.
 
 Powers mod a monic polynomial w of degree n over F_p, the inner loop of
 distinct-degree factoring, run on packed integers instead (`_PackedRing`):
@@ -68,17 +77,47 @@ def mul(f, g):
     return trim(out)
 
 
+def divmod_monic(f, g, m=0):
+    """Quotient and remainder of f by a monic g, as lists; the remainder
+    has exactly deg g entries (trailing zeros kept).
+
+    With m > 0 the division is over Z/m: each quotient coefficient is
+    reduced as it is popped, and the remainder once at the end, so the
+    entries left in the dividend are never reduced in between.  m = 0
+    divides over Z.
+    """
+    f = list(f)
+    n = len(g) - 1
+    q = [0] * max(len(f) - n, 0)
+    while len(f) > n:
+        top = f.pop()
+        if m:
+            top %= m
+        if top:
+            base = len(f) - n
+            q[base] = top
+            f[base:] = [u - top * v for u, v in zip(f[base:], g)]
+    f += [0] * (n - len(f))
+    return q, [c % m for c in f] if m else f
+
+
 def rem_monic(f, g):
     """Remainder of an integer polynomial f mod a monic integer polynomial
     g, as a tuple of exactly deg g ints (trailing zeros kept)."""
-    f = list(f)
-    n = len(g) - 1
-    while len(f) > n:
-        top = f.pop()
-        if top:
-            base = len(f) - n
-            f[base:] = [u - top * v for u, v in zip(f[base:], g)]
-    return tuple(f) + (0,) * (n - len(f))
+    return tuple(divmod_monic(f, g)[1])
+
+
+def mulmod(a, b, g, m):
+    """a*b mod (g, m) for a monic g of degree n, as a list of n entries."""
+    return divmod_monic(mul(a, b), g, m)[1]
+
+
+def newton_inverse(t, h, g, m):
+    """One Newton step t(2 - t*h) mod (g, m) towards the inverse of h: if
+    t*h = 1 mod (g, k), the result is the inverse mod (g, k**2), and m may
+    be any divisor of k**2."""
+    e = mulmod(t, h, g, m)
+    return mulmod(t, [2 - e[0]] + [-c for c in e[1:]], g, m)
 
 
 def derivative(f):
@@ -508,7 +547,8 @@ _ZASSENHAUS_PRIMES = 8
 
 
 def pbezout(g, h, p):
-    """s, t with s*g + t*h = 1 over F_p, for coprime g, h."""
+    """s, t with s*g + t*h = 1 over F_p; ValueError unless g, h are
+    coprime."""
     r0, r1 = pnorm(g, p), pnorm(h, p)
     s0, s1 = (1,), ()
     t0, t1 = (), (1,)
@@ -517,50 +557,64 @@ def pbezout(g, h, p):
         r0, r1 = r1, r
         s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
         t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    assert degree(r0) == 0, "bezout inputs not coprime"
+    if degree(r0) != 0:
+        raise ValueError("bezout inputs are not coprime")
     inv = pow(r0[0], -1, p)
     return tuple(c * inv % p for c in s0), tuple(c * inv % p for c in t0)
 
 
-def _hensel_pair(f, g, h, p, digits):
-    """Lift f = g*h from mod p to mod p**digits; f, g, h monic, g and h
-    coprime mod p.
+def _lift_factor(f, g, p, digits):
+    """Lift the monic factor g of monic f from mod p to mod p**digits, by
+    Newton's iteration on g alone (von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 9 and section 15.4); returns the lift G and the
+    cofactor f quo G, both mod p**digits.
 
-    Quadratic lifting (von zur Gathen & Gerhard, Modern Computer Algebra,
-    Alg. 15.10): each step takes g, h from mod m to mod m*k, with k = m
-    except at a last, shorter step.  The corrections are m times
-    polynomials computed mod k, not mod m*k, from the Bezout pair s, t of
-    s*g + t*h = 1; s, t are lifted the same way, and only when another
-    step follows.  Monic coprime lifts are unique, so the result does not
-    depend on how the precision was reached.
+    Each step takes g from mod m to mod m*k, with k = m except at a last,
+    shorter step.  Since f = g*h mod m, the remainder f rem g is m times a
+    polynomial, and G = g + m*((f rem g)/m * t rem g) mod k, where t is
+    the inverse of f quo g mod (g, k).  t starts as a Bezout coefficient
+    mod p and takes one Newton step whenever k outgrows it.
     """
-    s, t = pbezout(g, h, p)
-    m, target = p, p ** digits
+    target = p ** digits
+    t = pbezout(g, divmod_monic(f, g, p)[0], p)[1]
+    g = list(g)
+    m = known = p  # t inverts f quo g mod (g, known)
     while m < target:
         k = min(m, target // m)
-        e = pnorm([c // m for c in sub(f, mul(g, h))], k)
-        q, r = pdivmod(pnorm(mul(s, e), k), h, k)
-        g = add(g, [m * c for c in pnorm(add(mul(t, e), mul(q, g)), k)])
-        h = add(h, [m * c for c in r])
-        if m * k < target:
-            b = pnorm([c // m for c in sub(add(mul(s, g), mul(t, h)), (1,))], k)
-            c, d = pdivmod(pnorm(mul(s, b), k), h, k)
-            s = pnorm(sub(s, [m * x for x in d]), m * k)
-            t = pnorm(sub(t, [m * x for x in pnorm(add(mul(t, b), mul(c, g)), k)]), m * k)
+        q, r = divmod_monic(f, g, m * k)
+        if known < k:
+            t = newton_inverse(t, divmod_monic(q, g, k)[1], g, k)
+            known = k
+        step = mulmod([c // m for c in r], t, g, k)
+        g = [u + m * c for u, c in zip(g, step)] + [1]
         m *= k
-    return g, h
+    return tuple(g), divmod_monic(f, g, target)[0]
 
 
 def hensel_lift(f, factors, p, digits):
     """Lift the pairwise-coprime monic factors of monic f mod p to
-    mod p**digits, in order."""
-    if len(factors) == 1:
-        return [pnorm(f, p ** digits)]
-    rest = (1,)
-    for u in factors[1:]:
-        rest = pmul(rest, u, p)
-    first, rest = _hensel_pair(f, factors[0], rest, p, digits)
-    return [first] + hensel_lift(rest, factors[1:], p, digits)
+    mod p**digits, in order; ValueError unless the factors are monic of
+    degree >= 1, coprime and multiply to f mod p.
+
+    Each factor but the last is lifted alone by `_lift_factor`, and f is
+    then replaced by its exact cofactor f quo G mod p**digits, so the
+    dividends shrink and the last block is the final cofactor.  Monic
+    coprime lifts are unique, so the result does not depend on the order
+    or on how the precision was reached.
+    """
+    if f[-1] != 1 or any(len(u) < 2 or u[-1] != 1 for u in factors):
+        raise ValueError("hensel_lift needs a monic f and monic factors of degree >= 1")
+    factors = [pnorm(u, p) for u in factors]
+    product = (1,)
+    for u in factors:
+        product = pmul(product, u, p)
+    if product != pnorm(f, p):
+        raise ValueError("the factors do not multiply to f mod p")
+    lifted = []
+    for g in factors[:-1]:
+        G, f = _lift_factor(f, g, p, digits)
+        lifted.append(G)
+    return lifted + [pnorm(f, p ** digits)]
 
 
 def is_irreducible_monic_int(f):

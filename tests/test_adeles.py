@@ -181,6 +181,16 @@ def test_serialization_round_trip():
             assert back.to_text() == a.to_text()
 
 
+def test_read_back_adele_is_equal_with_an_equal_hash():
+    """Equal adeles hold their overrides in one order, the printed one."""
+    rng = random.Random(3)
+    fields = (RATIONALS, GAUSS, CUBE2)
+    for i in range(200):
+        a = random_adele(fields[i % 3], rng)
+        back = parse_adele(a.to_text())
+        assert back == a and hash(back) == hash(a), a.to_text()
+
+
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         one_adele(RATIONALS).add(one_adele(GAUSS))

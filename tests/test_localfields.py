@@ -40,6 +40,12 @@ def test_embed_basics():
     assert four.valuation == 0 and four.unit_as_int() == 4
 
 
+@pytest.mark.parametrize("digits", [-1, 2.5, -5, True])
+def test_embed_refuses_digits_that_are_not_a_natural_number(digits):
+    with pytest.raises(ValueError):
+        embed(RATIONALS.element(3), place_above(RATIONALS, 5), digits)
+
+
 def test_uniformizers_have_valuation_one():
     for field, p in ((GAUSS, 2), (CUBE2, 3), (CUBE2, 2), (CYCLO5, 5), (GAUSS, 13)):
         for w in factor_prime(field, p):

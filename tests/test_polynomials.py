@@ -82,6 +82,51 @@ def test_quadratic_lift_matches_linear_reference():
                 assert poly.hensel_lift(f, blocks, p, digits) == expected, (f, p, digits)
 
 
+def _int_product(polys):
+    """Product over Z of coefficient sequences, by schoolbook convolution."""
+    out = [1]
+    for g in polys:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+@given(
+    st.integers(min_value=2, max_value=7).flatmap(
+        lambda n: st.lists(st.integers(min_value=-40, max_value=40), min_size=n, max_size=n)),
+    st.sampled_from(list(primerange(2, 60))),
+    st.sampled_from((1, 2, 5, 33)),
+)
+@settings(max_examples=200, deadline=None)
+def test_hensel_lift_laws(coeffs, p, digits):
+    """The lifts are monic, each reduces to its block mod p, and together
+    they multiply to f mod p**digits."""
+    f = tuple(coeffs) + (1,)
+    blocks = [tuple(c % p for c in _int_product([g] * e)) for g, e in poly.factor_mod_p(f, p)]
+    lifted = poly.hensel_lift(f, blocks, p, digits)
+    assert len(lifted) == len(blocks)
+    for lift, block in zip(lifted, blocks):
+        assert len(lift) == len(block) and lift[-1] == 1, (lift, block)
+        assert tuple(c % p for c in lift) == block, (lift, block)
+    pk = p ** digits
+    assert [c % pk for c in _int_product(lifted)] == [c % pk for c in f]
+
+
+@pytest.mark.parametrize("f,factors", [
+    ((1, 0, 1), [(1, 1)]),                 # x + 1 alone is not x^2 + 1
+    ((1, 0, 1), [(2, 1), (4, 1)]),         # (x + 2)(x + 4) = x^2 + x + 3
+    ((1, 0, 1), [(1, 2), (3, 1)]),         # 2x + 1 is not monic
+    ((1, 2, 1), [(1, 1), (1, 1)]),         # (x + 1)^2, but the factors share x + 1
+])
+def test_hensel_lift_refuses_a_wrong_factor_list(f, factors):
+    """Over F_5, where x^2 + 1 = (x + 2)(x + 3)."""
+    with pytest.raises(ValueError):
+        poly.hensel_lift(f, factors, 5, 4)
+
+
 def test_factor_mod_p_examples():
     assert poly.factor_mod_p((1, 0, 1), 5) == [((2, 1), 1), ((3, 1), 1)]
     assert poly.factor_mod_p((1, 0, 1), 2) == [((1, 1), 2)]

@@ -54,7 +54,7 @@ def _lifted_blocks(field: NumberField, p: int, digits: int) -> tuple:
         for w in factor_prime(field, p):
             block = (1,)
             for _ in range(w.e):
-                block = poly.pmul(block, w.factor, p)
+                block = poly.pnorm(poly.mul(block, w.factor), p)
             residues.append(block)
         blocks = tuple(poly.hensel_lift(field.coeffs, residues, p, digits))
         _LIFTS[field, p] = digits, blocks
@@ -95,9 +95,10 @@ class LocalContext:
         return any(poly.divmod_monic(vec, self.gbar, self.p)[1])
 
     def _invert(self, vec, digits):
-        """Inverse of a unit mod (G, p**digits) by Newton lifting."""
+        """Inverse of a unit mod (G, p**digits): `pinverse` mod (G, p),
+        then Newton steps that double the digits."""
         p = self.p
-        z = poly.pbezout(vec, self.G, p)[0]
+        z = poly.pinverse(vec, self.G, p)
         have = 1
         while have < digits:
             have = min(2 * have, digits)

@@ -119,9 +119,9 @@ def _dedekind_index_coprime(field: NumberField, p: int, factors) -> bool:
     """
     radical = cofactor = (1,)
     for g, e in factors:
-        radical = poly.pmul(radical, g, p)
+        radical = poly.pnorm(poly.mul(radical, g), p)
         for _ in range(e - 1):
-            cofactor = poly.pmul(cofactor, g, p)
+            cofactor = poly.pnorm(poly.mul(cofactor, g), p)
     diff = poly.sub(poly.mul(radical, cofactor), field.coeffs)
     assert all(c % p == 0 for c in diff)
     t_bar = poly.pnorm(tuple(c // p for c in diff), p)

@@ -22,15 +22,24 @@ G = g + m*((f rem g)/m * t rem g) mod k, where t inverts f quo g mod
 each lifted factor, f becomes its exact cofactor f quo G, so the
 dividends shrink and the last block is a quotient, not a lift.
 
+Over F_p every divisor in the factoring path is monic: `pgcd` returns
+monic gcds, and the exact quotient of a monic polynomial by a monic one
+is monic.  So `divmod_monic(f, g, p)` is the one F_p division, a product
+mod p is `pnorm(mul(f, g), p)`, and a difference is `sub`, which `pgcd`
+normalizes.  The one inverse is `pinverse(a, g, p)`, a^-1 mod (g, p) for
+a monic g, by Euclid on divisors made monic.
+
 Powers mod a monic polynomial w of degree n over F_p, the inner loop of
-distinct-degree factoring, run on packed integers instead (`_PackedRing`):
-a residue is one int with n slots of B bits, coefficient i in slot i, and
-a product is one bigint multiply whose high slots fold back through the
-packed rows x^(n+k) mod w.  No slot of a product exceeds 2 n p^2 before
-it is reduced, so B is the bit length of 2 n p^2; it is computed from n
-and p, never set.  The p-th power map is linear over F_p, so once the
-rows x^(ip) mod w are packed (Berlekamp's Q matrix), x^(p^d) follows from
-x^(p^(d-1)) by one linear combination.
+distinct-degree and equal-degree factoring, run on packed integers
+instead (`_PackedRing`): a residue is one int with n slots of B bits,
+coefficient i in slot i, and a product is one bigint multiply whose high
+slots fold back through the packed rows x^(n+k) mod w.  No slot of a
+product exceeds 2 n p^2 before it is reduced, so B is the bit length of
+2 n p^2; it is computed from n and p, never set.  The p-th power map is
+linear over F_p, so once the rows x^(ip) mod w are packed (Berlekamp's Q
+matrix), x^(p^d) follows from x^(p^(d-1)) by one linear combination.
+Cantor-Zassenhaus builds one ring per polynomial it splits, and every
+random attempt at that split works in it.
 """
 
 from __future__ import annotations
@@ -54,11 +63,6 @@ def trim(coeffs):
 
 def degree(f):
     return len(f) - 1
-
-
-def add(f, g):
-    n = max(len(f), len(g))
-    return trim((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n))
 
 
 def sub(f, g):
@@ -233,50 +237,11 @@ def pnorm(f, p):
     return trim(c % p for c in f)
 
 
-def padd(f, g, p):
-    return pnorm(add(f, g), p)
-
-
-def psub(f, g, p):
-    return pnorm(sub(f, g), p)
-
-
-def pmul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return trim(out)
-
-
 def pmonic(f, p):
     if not f:
         return ()
     inv = pow(f[-1], -1, p)
     return tuple(c * inv % p for c in f)
-
-
-def pdivmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    inv = pow(g[-1], -1, p)
-    q = [0] * max(len(f) - len(g) + 1, 0)
-    while len(f) >= len(g):
-        while f and f[-1] % p == 0:
-            f.pop()
-        if len(f) < len(g):
-            break
-        c = f[-1] * inv % p
-        d = len(f) - len(g)
-        q[d] = c
-        for i in range(len(g)):
-            f[d + i] = (f[d + i] - c * g[i]) % p
-        f.pop()
-    return trim(q), trim(c % p for c in f)
 
 
 def pgcd(f, g, p):
@@ -297,6 +262,26 @@ def pgcd(f, g, p):
             a.pop()
         a, b = b, a
     return pmonic(tuple(a), p)
+
+
+def pinverse(a, g, p):
+    """The inverse t of a mod (g, p) for a monic g, with deg t < deg g;
+    ValueError unless a and g are coprime mod p.
+
+    Extended Euclid from (g, 0) and (a rem g, 1), keeping only the
+    cofactor of a; each divisor and its cofactor are scaled by one inverse
+    so that the divisor is monic and `divmod_monic` divides by it.
+    """
+    r0, r1 = g, trim(divmod_monic(a, g, p)[1])
+    t0, t1 = (), (1,)
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        r1, t1 = [c * inv % p for c in r1], [c * inv % p for c in t1]
+        q, r = divmod_monic(r0, r1, p)
+        r0, r1, t0, t1 = r1, trim(r), t1, pnorm(sub(t0, mul(q, t1)), p)
+    if degree(r0) != 0:
+        raise ValueError("pinverse needs a and g coprime mod p")
+    return trim(t0)
 
 
 class _PackedRing:
@@ -384,14 +369,6 @@ class _PackedRing:
         return self.reduce(out)
 
 
-def ppow_mod(base, exp, mod, p):
-    """base**exp mod (mod, p) for a monic modulus of degree >= 1, on the
-    packed kernel of `_PackedRing`."""
-    ring = _PackedRing(mod, p)
-    a = ring.pack(pdivmod(base, mod, p)[1])
-    return ring.unpack(ring.pow(a, exp))
-
-
 def pth_root(f, p):
     """Inverse of Frobenius on F_p[x]: f must have the form g(x**p)."""
     out = []
@@ -424,14 +401,14 @@ def squarefree_decomposition(f, p):
             run(pth_root(f, p), mult * p)
             return
         c = pgcd(f, d, p)
-        w = pdivmod(f, c, p)[0]
+        w = tuple(divmod_monic(f, c, p)[0])
         i = 1
         while degree(w) > 0:
             y = pgcd(w, c, p)
-            z = pdivmod(w, y, p)[0]
+            z = tuple(divmod_monic(w, y, p)[0])
             absorb(z, i * mult)
             w = y
-            c = pdivmod(c, y, p)[0]
+            c = tuple(divmod_monic(c, y, p)[0])
             i += 1
         if degree(c) > 0:
             run(pth_root(c, p), mult * p)
@@ -453,18 +430,18 @@ def distinct_degree(f, p):
         frob = ring.pow(1 << ring.bits, p)  # x^p mod w
         rows = None
         while True:
-            g = pgcd(psub(ring.unpack(frob), (0, 1), p), w, p)
+            g = pgcd(sub(ring.unpack(frob), (0, 1)), w, p)
             if degree(g) > 0:
                 out.append((d, g))
-                w = pdivmod(w, g, p)[0]
+                w = tuple(divmod_monic(w, g, p)[0])
             d += 1
             if degree(w) < 2 * d:
                 break
             if degree(g) > 0:
                 old, ring = ring, _PackedRing(w, p)
-                frob = ring.pack(pdivmod(old.unpack(frob), w, p)[1])
+                frob = ring.pack(divmod_monic(old.unpack(frob), w, p)[1])
                 if rows:
-                    rows = [ring.pack(pdivmod(old.unpack(r), w, p)[1])
+                    rows = [ring.pack(divmod_monic(old.unpack(r), w, p)[1])
                             for r in rows[:ring.n]]
             if rows is None:
                 rows = [1, frob]
@@ -476,24 +453,27 @@ def distinct_degree(f, p):
     return out
 
 
-def _splitter(a, h, d, p):
+def _splitter(a, ring, d):
     """A polynomial in a that vanishes in about half of the residue fields
-    F_p^d of h, so that its gcd with h tends to split h: the trace
-    a + a^2 + ... + a^(2^(d-1)) when p = 2, and a^((p^d - 1)/2) - 1 for
-    odd p (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14)."""
-    if p == 2:
-        ring = _PackedRing(h, p)
-        t, out = ring.pack(a), a
+    F_p^d of h, so that its gcd with h tends to split h; ring is the
+    `_PackedRing` of h, and a has degree below deg h.  It is the trace
+    a + a^2 + ... + a^(2^(d-1)) when p = 2, summed packed (each slot stays
+    below d < 2 n p^2) and reduced once, and a^((p^d - 1)/2) - 1 for odd p
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14)."""
+    t = ring.pack(a)
+    if ring.p == 2:
+        out = t
         for _ in range(d - 1):
             t = ring.mul(t, t)
-            out = padd(out, ring.unpack(t), p)
-        return out
-    return psub(ppow_mod(a, (p ** d - 1) // 2, h, p), (1,), p)
+            out += t
+        return ring.unpack(ring.reduce(out))
+    return sub(ring.unpack(ring.pow(t, (ring.p ** d - 1) // 2)), (1,))
 
 
 def _equal_degree(g, d, p):
     """Factor monic squarefree g, a product of degree-d irreducibles, by
-    Cantor-Zassenhaus with a deterministic seed."""
+    Cantor-Zassenhaus with a deterministic seed; each polynomial split
+    gets one `_PackedRing`, which every attempt at its split shares."""
     seed = p
     for c in g:
         seed = seed * 1000003 + c
@@ -504,14 +484,15 @@ def _equal_degree(g, d, p):
         if degree(h) == d:
             out.append(h)
             continue
+        ring = _PackedRing(h, p)
         while True:
             a = trim(rng.randrange(p) for _ in range(degree(h)))
             if degree(a) < 1:
                 continue
-            w = pgcd(_splitter(a, h, d, p), h, p)
+            w = pgcd(_splitter(a, ring, d), h, p)
             if 0 < degree(w) < degree(h):
                 stack.append(w)
-                stack.append(pdivmod(h, w, p)[0])
+                stack.append(tuple(divmod_monic(h, w, p)[0]))
                 break
     return out
 
@@ -534,7 +515,7 @@ def factor_mod_p(f, p):
     check = (1,)
     for g, m in out:
         for _ in range(m):
-            check = pmul(check, g, p)
+            check = pnorm(mul(check, g), p)
     assert check == f, "factorization self-check failed"
     return out
 
@@ -546,23 +527,6 @@ def factor_mod_p(f, p):
 _ZASSENHAUS_PRIMES = 8
 
 
-def pbezout(g, h, p):
-    """s, t with s*g + t*h = 1 over F_p; ValueError unless g, h are
-    coprime."""
-    r0, r1 = pnorm(g, p), pnorm(h, p)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
-        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
-    if degree(r0) != 0:
-        raise ValueError("bezout inputs are not coprime")
-    inv = pow(r0[0], -1, p)
-    return tuple(c * inv % p for c in s0), tuple(c * inv % p for c in t0)
-
-
 def _lift_factor(f, g, p, digits):
     """Lift the monic factor g of monic f from mod p to mod p**digits, by
     Newton's iteration on g alone (von zur Gathen & Gerhard, Modern
@@ -572,11 +536,11 @@ def _lift_factor(f, g, p, digits):
     Each step takes g from mod m to mod m*k, with k = m except at a last,
     shorter step.  Since f = g*h mod m, the remainder f rem g is m times a
     polynomial, and G = g + m*((f rem g)/m * t rem g) mod k, where t is
-    the inverse of f quo g mod (g, k).  t starts as a Bezout coefficient
-    mod p and takes one Newton step whenever k outgrows it.
+    the inverse of f quo g mod (g, k).  t starts as `pinverse` of f quo g
+    mod (g, p) and takes one Newton step whenever k outgrows it.
     """
     target = p ** digits
-    t = pbezout(g, divmod_monic(f, g, p)[0], p)[1]
+    t = pinverse(divmod_monic(f, g, p)[0], g, p)
     g = list(g)
     m = known = p  # t inverts f quo g mod (g, known)
     while m < target:
@@ -593,8 +557,8 @@ def _lift_factor(f, g, p, digits):
 
 def hensel_lift(f, factors, p, digits):
     """Lift the pairwise-coprime monic factors of monic f mod p to
-    mod p**digits, in order; ValueError unless the factors are monic of
-    degree >= 1, coprime and multiply to f mod p.
+    mod p**digits, in order; ValueError unless digits is an int >= 1 and
+    the factors are monic of degree >= 1, coprime and multiply to f mod p.
 
     Each factor but the last is lifted alone by `_lift_factor`, and f is
     then replaced by its exact cofactor f quo G mod p**digits, so the
@@ -602,12 +566,14 @@ def hensel_lift(f, factors, p, digits):
     coprime lifts are unique, so the result does not depend on the order
     or on how the precision was reached.
     """
+    if type(digits) is not int or digits < 1:
+        raise ValueError(f"hensel_lift needs an int digits >= 1, not {digits!r}")
     if f[-1] != 1 or any(len(u) < 2 or u[-1] != 1 for u in factors):
         raise ValueError("hensel_lift needs a monic f and monic factors of degree >= 1")
     factors = [pnorm(u, p) for u in factors]
     product = (1,)
     for u in factors:
-        product = pmul(product, u, p)
+        product = pnorm(mul(product, u), p)
     if product != pnorm(f, p):
         raise ValueError("the factors do not multiply to f mod p")
     lifted = []

@@ -456,34 +456,67 @@ def reference_selector_chain(atom, fields, bound):
     return chain, False
 
 
+def _convolve(f, g):
+    """Product over Z of two coefficient sequences, by schoolbook
+    convolution."""
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, u in enumerate(f):
+        for j, v in enumerate(g):
+            out[i + j] += u * v
+    return out
+
+
+def _reduce(h, p):
+    """h mod p as a tuple with no trailing zeros."""
+    h = [c % p for c in h]
+    while h and h[-1] == 0:
+        h.pop()
+    return tuple(h)
+
+
+def _combine(f, g, scale, p):
+    """f + scale*g mod p."""
+    n = max(len(f), len(g))
+    return _reduce([(f[i] if i < len(f) else 0) + scale * (g[i] if i < len(g) else 0)
+                    for i in range(n)], p)
+
+
+def oracle_pmul(f, g, p):
+    """f*g over F_p, by schoolbook convolution."""
+    return _reduce(_convolve(f, g), p)
+
+
 def _pbezout(g, h, p):
     """s, t with s*g + t*h = 1 over F_p, for coprime g, h."""
-    r0, r1 = poly.pnorm(g, p), poly.pnorm(h, p)
+    r0, r1 = _reduce(g, p), _reduce(h, p)
     s0, s1 = (1,), ()
     t0, t1 = (), (1,)
     while r1:
-        q, r = poly.pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly.psub(s0, poly.pmul(q, s1, p), p)
-        t0, t1 = t1, poly.psub(t0, poly.pmul(q, t1, p), p)
-    assert poly.degree(r0) == 0, "bezout inputs not coprime"
+        q, r = _poly_div_mod(r0, r1, p)
+        r0, r1 = r1, tuple(r)
+        s0, s1 = s1, _combine(s0, oracle_pmul(q, s1, p), -1, p)
+        t0, t1 = t1, _combine(t0, oracle_pmul(q, t1, p), -1, p)
+    assert len(r0) == 1, "bezout inputs not coprime"
     inv = pow(r0[0], -1, p)
     return tuple(c * inv % p for c in s0), tuple(c * inv % p for c in t0)
 
 
 def _linear_hensel_pair(f, g, h, p, digits):
-    """Lift f = g*h from mod p to mod p**digits (all monic, g,h coprime)."""
+    """Lift f = g*h from mod p to mod p**digits (all monic, g,h coprime),
+    one digit per step, on this module's own F_p helpers."""
     s, t = _pbezout(g, h, p)
     G = [int(c) for c in g]
     H = [int(c) for c in h]
     for k in range(1, digits):
         pk = p ** k
         mod_next = p ** (k + 1)
-        diff = poly.sub(f, poly.mul(tuple(G), tuple(H)))
-        d = poly.pnorm(tuple((c // pk) % p for c in diff), p)
+        gh = _convolve(G, H)
+        diff = [(f[i] if i < len(f) else 0) - (gh[i] if i < len(gh) else 0)
+                for i in range(max(len(f), len(gh)))]
+        d = _reduce([(c // pk) % p for c in diff], p)
         if d:
-            q, a = poly.pdivmod(poly.pmul(t, d, p), g, p)
-            b = poly.padd(poly.pmul(d, s, p), poly.pmul(q, h, p), p)
+            q, a = _poly_div_mod(oracle_pmul(t, d, p), g, p)
+            b = _combine(oracle_pmul(d, s, p), oracle_pmul(q, h, p), 1, p)
             for i, c in enumerate(a):
                 G[i] = (G[i] + pk * c) % mod_next
             for i, c in enumerate(b):
@@ -499,7 +532,7 @@ def linear_hensel_lift(f, blocks, p, digits):
         return [tuple(c % pw for c in f)]
     rest = (1,)
     for b in blocks[1:]:
-        rest = poly.pmul(rest, b, p)
+        rest = oracle_pmul(rest, b, p)
     g_lift, h_lift = _linear_hensel_pair(f, blocks[0], rest, p, digits)
     return [g_lift] + linear_hensel_lift(h_lift, blocks[1:], p, digits)
 
@@ -572,11 +605,7 @@ def box_search_factor(f, max_deg):
 
 def oracle_mul_mod(a, b, m, p):
     """a*b mod (m, p) for a monic m: schoolbook product, then `_poly_div_mod`."""
-    prod = [0] * max(len(a) + len(b) - 1, 0)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            prod[i + j] += u * v
-    return tuple(_poly_div_mod(prod, m, p)[1])
+    return tuple(_poly_div_mod(_convolve(a, b), m, p)[1])
 
 
 def oracle_pow_mod(a, e, m, p):
@@ -594,13 +623,7 @@ def oracle_pow_mod(a, e, m, p):
 
 def oracle_gcd(f, g, p):
     """Monic gcd over F_p by plain Euclid on `_poly_div_mod` remainders."""
-    def strip(h):
-        h = [c % p for c in h]
-        while h and h[-1] == 0:
-            h.pop()
-        return h
-
-    f, g = strip(f), strip(g)
+    f, g = _reduce(f, p), _reduce(g, p)
     while g:
         f, g = g, _poly_div_mod(f, g, p)[1]
     if not f:

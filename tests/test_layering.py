@@ -103,6 +103,52 @@ def test_every_parser_has_a_caller_in_the_package():
     assert sorted(name for name, found in callers.items() if not found) == []
 
 
+def _polynomial_callers():
+    """{name: names of the functions calling it, itself excluded} for each
+    module-level function of `polynomials`.  A call counts when it names
+    the function bare inside `polynomials` or in a module importing it by
+    name, or reads it off the module imported as a whole; so
+    `_PackedRing.mul` or a set's `add` calls no helper of that name."""
+    own = ast.parse((SRC / "polynomials.py").read_text())
+    callers = {func.name: set() for func in own.body if isinstance(func, ast.FunctionDef)}
+    for path in sorted(SRC.glob("*.py")):
+        tree = own if path.name == "polynomials.py" else ast.parse(path.read_text(), str(path))
+        bare = {name: name for name in callers} if tree is own else {}
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module == "polynomials":
+                        bare[alias.asname or alias.name] = alias.name
+                    elif node.module is None and alias.name == "polynomials":
+                        modules.add(alias.asname or alias.name)
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                call = node.func
+                if isinstance(call, ast.Name):
+                    name = bare.get(call.id)
+                elif isinstance(call, ast.Attribute) and isinstance(call.value, ast.Name) \
+                        and call.value.id in modules:
+                    name = call.attr
+                else:
+                    continue
+                if name in callers and name != func.name:
+                    callers[name].add(func.name)
+    return callers
+
+
+def test_every_polynomial_helper_has_a_caller_in_the_package():
+    """A module-level function of `polynomials` that only tests call is a
+    second toolkit beside the one the factoring and lifting paths use."""
+    callers = _polynomial_callers()
+    assert callers["pinverse"] and callers["norm_int"] and callers["divmod_monic"]
+    assert sorted(name for name, found in callers.items() if not found) == []
+
+
 def test_only_placesets_builds_extension_sets_by_name():
     """Other modules build field-generic sets through `empty_set`,
     `everything_set` and `finite_set`, so the choice of set type for a

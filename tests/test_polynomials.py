@@ -7,7 +7,8 @@ from adelic import polynomials as poly
 from adelic.primes import primerange
 
 from oracles import (box_search_is_irreducible, brute_factor_mod_p, linear_hensel_lift,
-                     oracle_mul_mod, oracle_pow_mod, oracle_unramified_class)
+                     oracle_gcd, oracle_mul_mod, oracle_pmul, oracle_pow_mod,
+                     oracle_unramified_class, rabin_is_irreducible_mod_p)
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 # the catalogue, x^6 - 2 and x^5 - x - 1
@@ -75,7 +76,7 @@ def test_quadratic_lift_matches_linear_reference():
             for g, e in poly.factor_mod_p(f, p):
                 block = (1,)
                 for _ in range(e):
-                    block = poly.pmul(block, g, p)
+                    block = oracle_pmul(block, g, p)
                 blocks.append(block)
             for digits in (1, 3, 32, 33, 64) + ((288, 512) if p > 200 else ()):
                 expected = linear_hensel_lift(f, blocks, p, digits)
@@ -125,6 +126,72 @@ def test_hensel_lift_refuses_a_wrong_factor_list(f, factors):
     """Over F_5, where x^2 + 1 = (x + 2)(x + 3)."""
     with pytest.raises(ValueError):
         poly.hensel_lift(f, factors, 5, 4)
+
+
+@pytest.mark.parametrize("digits", [0, -1, True, 2.5])
+def test_hensel_lift_refuses_digits_that_are_not_a_positive_int(digits):
+    """Unchecked, 0 gave a last block (), -1 float coefficients, True was
+    read as 1, and 2.5 never returned."""
+    with pytest.raises(ValueError):
+        poly.hensel_lift((1, 0, 1), [(2, 1), (3, 1)], 5, digits)
+
+
+@given(
+    st.sampled_from(list(primerange(2, 60))),
+    st.lists(st.integers(min_value=-100, max_value=100), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=-100, max_value=100), max_size=9),
+)
+@settings(max_examples=300, deadline=None)
+def test_pinverse_laws(p, low, a):
+    """t = pinverse(a, g, p) has deg t < deg g and a*t = 1 mod (g, p), or
+    ValueError when a and g share a factor mod p.  The monic g is left
+    unreduced mod p, as the lifted blocks `localfields` inverts modulo are."""
+    g = tuple(low) + (1,)
+    if len(oracle_gcd(a, g, p)) != 1:
+        with pytest.raises(ValueError):
+            poly.pinverse(tuple(a), g, p)
+        return
+    t = poly.pinverse(tuple(a), g, p)
+    assert len(t) < len(g) and all(0 <= c < p for c in t), t
+    assert oracle_mul_mod(a, t, g, p) == (1,)
+
+
+def test_equal_degree_builds_one_ring_per_split(monkeypatch):
+    """Cantor-Zassenhaus on a product of r degree-d irreducibles splits
+    r - 1 times, and every random attempt at one split, failed or not,
+    works in the one `_PackedRing` of the polynomial being split.  The
+    seeded search must meet attempts that fail, at p = 2 and at odd p."""
+    counts = {"builds": 0, "attempts": 0}
+    init, splitter = poly._PackedRing.__init__, poly._splitter
+
+    def counting_init(self, *args):
+        counts["builds"] += 1
+        init(self, *args)
+
+    def counting_splitter(*args):
+        counts["attempts"] += 1
+        return splitter(*args)
+
+    monkeypatch.setattr(poly._PackedRing, "__init__", counting_init)
+    monkeypatch.setattr(poly, "_splitter", counting_splitter)
+    rng = random.Random(29)
+    retried = set()
+    for p, d, r in ((2, 3, 2), (2, 4, 3), (2, 5, 3), (3, 1, 3), (3, 2, 3), (5, 1, 4),
+                    (5, 2, 3), (7, 1, 5), (7, 3, 2), (11, 2, 3)) * 3:
+        irreducibles = set()
+        while len(irreducibles) < r:
+            g = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            if rabin_is_irreducible_mod_p(g, p):
+                irreducibles.add(g)
+        g = (1,)
+        for u in irreducibles:
+            g = oracle_pmul(g, u, p)
+        counts.update(builds=0, attempts=0)
+        assert sorted(poly._equal_degree(g, d, p)) == sorted(irreducibles), (g, d, p)
+        assert counts["builds"] == r - 1, (g, d, p, counts)
+        if counts["attempts"] > r - 1:
+            retried.add(p == 2)
+    assert retried == {True, False}
 
 
 def test_factor_mod_p_examples():
@@ -179,7 +246,7 @@ def test_factor_mod_p_of_products_of_irreducibles():
                 irreducibles.add(g)
         f = (1,)
         for g in irreducibles:
-            f = poly.pmul(f, g, p)
+            f = oracle_pmul(f, g, p)
         expected = sorted(((g, 1) for g in irreducibles), key=lambda t: (len(t[0]), t[0]))
         assert poly.factor_mod_p(f, p) == expected, (f, p)
         cls = tuple(sorted((1, poly.degree(g)) for g in irreducibles))
@@ -195,24 +262,27 @@ def test_factor_mod_p_of_products_of_irreducibles():
 )
 @settings(max_examples=200, deadline=None)
 def test_mod_p_ring_laws(pi, a, b, m, e):
+    """Products and powers on `_PackedRing` mod a monic modulus of degree
+    1..6, against schoolbook products."""
     p = SMALL_PRIMES[pi]
-    fa, fb = poly.pnorm(tuple(a), p), poly.pnorm(tuple(b), p)
-    assert poly.pmul(fa, fb, p) == poly.pmul(fb, fa, p)
-    assert poly.padd(fa, fb, p) == poly.padd(fb, fa, p)
-    if fb:
-        q, r = poly.pdivmod(fa, fb, p)
-        assert poly.padd(poly.pmul(q, fb, p), r, p) == fa
-        assert poly.degree(r) < poly.degree(fb)
-    # powers mod a monic modulus of degree 1..6 against e-fold products
     fm = tuple(c % p for c in m) + (1,)
+    ring = poly._PackedRing(fm, p)
+    pa, pb = (ring.pack(poly.divmod_monic(u, fm, p)[1]) for u in (a, b))
+    assert ring.unpack(ring.mul(pa, pb)) == oracle_mul_mod(a, b, fm, p)
     power = (1,)
     for _ in range(e):
-        power = oracle_mul_mod(power, fa, fm, p)
-    assert poly.ppow_mod(tuple(a), e, fm, p) == power
+        power = oracle_mul_mod(power, a, fm, p)
+    assert _packed_pow(a, e, fm, p) == power
+
+
+def _packed_pow(a, e, m, p):
+    """a**e mod (m, p) on `_PackedRing`, a reduced by `divmod_monic`."""
+    ring = poly._PackedRing(m, p)
+    return ring.unpack(ring.pow(ring.pack(poly.divmod_monic(a, m, p)[1]), e))
 
 
 @pytest.mark.parametrize("p", [2, 29989])  # 29989: the largest prime below 30 000
-def test_ppow_mod_edges(p):
+def test_packed_pow_edges(p):
     rng = random.Random(p)
     moduli = [poly.pnorm(f, p) for f in LIFT_FIELDS]
     moduli += [tuple(rng.randrange(p) for _ in range(n)) + (1,) for n in range(1, 7)]
@@ -220,7 +290,7 @@ def test_ppow_mod_edges(p):
         for a in ((0, 1), tuple(rng.randrange(p) for _ in range(poly.degree(m))),
                   tuple(rng.randrange(-p, p) for _ in range(2 * poly.degree(m) + 1))):
             for e in (0, 1, p, (p * p - 1) // 2):
-                assert poly.ppow_mod(a, e, m, p) == oracle_pow_mod(a, e, m, p), (m, a, e)
+                assert _packed_pow(a, e, m, p) == oracle_pow_mod(a, e, m, p), (m, a, e)
 
 
 @given(
@@ -234,12 +304,12 @@ def test_squarefree_decomposition_reassembles(pi, spec):
     for seed, mult in spec:
         g = poly.pnorm((seed % p, 1), p)
         for _ in range(mult):
-            f = poly.pmul(f, g, p)
+            f = oracle_pmul(f, g, p)
     parts = poly.squarefree_decomposition(f, p)
     rebuilt = (1,)
     for g, m in parts:
         for _ in range(m):
-            rebuilt = poly.pmul(rebuilt, g, p)
+            rebuilt = oracle_pmul(rebuilt, g, p)
         # each part really is squarefree
         assert poly.degree(poly.pgcd(g, poly.pnorm(poly.derivative(g), p), p)) == 0
     assert rebuilt == poly.pmonic(f, p)

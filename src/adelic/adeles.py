@@ -279,38 +279,6 @@ class Adele(Record):
                     out.append(w)
         return out
 
-    def equals(self, other: "Adele") -> bool:
-        """Exact componentwise equality."""
-        self._check(other)
-        if self.arch != other.arch:
-            return False
-        places = {w for w, _ in self.exceptional} | {w for w, _ in other.exceptional}
-        for w in places:
-            if self.component_at(w) != other.component_at(w):
-                return False
-        pieces_b = other.pieces()
-        for ra, ta in self.pieces():
-            for rb, tb in pieces_b:
-                if ta.coeffs == tb.coeffs:
-                    continue
-                region = ra.intersect(rb)
-                if region.is_empty():
-                    continue
-                if region.is_structurally_finite():
-                    # only finitely many places carry these two tails;
-                    # compare them one by one
-                    for w in region.finite_places():
-                        if w in places:
-                            continue
-                        if self.component_at(w) != other.component_at(w):
-                            return False
-                else:
-                    # tails differing as polynomials differ at every region
-                    # place where all their coefficients are units, and an
-                    # infinite region has such places
-                    return False
-        return True
-
     def to_text(self) -> str:
         arch = "|".join(x.to_text() for x in self.arch)
         exc = ";".join(
@@ -418,6 +386,8 @@ def set_component(a: Adele, place, value) -> Adele:
     """Replace one component; the last write wins."""
     if not isinstance(value, FieldElement):
         raise ValueError("adele components are exact field elements")
+    if place.field != a.field or value.field != a.field:
+        raise FieldMismatch("place or value of a different field")
     if isinstance(place, ArchimedeanPlace):
         arch = list(a.arch)
         arch[place.index] = value

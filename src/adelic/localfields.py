@@ -205,28 +205,6 @@ class LocalElement(Record):
     def is_zero(self) -> bool:
         return self.valuation == INF
 
-    def unit_as_int(self) -> int:
-        """The unit part as an integer residue (degree-one places only)."""
-        if self.unit is None:
-            raise ValueError("zero element has no unit part")
-        if len(self.unit) != 1:
-            raise ValueError("unit part is not rational at this place")
-        return self.unit[0]
-
-    def agrees(self, other: "LocalElement", digits: int | None = None) -> bool:
-        """Equality up to the shared certified precision."""
-        if self.place != other.place:
-            raise FieldMismatch("local elements at different places")
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.valuation != other.valuation:
-            return False
-        prec = min(self.precision, other.precision)
-        if digits is not None:
-            prec = min(prec, digits)
-        pk = self.place.p ** prec
-        return all((a - b) % pk == 0 for a, b in zip(self.unit, other.unit))
-
     def __repr__(self):
         if self.is_zero:
             return f"Local(0 at p={self.place.p})"

@@ -83,11 +83,6 @@ class NumberField(Record):
     def one(self) -> "FieldElement":
         return self.element(1)
 
-    def generator(self) -> "FieldElement":
-        if self.degree == 1:
-            return self.element(-self.coeffs[0])
-        return self.element(0, 1)
-
     def __repr__(self):
         return f"NumberField({list(self.coeffs)})"
 

@@ -228,7 +228,7 @@ def splitting_class(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     if field.discriminant % p == 0:
         return tuple(sorted((w.e, w.f) for w in _factor_cached(field, p)))
     blocks = poly.distinct_degree(poly.pnorm(field.coeffs, p), p)
-    cls = tuple(sorted((1, d) for d, g in blocks for _ in range(poly.degree(g) // d)))
+    cls = tuple(sorted((1, d) for d, g, _ in blocks for _ in range(poly.degree(g) // d)))
     assert sum(f for _, f in cls) == field.degree
     return cls
 
@@ -282,14 +282,3 @@ def supported_primes(field: NumberField, bound: int):
     for p in primerange(2, bound):
         if p not in excluded:
             yield p
-
-
-def enumerate_finite_places(field: NumberField, count: int) -> list[FinitePlace]:
-    """The first `count` finite places: primes ascending, fibers in
-    canonical order."""
-    out: list[FinitePlace] = []
-    for p in supported_primes(field, FACTOR_CAP):
-        out.extend(factor_prime(field, p))
-        if len(out) >= count:
-            return out[:count]
-    return out

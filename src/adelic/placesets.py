@@ -54,7 +54,6 @@ from .places import (
     class_label,
     disc_primes,
     excluded_primes,
-    factor_prime,
     joint_class,
     parse_class_label,
     splitting_class,
@@ -120,18 +119,6 @@ class QPlaceSet(Record):
 
     def is_everything(self) -> bool:
         return self == all_primes()
-
-    def is_structurally_finite(self) -> bool:
-        """True when the canonical form exhibits the set as finite."""
-        return not self.cells
-
-    def finite_members(self) -> frozenset[int]:
-        if not self.is_structurally_finite():
-            raise ValueError("set is not structurally finite")
-        return self.plus
-
-    def finite_places(self) -> list[FinitePlace]:
-        return [factor_prime(RATIONALS, p)[0] for p in sorted(self.finite_members())]
 
     # -- Boolean algebra --------------------------------------------------
 
@@ -335,16 +322,6 @@ class KPlaceSet(Record):
 
     def is_everything(self) -> bool:
         return self == everything_kset(self.field)
-
-    def is_structurally_finite(self) -> bool:
-        return all(c.is_structurally_finite() for c in self.coords)
-
-    def finite_places(self) -> list[FinitePlace]:
-        out = []
-        for j, coord in enumerate(self.coords):
-            for p in sorted(coord.finite_members()):
-                out.append(factor_prime(self.field, p)[j])
-        return sorted(out, key=lambda w: (w.p, w.index))
 
     # -- Boolean algebra --------------------------------------------------
 

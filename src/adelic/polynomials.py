@@ -39,7 +39,8 @@ product exceeds 2 n p^2 before it is reduced, so B is the bit length of
 linear over F_p, so once the rows x^(ip) mod w are packed (Berlekamp's Q
 matrix), x^(p^d) follows from x^(p^(d-1)) by one linear combination.
 Cantor-Zassenhaus builds one ring per polynomial it splits, and every
-random attempt at that split works in it.
+random attempt at that split works in it; a block that is the whole
+polynomial distinct-degree last built a ring for is split in that ring.
 """
 
 from __future__ import annotations
@@ -418,7 +419,9 @@ def squarefree_decomposition(f, p):
 
 
 def distinct_degree(f, p):
-    """Split squarefree monic f into (d, product of degree-d irreducibles).
+    """Split squarefree monic f into (d, product of degree-d irreducibles,
+    ring): ring is the `_PackedRing` of the product when one was built for
+    it, so that `_equal_degree` need not build it again, and None if not.
 
     x^(p^d) mod w comes from x^(p^(d-1)) through the Frobenius rows
     x^(ip) mod w (Berlekamp's Q matrix), built once from x^p mod w and
@@ -432,7 +435,7 @@ def distinct_degree(f, p):
         while True:
             g = pgcd(sub(ring.unpack(frob), (0, 1)), w, p)
             if degree(g) > 0:
-                out.append((d, g))
+                out.append((d, g, ring if g == w else None))
                 w = tuple(divmod_monic(w, g, p)[0])
             d += 1
             if degree(w) < 2 * d:
@@ -449,7 +452,7 @@ def distinct_degree(f, p):
                     rows.append(ring.mul(rows[-1], frob))
             frob = ring.frobenius(frob, rows)
     if degree(w) > 0:
-        out.append((degree(w), w))
+        out.append((degree(w), w, None))
     return out
 
 
@@ -470,29 +473,30 @@ def _splitter(a, ring, d):
     return sub(ring.unpack(ring.pow(t, (ring.p ** d - 1) // 2)), (1,))
 
 
-def _equal_degree(g, d, p):
+def _equal_degree(g, d, p, ring=None):
     """Factor monic squarefree g, a product of degree-d irreducibles, by
     Cantor-Zassenhaus with a deterministic seed; each polynomial split
-    gets one `_PackedRing`, which every attempt at its split shares."""
+    gets one `_PackedRing`, which every attempt at its split shares, and
+    g's own is `ring` when the caller has it."""
     seed = p
     for c in g:
         seed = seed * 1000003 + c
     rng = random.Random(seed)
-    stack, out = [g], []
+    stack, out = [(g, ring)], []
     while stack:
-        h = stack.pop()
+        h, ring = stack.pop()
         if degree(h) == d:
             out.append(h)
             continue
-        ring = _PackedRing(h, p)
+        ring = ring or _PackedRing(h, p)
         while True:
             a = trim(rng.randrange(p) for _ in range(degree(h)))
             if degree(a) < 1:
                 continue
             w = pgcd(_splitter(a, ring, d), h, p)
             if 0 < degree(w) < degree(h):
-                stack.append(w)
-                stack.append(tuple(divmod_monic(h, w, p)[0]))
+                stack.append((w, None))
+                stack.append((tuple(divmod_monic(h, w, p)[0]), None))
                 break
     return out
 
@@ -508,8 +512,8 @@ def factor_mod_p(f, p):
         return []
     counts = {}
     for part, m in squarefree_decomposition(f, p):
-        for d, block in distinct_degree(part, p):
-            for irr in _equal_degree(block, d, p):
+        for d, block, ring in distinct_degree(part, p):
+            for irr in _equal_degree(block, d, p, ring):
                 counts[irr] = counts.get(irr, 0) + m
     out = sorted(counts.items(), key=lambda t: (degree(t[0]), t[0]))
     check = (1,)
@@ -603,13 +607,13 @@ def is_irreducible_monic_int(f):
     good = (p for p in count(2) if isprime(p) and disc % p)
     for p in islice(good, _ZASSENHAUS_PRIMES):
         blocks = distinct_degree(pnorm(f, p), p)
-        r = sum(degree(g) // d for d, g in blocks)
+        r = sum(degree(g) // d for d, g, _ in blocks)
         if r == 1:
             return True
         if best is None or r < best[0]:
             best = (r, p, blocks)
     _, p, blocks = best
-    factors = [u for d, g in blocks for u in _equal_degree(g, d, p)]
+    factors = [u for d, g, ring in blocks for u in _equal_degree(g, d, p, ring)]
     bound = 2 * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
     digits = 1
     while p ** digits <= bound:

@@ -361,12 +361,16 @@ def closed_ideal(field: NumberField, zero_on) -> ClosedIdeal:
     """Membership oracle for the closed ideal attached to a place set.
 
     zero_on may be a describable set of finite places or an iterable of
-    places (archimedean ones allowed).
+    places (archimedean ones allowed), all over the field.
     """
     if hasattr(zero_on, "contains_place"):
+        if zero_on.field != field:
+            raise FieldMismatch("place set over a different field")
         return ClosedIdeal(field, zero_on, ())
     finite, arch = [], []
     for w in zero_on:
         (arch if isinstance(w, ArchimedeanPlace) else finite).append(w)
+    if any(v.field != field for v in arch):
+        raise FieldMismatch("archimedean place of a different field")
     return ClosedIdeal(field, finite_set(field, finite),
                        tuple(sorted(arch, key=lambda v: v.index)))

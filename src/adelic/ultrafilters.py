@@ -257,14 +257,6 @@ def free_cofinite(label: str = "all-primes") -> FreeQUltrafilter:
     return FreeQUltrafilter(all_primes(), label)
 
 
-def same_decisions(a: FreeQUltrafilter, b: FreeQUltrafilter) -> bool:
-    """Whether two free rational ultrafilters select the same joint class
-    for every registered extension (extensional equality on the current
-    describable algebra)."""
-    return all(a._selected_class(K) == b._selected_class(K)
-               for K in registered_fields())
-
-
 def partition_pick(u: Ultrafilter, parts) -> int:
     """Index of the unique part belonging to the ultrafilter.
 
@@ -312,26 +304,3 @@ def lifts(u: Ultrafilter, field: NumberField) -> list[Ultrafilter]:
     assert isinstance(u, FreeQUltrafilter)
     m = len(u._selected_class(field))
     return [FreeKUltrafilter(field, u, i) for i in range(1, m + 1)]
-
-
-def distinguishing_witness(a: Ultrafilter, b: Ultrafilter):
-    """A describable set in `a` but not in `b`, if one is found.
-
-    Free rational pairs are separated by the class atom of the first
-    registered extension where their selectors disagree; other pairs fall
-    back to anchor sets and their complements (which covers distinct
-    section positions and principal-versus-free pairs).
-    """
-    if a.field != b.field:
-        raise FieldMismatch("ultrafilters over different fields")
-    if isinstance(a, FreeQUltrafilter) and isinstance(b, FreeQUltrafilter):
-        for K in registered_fields():
-            ca, cb = a._selected_class(K), b._selected_class(K)
-            if ca != cb:
-                return class_atom(K, ca)
-        return None
-    anchor = a.anchor_set()
-    for s in (anchor, anchor.complement(), b.anchor_set().complement()):
-        if a.contains(s) and not b.contains(s):
-            return s
-    return None

@@ -37,6 +37,12 @@ Gaussian elimination over the rationals, and real roots from a Sturm
 chain of exact remainders.  It shares no code with the package's integer
 vectors, multiplication matrices, Bareiss determinants or
 pseudo-remainders.
+The helpers only tests need live here too, beside the oracles: adele
+equality (`adele_equals`, which reads the places of a set with no cells,
+`finite_places`), agreement of local elements up to a precision
+(`local_agrees`), the first finite places of a field
+(`enumerate_finite_places`), and the comparison and separating set of two
+ultrafilters (`same_decisions`, `distinguishing_witness`).
 """
 
 from fractions import Fraction
@@ -48,11 +54,15 @@ import numpy as np
 
 from adelic import polynomials as poly
 from adelic.adeles import membership_set
+from adelic.errors import FieldMismatch
 from adelic.localfields import INF
 from adelic.numberfields import RATIONALS
-from adelic.places import factor_prime, splitting_class
-from adelic.placesets import empty_set, everything_set, fiber_size_exactly, finite_set
+from adelic.places import FACTOR_CAP, factor_prime, splitting_class, supported_primes
+from adelic.placesets import (class_atom, empty_set, everything_set, fiber_size_exactly,
+                              finite_set)
 from adelic.primes import primerange
+from adelic.registry import registered_fields
+from adelic.ultrafilters import FreeQUltrafilter
 
 
 def brute_roots(coeffs, p):
@@ -239,6 +249,103 @@ def pullback_contains(base, s, position):
         j = position if position <= m else 1
         back = back.union(fiber_size_exactly(field, m).intersect(s.coords[j - 1]))
     return base.contains(back)
+
+
+def enumerate_finite_places(field, count):
+    """The first `count` finite places: primes ascending, fibers in
+    canonical order."""
+    out = []
+    for p in supported_primes(field, FACTOR_CAP):
+        out.extend(factor_prime(field, p))
+        if len(out) >= count:
+            return out[:count]
+    return out
+
+
+def finite_places(s):
+    """The places of a place set whose canonical form has no cells, sorted
+    by (p, index); None when some coordinate has cells."""
+    coords = getattr(s, "coords", (s,))
+    if any(c.cells for c in coords):
+        return None
+    return sorted((factor_prime(s.field, p)[j] for j, c in enumerate(coords) for p in c.plus),
+                  key=lambda w: (w.p, w.index))
+
+
+def adele_equals(a, b):
+    """Exact componentwise equality of two adeles over one field."""
+    if a.field != b.field:
+        raise FieldMismatch("adeles over different fields")
+    if a.arch != b.arch:
+        return False
+    places = {w for w, _ in a.exceptional} | {w for w, _ in b.exceptional}
+    if any(a.component_at(w) != b.component_at(w) for w in places):
+        return False
+    pieces_b = b.pieces()
+    for ra, ta in a.pieces():
+        for rb, tb in pieces_b:
+            if ta.coeffs == tb.coeffs:
+                continue
+            region = ra.intersect(rb)
+            if region.is_empty():
+                continue
+            finite = finite_places(region)
+            if finite is None:
+                # tails differing as polynomials differ at every region
+                # place where all their coefficients are units, and an
+                # infinite region has such places
+                return False
+            # only finitely many places carry these two tails; compare
+            # them one by one
+            if any(a.component_at(w) != b.component_at(w) for w in finite if w not in places):
+                return False
+    return True
+
+
+def local_agrees(x, y, digits=None):
+    """Equality of two local elements at one place up to their shared
+    certified precision, and to `digits` when given."""
+    if x.place != y.place:
+        raise FieldMismatch("local elements at different places")
+    if x.is_zero or y.is_zero:
+        return x.is_zero and y.is_zero
+    if x.valuation != y.valuation:
+        return False
+    prec = min(x.precision, y.precision)
+    if digits is not None:
+        prec = min(prec, digits)
+    pk = x.place.p ** prec
+    return all((a - b) % pk == 0 for a, b in zip(x.unit, y.unit))
+
+
+def same_decisions(a, b):
+    """Whether two free rational ultrafilters select the same joint class
+    for every registered extension (extensional equality on the current
+    describable algebra)."""
+    return all(a._selected_class(K) == b._selected_class(K) for K in registered_fields())
+
+
+def distinguishing_witness(a, b):
+    """A describable set in `a` but not in `b`, if one is found.
+
+    Free rational pairs are separated by the class atom of the first
+    registered extension where their selectors disagree; other pairs fall
+    back to anchor sets and their complements (which covers distinct
+    section positions and principal-versus-free pairs).
+    """
+    if a.field != b.field:
+        raise FieldMismatch("ultrafilters over different fields")
+    if isinstance(a, FreeQUltrafilter) and isinstance(b, FreeQUltrafilter):
+        for K in registered_fields():
+            ca, cb = a._selected_class(K), b._selected_class(K)
+            if ca != cb:
+                return class_atom(K, ca)
+        return None
+    anchor = a.anchor_set()
+    for s in (anchor, anchor.complement(), b.anchor_set().complement()):
+        if a.contains(s) and not b.contains(s):
+            return s
+    return None
 
 
 def trial_division_factor(n):

@@ -18,7 +18,6 @@ from adelic.errors import DegenerateGenerator
 from adelic.numberfields import RATIONALS
 from adelic.places import (
     archimedean_places,
-    enumerate_finite_places,
     factor_prime,
     place_above,
     splitting_class,
@@ -42,7 +41,6 @@ from adelic.spectrum import (
 from adelic.ultrafilters import (
     FreeKUltrafilter,
     PrincipalUltrafilter,
-    distinguishing_witness,
     free_cofinite,
     free_on_atom,
     lifts,
@@ -58,7 +56,15 @@ from gen import (
     random_nonzero_profile_adele,
     random_qset,
 )
-from oracles import brute_factor_mod_p, brute_member_between, pointwise_set
+from oracles import (
+    brute_factor_mod_p,
+    brute_member_between,
+    distinguishing_witness,
+    enumerate_finite_places,
+    local_agrees,
+    pointwise_set,
+    same_decisions,
+)
 
 PRIME_BOUND = 10_000
 
@@ -250,7 +256,7 @@ def test_criterion_6_lattice_and_separators():
     # pairwise-distinct free ultrafilters: joint atoms force a different
     # selected class at some coordinate for every pair
     from adelic.placesets import class_atom
-    from adelic.ultrafilters import FreeQUltrafilter, same_decisions
+    from adelic.ultrafilters import FreeQUltrafilter
 
     split_a = class_atom(GAUSS, ((1, 1), (1, 1)))
     inert_a = class_atom(GAUSS, ((1, 2),))
@@ -333,7 +339,7 @@ def test_criterion_8_quotient_isomorphism():
         for _ in range(100):
             a, b = rng.choice(pool), rng.choice(pool)
             lhs = member(a.sub(b), ideal)
-            rhs = quotient_eval(a, place, 32).agrees(quotient_eval(b, place, 32), 32)
+            rhs = local_agrees(quotient_eval(a, place, 32), quotient_eval(b, place, 32), 32)
             assert lhs == rhs
             done += 1
     _report(8, "quotient isomorphism",

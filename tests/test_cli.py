@@ -78,7 +78,7 @@ def test_member_witness_round_trips():
     _, out = run_cli("member", "--ideal", "max@free:1,0,1:1x1+1x1", "--adele", "diag:6")
     witness_line = next(l for l in out.splitlines() if l.startswith("witness="))
     parsed = parse_qset(witness_line.split("=", 1)[1])
-    assert parsed.finite_members() == frozenset({2, 3})
+    assert not parsed.cells and parsed.plus == frozenset({2, 3})
     adele_line = next(l for l in out.splitlines() if l.startswith("adele="))
     parse_adele(adele_line.split("=", 1)[1])
 

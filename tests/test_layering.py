@@ -1,8 +1,12 @@
 """No module of the package imports or reads a private name of another,
-every import sits at the top level of its module, and the CLI imports no
-standard-library module that a cold call cannot afford."""
+every import sits at the top level of its module, the CLI imports no
+standard-library module that a cold call cannot afford, every function and
+method of the package is reached from the CLI, the scripts or the declared
+API, and every name the perfbench tracer wraps exists."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "adelic"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "adelic"
+SCRIPTS = ROOT / "scripts"
 
 
 def _private(name: str) -> bool:
@@ -77,76 +83,132 @@ def test_cli_import_loads_no_dataclasses(modules):
     assert done.stdout == "[]\n"
 
 
-def _parser_callers():
-    """{name: names of the functions calling it} for each `parse_*`
-    function of the package, public or private, over all of its modules."""
-    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
-    callers = {func.name: set() for tree in trees for func in ast.walk(tree)
-               if isinstance(func, ast.FunctionDef)
-               and func.name.lstrip("_").startswith("parse_")}
-    for tree in trees:
-        for func in ast.walk(tree):
-            if not isinstance(func, ast.FunctionDef):
-                continue
-            for node in ast.walk(func):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if name in callers and name != func.name:
-                        callers[name].add(func.name)
-    return callers
+# The package's API beyond `cli.main` and what `scripts/*.py` use, one row
+# per use: (entries, what uses them), each entry `module.function` or
+# `module.Class.method`.
+DECLARED_API = (
+    (("ultrafilters.partition_pick",), "acceptance criterion 3, partition selection"),
+    (("spectrum.generator",), "acceptance criterion 5, ideal laws"),
+    (("spectrum.restrict_to_level", "spectrum.LevelIdeal.member", "spectrum.LevelIdeal.restrict"),
+     "acceptance criterion 7, level chains"),
+    (("spectrum.quotient_eval", "adeles.Adele.sub"), "acceptance criterion 8, quotients"),
+    (("extensions.contract_prime",), "acceptance criterion 9, fiber structure"),
+    (("spectrum.closed_ideal", "spectrum.ClosedIdeal.member"), "acceptance criterion 10, topology"),
+    (("adeles.diagonal_rational",), "the README library example and perfbench spectrum-warm"),
+    (("registry.clear_registry",), "tests/conftest.py"),
+)
 
 
-def test_every_parser_has_a_caller_in_the_package():
-    """A parser only tests call reads text nothing in the package hands it."""
-    callers = _parser_callers()
-    assert "parse_adele" in callers and "_parse_ultra" in callers
-    assert sorted(name for name, found in callers.items() if not found) == []
+def _is_function(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
 
 
-def _polynomial_callers():
-    """{name: names of the functions calling it, itself excluded} for each
-    module-level function of `polynomials`.  A call counts when it names
-    the function bare inside `polynomials` or in a module importing it by
-    name, or reads it off the module imported as a whole; so
-    `_PackedRing.mul` or a set's `add` calls no helper of that name."""
-    own = ast.parse((SRC / "polynomials.py").read_text())
-    callers = {func.name: set() for func in own.body if isinstance(func, ast.FunctionDef)}
-    for path in sorted(SRC.glob("*.py")):
-        tree = own if path.name == "polynomials.py" else ast.parse(path.read_text(), str(path))
-        bare = {name: name for name in callers} if tree is own else {}
-        modules = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                for alias in node.names:
-                    if node.module == "polynomials":
-                        bare[alias.asname or alias.name] = alias.name
-                    elif node.module is None and alias.name == "polynomials":
-                        modules.add(alias.asname or alias.name)
-        for func in ast.walk(tree):
-            if not isinstance(func, ast.FunctionDef):
-                continue
-            for node in ast.walk(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                call = node.func
-                if isinstance(call, ast.Name):
-                    name = bare.get(call.id)
-                elif isinstance(call, ast.Attribute) and isinstance(call.value, ast.Name) \
-                        and call.value.id in modules:
-                    name = call.attr
-                else:
-                    continue
-                if name in callers and name != func.name:
-                    callers[name].add(func.name)
-    return callers
+class _Package:
+    """The definitions of `src/adelic` and what each one references.
+
+    A definition is a module-level function or class (`module.name`) or a
+    method of such a class (`module.Class.name`).  A bare name resolves
+    through its module's definitions and relative imports, as
+    `from .places import factor_prime` binds it; an attribute of a module
+    imported whole resolves in that module; any other attribute reaches
+    every method of that name, since its receiver's class is not known."""
+
+    def __init__(self):
+        self.modules = {path.stem: ast.parse(path.read_text(), str(path))
+                        for path in sorted(SRC.glob("*.py"))}
+        self.defs, self.methods, self.imports, self.aliases = {}, {}, {}, {}
+        for module, tree in self.modules.items():
+            for node in tree.body:
+                if _is_function(node) or isinstance(node, ast.ClassDef):
+                    self.defs[f"{module}.{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    for item in filter(_is_function, node.body):
+                        key = f"{module}.{node.name}.{item.name}"
+                        self.defs[key] = item
+                        self.methods.setdefault(item.name, set()).add(key)
+                elif isinstance(node, ast.ImportFrom) and node.level:
+                    for alias in node.names:
+                        bound = (module, alias.asname or alias.name)
+                        if node.module is None:  # from . import polynomials as poly
+                            self.aliases[bound] = alias.name
+                        else:
+                            self.imports[bound] = (node.module, alias.name)
+
+    def resolve(self, module: str, name: str):
+        if f"{module}.{name}" in self.defs:
+            return f"{module}.{name}"
+        imported = self.imports.get((module, name))
+        return self.resolve(*imported) if imported else None
+
+    def references(self, module: str, node) -> set:
+        out = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(self.resolve(module, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                whole = self.aliases.get((module, getattr(sub.value, "id", None)))
+                out |= {self.resolve(whole, sub.attr)} if whole \
+                    else self.methods.get(sub.attr, set())
+        return out - {None}
+
+    def edges(self, key: str) -> set:
+        """A function reaches what its code references; a class reaches its
+        bases, decorators and class-body statements, and its dunder
+        methods, which the interpreter calls on its instances."""
+        module, node = key.split(".")[0], self.defs[key]
+        if _is_function(node):
+            return self.references(module, node)
+        out = {f"{key}.{item.name}" for item in filter(_is_function, node.body)
+               if item.name.startswith("__") and item.name.endswith("__")}
+        for part in node.bases + node.keywords + node.decorator_list \
+                + [item for item in node.body if not _is_function(item)]:
+            out |= self.references(module, part)
+        return out
+
+    def roots(self) -> set:
+        """What runs at import (module-level statements), `cli.main`, and
+        every name that `scripts/*.py` imports or reads as an attribute."""
+        out = {"cli.main"}
+        for module, tree in self.modules.items():
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+                                         ast.Import, ast.ImportFrom)):
+                    out |= self.references(module, node)
+        for path in sorted(SCRIPTS.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("adelic."):
+                    out |= {self.resolve(node.module[len("adelic."):], alias.name)
+                            for alias in node.names}
+                elif isinstance(node, ast.Attribute):
+                    out |= self.methods.get(node.attr, set())
+        return out - {None}
+
+    def reached(self, roots) -> set:
+        seen, todo = set(), list(roots)
+        while todo:
+            key = todo.pop()
+            if key not in seen:
+                seen.add(key)
+                todo.extend(self.edges(key) - seen)
+        return seen
 
 
-def test_every_polynomial_helper_has_a_caller_in_the_package():
-    """A module-level function of `polynomials` that only tests call is a
-    second toolkit beside the one the factoring and lifting paths use."""
-    callers = _polynomial_callers()
-    assert callers["pinverse"] and callers["norm_int"] and callers["divmod_monic"]
-    assert sorted(name for name, found in callers.items() if not found) == []
+def test_every_definition_is_reached_from_the_cli_the_scripts_or_the_declared_api():
+    """A function or method that nothing the CLI, the scripts or a declared
+    use reaches is a code path only tests produce; it belongs with them.
+    Each declared entry exists, and the table declares only what the other
+    roots do not reach."""
+    package = _Package()
+    declared = {entry for entries, _ in DECLARED_API for entry in entries}
+    assert sorted(declared - set(package.defs)) == []
+    without_table = package.reached(package.roots())
+    assert sorted(declared & without_table) == []
+    reached = package.reached(package.roots() | declared)
+    assert {"cli._parse_ultra", "adeles.parse_adele", "polynomials.pinverse",
+            "localfields.LocalContext.__init__",
+            "ultrafilters.FreeQUltrafilter._extend_chain"} <= reached
+    assert sorted(key for key, node in package.defs.items()
+                  if _is_function(node) and key not in reached) == []
 
 
 def test_only_placesets_builds_extension_sets_by_name():
@@ -160,3 +222,27 @@ def test_only_placesets_builds_extension_sets_by_name():
              if isinstance(node, ast.ImportFrom)
              for alias in node.names if alias.name in owned]
     assert found == []
+
+
+def test_tracer_names_resolve_in_the_package(monkeypatch):
+    """perfbench's tracer wraps and reads package attributes by name, so a
+    rename or deletion in the package would break `perfbench/run.py
+    --trace 1`.  The tracer is loaded from its file without writing
+    bytecode, and its `install` is never called."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def resolve(module, attr):
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        return obj
+
+    names = [(module, attr) for _, module, attr, _ in tracing.WRAPPED]
+    names += tracing.CACHES.values()
+    assert [name for name in names if resolve(*name) is None] == []
+    assert [name for name in tracing.CACHES.values()
+            if not hasattr(resolve(*name), "cache_info")] == []

@@ -27,17 +27,17 @@ def test_embed_inverse_of_two_at_three():
     v = place_above(RATIONALS, 3)
     image = embed(RATIONALS.element(Fraction(1, 2)), v, 5)
     assert image.valuation == 0
-    assert image.unit_as_int() == 122          # 2 * 122 = 244 = 1 + 3^5
-    assert (2 * image.unit_as_int()) % 3 ** 5 == 1
+    assert image.unit == (122,)                # 2 * 122 = 244 = 1 + 3^5
+    assert (2 * image.unit[0]) % 3 ** 5 == 1
 
 
 def test_embed_basics():
     v = place_above(RATIONALS, 3)
     three = embed(RATIONALS.element(3), v, 5)
-    assert three.valuation == 1 and three.unit_as_int() == 1
+    assert three.valuation == 1 and three.unit == (1,)
     assert embed(RATIONALS.zero(), v).is_zero
     four = embed(RATIONALS.one() + RATIONALS.element(3), v, 8)
-    assert four.valuation == 0 and four.unit_as_int() == 4
+    assert four.valuation == 0 and four.unit == (4,)
 
 
 @pytest.mark.parametrize("digits", [-1, 2.5, -5, True])
@@ -100,7 +100,7 @@ def test_high_valuation_fits_the_working_precision():
     three = place_above(RATIONALS, 3)
     x = RATIONALS.element(3 ** 40)
     image = embed(x, three, 16)
-    assert (image.valuation, image.unit_as_int(), image.precision) == (40, 1, 16)
+    assert (image.valuation, image.unit, image.precision) == (40, (1,), 16)
     assert quotient_eval(diagonal(x), three, 16) == image
     assert valuation_of_element(RATIONALS.element(Fraction(1, 3 ** 40)), three) == -40
 

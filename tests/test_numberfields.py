@@ -48,7 +48,7 @@ def test_signature():
 
 def test_generator_satisfies_polynomial():
     for k in (GAUSS, CUBE2, CYCLO5):
-        theta = k.generator()
+        theta = k.element(0, 1)
         acc = k.zero()
         power = k.one()
         for c in k.coeffs:
@@ -58,10 +58,10 @@ def test_generator_satisfies_polynomial():
 
 
 def test_norms():
-    i = GAUSS.generator()
+    i = GAUSS.element(0, 1)
     assert element_norm(GAUSS.one() + i) == 2         # N(1+i)
     assert element_norm(GAUSS.element(3, 4)) == 25    # N(3+4i)
-    assert element_norm(CUBE2.generator()) == 2
+    assert element_norm(CUBE2.element(0, 1)) == 2
     assert element_norm(RATIONALS.element(Fraction(-7, 2))) == Fraction(-7, 2)
 
 

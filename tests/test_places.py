@@ -6,7 +6,6 @@ from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import (
     archimedean_places,
     class_label,
-    enumerate_finite_places,
     excluded_primes,
     factor_prime,
     parse_class_label,
@@ -19,7 +18,7 @@ from adelic.placesets import all_primes
 from adelic.primes import primerange
 
 from conftest import CUBE2, CYCLO5, GAUSS, ROOT5
-from oracles import oracle_unramified_class, splitting_types
+from oracles import enumerate_finite_places, oracle_unramified_class, splitting_types
 from oracles import unramified_classes as oracle_unramified_classes
 
 

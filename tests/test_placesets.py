@@ -9,7 +9,7 @@ from adelic.adeles import one_adele, parse_adele
 from adelic.errors import FieldMismatch, NotPrime
 from adelic.extensions import to_extension
 from adelic.numberfields import NumberField, RATIONALS
-from adelic.places import enumerate_finite_places, excluded_primes, factor_prime, place_above
+from adelic.places import excluded_primes, factor_prime, place_above
 from adelic.placesets import (
     QPlaceSet,
     all_primes,
@@ -48,6 +48,8 @@ from conftest import (
 )
 from gen import random_adele, random_kset, random_place_set, random_qset, random_wide_qset
 from oracles import (
+    enumerate_finite_places,
+    finite_places,
     reference_complement,
     reference_contains,
     reference_intersect,
@@ -131,10 +133,10 @@ def test_excluded_primes_are_modelled_explicitly():
 
 def test_ramified_atoms_are_finite_sets_pointwise():
     ram = class_atom(GAUSS, ((2, 1),))
-    assert ram.is_structurally_finite() and ram.finite_members() == {2}
+    assert not ram.cells and ram.plus == {2}
     assert [p for p in primerange(2, 500) if ram.contains_prime(p)] == [2]
     totally = class_atom(CUBE2, ((3, 1),))
-    assert totally.finite_members() == {2, 3}
+    assert not totally.cells and totally.plus == {2, 3}
     assert class_atom(CUBE2, ((1, 1), (2, 1))).is_empty()
     # a ramified prime stays explicit in every set built from classes
     assert fiber_size_exactly(GAUSS, 1) == \
@@ -342,8 +344,8 @@ def test_field_generic_constructors():
         assert empty_set(field).field == everything_set(field).field == field
         places = [w for p in (5, 13, 29) for w in factor_prime(field, p)][::2]
         s = finite_set(field, places)
-        assert s.field == field and s.is_structurally_finite()
-        assert s.finite_places() == sorted(places, key=lambda w: (w.p, w.index))
+        assert s.field == field
+        assert finite_places(s) == sorted(places, key=lambda w: (w.p, w.index))
     with pytest.raises(FieldMismatch):
         finite_set(RATIONALS, [place_above(GAUSS, 5, 1)])
     with pytest.raises(FieldMismatch):

@@ -194,6 +194,26 @@ def test_equal_degree_builds_one_ring_per_split(monkeypatch):
     assert retried == {True, False}
 
 
+@pytest.mark.parametrize("p, factors, builds", [
+    (5, [(2, 0, 1), (3, 0, 1)], 1),
+    (17, [(2, 1), (8, 1), (9, 1), (15, 1)], 3),
+], ids=["mod5", "mod17"])
+def test_block_equal_to_its_polynomial_is_split_in_its_ring(monkeypatch, p, factors, builds):
+    """x^4 + 1 is one equal-degree block mod 5 and mod 17, so `_equal_degree`
+    splits it in the `_PackedRing` distinct-degree built for it: one ring
+    mod 5, and mod 17 that ring plus one per quadratic half."""
+    count = [0]
+    init = poly._PackedRing.__init__
+
+    def counting_init(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(poly._PackedRing, "__init__", counting_init)
+    assert poly.factor_mod_p((1, 0, 0, 0, 1), p) == [(g, 1) for g in factors]
+    assert count[0] == builds
+
+
 def test_factor_mod_p_examples():
     assert poly.factor_mod_p((1, 0, 1), 5) == [((2, 1), 1), ((3, 1), 1)]
     assert poly.factor_mod_p((1, 0, 1), 2) == [((1, 1), 2)]

@@ -16,6 +16,7 @@ from adelic.adeles import (
 )
 from adelic.errors import (
     DegenerateGenerator,
+    FieldMismatch,
     InconsistentNeighborhood,
     InvalidLevel,
     UnsupportedPrime,
@@ -23,6 +24,7 @@ from adelic.errors import (
 from adelic.extensions import to_extension
 from adelic.numberfields import RATIONALS
 from adelic.places import archimedean_places, place_above
+from adelic.placesets import finite_qset
 from adelic.spectrum import (
     NOT_PRINCIPAL,
     Constraint,
@@ -45,7 +47,8 @@ from adelic.ultrafilters import free_cofinite, free_on_atom, lifts
 
 from conftest import CUBE2, FULL_SPLIT_CUBE2, GAUSS
 from gen import random_adele, random_nonzero_profile_adele
-from oracles import brute_member_between, joint_selected_profile, membership_set_member
+from oracles import (adele_equals, brute_member_between, joint_selected_profile, local_agrees,
+                     membership_set_member)
 
 
 def _free_split():
@@ -131,11 +134,11 @@ def test_generator_oracle():
     v = place_above(RATIONALS, 5)
     ideal = zero_at(v)
     g = generator(ideal)
-    assert g.mul(g).equals(g)
+    assert adele_equals(g.mul(g), g)
     for _ in range(25):
         alpha = set_component(random_adele(RATIONALS, rng), v, RATIONALS.zero())
         assert member(alpha, ideal)
-        assert g.mul(alpha).equals(alpha)
+        assert adele_equals(g.mul(alpha), alpha)
     assert generator(max_at(_free_split())) is NOT_PRINCIPAL
     assert generator(min_at(_free_split())) is NOT_PRINCIPAL
 
@@ -282,7 +285,7 @@ def test_level_chain_consistency():
 def test_quotient_eval():
     v = place_above(RATIONALS, 3)
     img = quotient_eval(diagonal_rational(RATIONALS, Fraction(1, 2)), v, 5)
-    assert img.valuation == 0 and img.unit_as_int() == 122
+    assert img.valuation == 0 and img.unit == (122,)
     g = generator(zero_at(v))
     assert quotient_eval(g, v).is_zero
     arch = archimedean_places(RATIONALS)[0]
@@ -298,7 +301,7 @@ def test_quotient_separates_exactly():
         a, b = rng.choice(pool), rng.choice(pool)
         in_ideal = member(a.sub(b), ideal)
         qa, qb = quotient_eval(a, v, 32), quotient_eval(b, v, 32)
-        assert in_ideal == qa.agrees(qb, 32)
+        assert in_ideal == local_agrees(qa, qb, 32)
 
 
 def test_is_closed():
@@ -346,3 +349,12 @@ def test_closed_ideal_oracle():
     g5 = generator(ideal)
     g57 = set_component(g5, place_above(RATIONALS, 7), RATIONALS.zero())
     assert two.member(g57) and not two.member(g5)
+
+
+def test_closed_ideal_refuses_another_field_when_built():
+    """Over Q(i), a set of primes of Q was accepted and refused only by the
+    first `member`."""
+    with pytest.raises(FieldMismatch):
+        closed_ideal(GAUSS, finite_qset([5]))
+    with pytest.raises(FieldMismatch):
+        closed_ideal(RATIONALS, [archimedean_places(GAUSS)[0]])

@@ -56,14 +56,6 @@ class TailPoly(Record):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.coeffs) == (other.field, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.coeffs))
-
     @staticmethod
     def make(field: NumberField, coeffs) -> "TailPoly":
         cs = list(coeffs)
@@ -168,15 +160,6 @@ class Adele(Record):
         object.__setattr__(self, "exceptional", exceptional)
         object.__setattr__(self, "overrides", overrides)
         object.__setattr__(self, "tail", tail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.arch, self.exceptional, self.overrides, self.tail) == \
-                (other.field, other.arch, other.exceptional, other.overrides, other.tail)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.arch, self.exceptional, self.overrides, self.tail))
 
     # -- component access --------------------------------------------------
 

@@ -17,20 +17,12 @@ class Settings(Record):
     def __init__(self, prime_bound: int = 10_000):
         object.__setattr__(self, "prime_bound", prime_bound)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.prime_bound == other.prime_bound
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prime_bound,))
-
 
 DEFAULT = Settings()
 
 
-def set_defaults(**overrides) -> Settings:
+def set_defaults(prime_bound: int) -> Settings:
     """Replace the process-wide settings (used by the CLI's global flags)."""
     global DEFAULT
-    DEFAULT = Settings(**{"prime_bound": DEFAULT.prime_bound, **overrides})
+    DEFAULT = Settings(prime_bound)
     return DEFAULT

@@ -192,15 +192,6 @@ class LocalElement(Record):
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "precision", precision)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.place, self.valuation, self.unit, self.precision) == \
-                (other.place, other.valuation, other.unit, other.precision)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.place, self.valuation, self.unit, self.precision))
-
     @property
     def is_zero(self) -> bool:
         return self.valuation == INF

@@ -121,14 +121,6 @@ class FieldElement(Record):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.num, self.den) == (other.field, other.num, other.den)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.num, self.den))
-
     def _check(self, other):
         if self.field != other.field:
             raise FieldMismatch("elements of different fields")

@@ -13,7 +13,7 @@ places above the supported (not excluded) primes and the archimedean ones.
 
 from __future__ import annotations
 
-from functools import lru_cache, total_ordering
+from functools import lru_cache
 
 from . import polynomials as poly
 from .errors import NotPrime, UnsupportedPrime
@@ -24,12 +24,10 @@ from .records import Record
 FACTOR_CAP = 1_000_000  # primes from here on are beyond desk scale
 
 
-@total_ordering
 class FinitePlace(Record):
     """The place above p with ramification e and residue degree f; factor
     is its monic irreducible factor mod p, lowest degree first, and index
-    its position in the canonical fiber ordering.  Places order as their
-    field tuples."""
+    its position in the canonical fiber ordering."""
 
     __slots__ = ("field", "p", "e", "f", "factor", "index")
 
@@ -42,21 +40,6 @@ class FinitePlace(Record):
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "index", index)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.p, self.e, self.f, self.factor, self.index) == \
-                (other.field, other.p, other.e, other.f, other.factor, other.index)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.p, self.e, self.f, self.factor, self.index))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.p, self.e, self.f, self.factor, self.index) < \
-                (other.field, other.p, other.e, other.f, other.factor, other.index)
-        return NotImplemented
-
     @property
     def is_finite(self) -> bool:
         return True
@@ -65,10 +48,8 @@ class FinitePlace(Record):
         return f"Place(p={self.p}, e={self.e}, f={self.f}, i={self.index})"
 
 
-@total_ordering
 class ArchimedeanPlace(Record):
-    """The real or complex embedding at position index; places order as
-    their field tuples."""
+    """The real or complex embedding at position index."""
 
     __slots__ = ("field", "index", "real")
 
@@ -76,19 +57,6 @@ class ArchimedeanPlace(Record):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "real", real)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.index, self.real) == (other.field, other.index, other.real)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.index, self.real))
-
-    def __lt__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.index, self.real) < (other.field, other.index, other.real)
-        return NotImplemented
 
     @property
     def is_finite(self) -> bool:

@@ -84,15 +84,6 @@ class QPlaceSet(Record):
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "minus", minus)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.context, self.cells, self.plus, self.minus) == \
-                (other.context, other.cells, other.plus, other.minus)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.context, self.cells, self.plus, self.minus))
-
     # -- membership ------------------------------------------------------
 
     def contains_prime(self, p: int) -> bool:
@@ -297,14 +288,6 @@ class KPlaceSet(Record):
     def __init__(self, field: NumberField, coords: tuple[QPlaceSet, ...]):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.coords) == (other.field, other.coords)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.coords))
 
     def _check(self, other):
         if self.field != other.field:

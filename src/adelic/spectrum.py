@@ -23,9 +23,11 @@ oracle coincides with max_at(U) or min_at(U) as a set (strictly
 intermediate primes need unbounded valuation profiles, which finite
 tails cannot carry).
 
-Level ideals mirror the same variants inside the finite-level subrings
-(integral outside a finite place set S), carrying the maximal/minimal
-flags appropriate to the level, and restrict compatibly along S-chains.
+A level ideal is a prime with a level S, a set of places of its field
+holding every archimedean one that names the subring of adeles integral
+outside S.  Its maximal/minimal flags are derived from the prime and S,
+not stored (a prime vanishing outside S is not maximal in the subring),
+and every restriction goes through `restrict_to_level`, so chains agree.
 """
 
 from __future__ import annotations
@@ -68,15 +70,6 @@ class PrimeIdeal(Record):
         object.__setattr__(self, "place", place)
         object.__setattr__(self, "ultra", ultra)
         object.__setattr__(self, "beta", beta)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.kind, self.place, self.ultra, self.beta) == \
-                (other.field, other.kind, other.place, other.ultra, other.beta)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.kind, self.place, self.ultra, self.beta))
 
     def __repr__(self):
         if self.kind == "zero_at":
@@ -209,56 +202,37 @@ def is_closed(ideal: PrimeIdeal) -> bool:
 
 
 class LevelIdeal(Record):
-    __slots__ = ("field", "level", "kind", "is_maximal", "is_minimal", "place", "ultra", "beta")
+    """A prime ideal read in the subring of adeles integral outside level."""
 
-    def __init__(self, field: NumberField, level: frozenset[Place], kind: str,
-                 is_maximal: bool, is_minimal: bool, place: Place | None = None,
-                 ultra: Ultrafilter | None = None, beta: Adele | None = None):
-        object.__setattr__(self, "field", field)
+    __slots__ = ("ideal", "level")
+
+    def __init__(self, ideal: PrimeIdeal, level: frozenset[Place]):
+        object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "level", level)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "is_maximal", is_maximal)
-        object.__setattr__(self, "is_minimal", is_minimal)
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "ultra", ultra)
-        object.__setattr__(self, "beta", beta)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.level, self.kind, self.is_maximal, self.is_minimal,
-                    self.place, self.ultra, self.beta) == \
-                (other.field, other.level, other.kind, other.is_maximal, other.is_minimal,
-                 other.place, other.ultra, other.beta)
-        return NotImplemented
+    @property
+    def is_maximal(self) -> bool:
+        # vanishing at a place outside the level is not maximal in the subring
+        ideal = self.ideal
+        return classify(ideal)["is_maximal"] and \
+            (ideal.kind != "zero_at" or ideal.place in self.level)
 
-    def __hash__(self):
-        return hash((self.field, self.level, self.kind, self.is_maximal, self.is_minimal,
-                     self.place, self.ultra, self.beta))
+    @property
+    def is_minimal(self) -> bool:
+        return classify(self.ideal)["is_minimal"]
 
     def member(self, alpha: Adele) -> bool:
-        return member(alpha, self._adelic())
-
-    def _adelic(self) -> PrimeIdeal:
-        return PrimeIdeal(self.field, self.kind, place=self.place,
-                          ultra=self.ultra, beta=self.beta)
+        return member(alpha, self.ideal)
 
     def restrict(self, smaller: frozenset[Place]) -> "LevelIdeal":
         if not smaller <= self.level:
             raise InvalidLevel("restriction target must be a sub-level")
-        return _level_of(self._adelic(), smaller)
+        return restrict_to_level(self.ideal, smaller)
 
     def __repr__(self):
         finite = sorted((w.p, w.index) for w in self.level if w.is_finite)
-        return (f"LevelIdeal({self.kind}, S_f={finite}, "
+        return (f"LevelIdeal({self.ideal.kind}, S_f={finite}, "
                 f"max={self.is_maximal}, min={self.is_minimal})")
-
-
-def _level_of(ideal: PrimeIdeal, level: frozenset[Place]) -> LevelIdeal:
-    flags = classify(ideal)
-    # vanishing at a place outside the level is not maximal in the subring
-    is_max = flags["is_maximal"] and (ideal.kind != "zero_at" or ideal.place in level)
-    return LevelIdeal(ideal.field, level, ideal.kind, is_max, flags["is_minimal"],
-                      ideal.place, ideal.ultra, ideal.beta)
 
 
 def restrict_to_level(ideal: PrimeIdeal, level) -> LevelIdeal:
@@ -266,10 +240,11 @@ def restrict_to_level(ideal: PrimeIdeal, level) -> LevelIdeal:
     prime; the free-ultrafilter data transfers unchanged because dropping
     finitely many places never changes a free ultrafilter's decisions."""
     level = frozenset(level)
-    arch = set(archimedean_places(ideal.field))
-    if not arch <= level:
+    if any(v.field != ideal.field for v in level):
+        raise FieldMismatch("level holds a place of a different field")
+    if not set(archimedean_places(ideal.field)) <= level:
         raise InvalidLevel("a level must contain every archimedean place")
-    return _level_of(ideal, level)
+    return LevelIdeal(ideal, level)
 
 
 # -- quotients, topology, density --------------------------------------------
@@ -295,15 +270,6 @@ class Constraint(Record):
         object.__setattr__(self, "place", place)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "min_valuation", min_valuation)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.place, self.target, self.min_valuation) == \
-                (other.place, other.target, other.min_valuation)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.place, self.target, self.min_valuation))
 
 
 def density_witness(u: Ultrafilter, constraints=()) -> Adele:
@@ -338,15 +304,6 @@ class ClosedIdeal(Record):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "finite_part", finite_part)
         object.__setattr__(self, "arch_part", arch_part)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.finite_part, self.arch_part) == \
-                (other.field, other.finite_part, other.arch_part)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.finite_part, self.arch_part))
 
     def member(self, alpha: Adele) -> bool:
         if alpha.field != self.field:

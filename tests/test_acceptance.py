@@ -15,6 +15,7 @@ from adelic.adeles import (
     zero_adele,
 )
 from adelic.errors import DegenerateGenerator
+from adelic.localfields import valuation_of_element
 from adelic.numberfields import RATIONALS
 from adelic.places import (
     archimedean_places,
@@ -23,10 +24,11 @@ from adelic.places import (
     splitting_class,
     supported_primes,
 )
-from adelic.placesets import empty_qset
+from adelic.placesets import empty_qset, finite_set
 from adelic.spectrum import (
     Constraint,
     between,
+    closed_ideal,
     density_witness,
     generator,
     is_closed,
@@ -316,8 +318,8 @@ def test_criterion_7_level_chain_consistency():
             nested = restrict_to_level(ideal, s2).restrict(s1).restrict(s0) \
                 .level == restrict_to_level(ideal, s0).level
             assert nested
-            assert (direct.kind, direct.level, direct.is_maximal,
-                    direct.is_minimal) == (via.kind, via.level,
+            assert (direct.ideal.kind, direct.level, direct.is_maximal,
+                    direct.is_minimal) == (via.ideal.kind, via.level,
                                            via.is_maximal, via.is_minimal)
             for a in pool:
                 assert direct.member(a) == via.member(a)
@@ -424,6 +426,15 @@ def test_criterion_10_topology():
         assert is_closed(ideal)
     for ideal in dense_ideals:
         assert not is_closed(ideal)
+    # a closed prime is the closed ideal of adeles vanishing at its place
+    pools = {field: [random_adele(field, rng) for _ in range(30)] for field in (RATIONALS, GAUSS)}
+    agreements = 0
+    for ideal in closed_ideals:
+        pool = pools[ideal.field] + [generator(ideal)]
+        closed = closed_ideal(ideal.field, [ideal.place])
+        for a in pool:
+            assert closed.member(a) == member(a, ideal)
+            agreements += 1
     targets = {2: place_above(RATIONALS, 2), 3: place_above(RATIONALS, 3),
                7: place_above(RATIONALS, 7)}
     done = 0
@@ -439,17 +450,20 @@ def test_criterion_10_topology():
                     Constraint(w, RATIONALS.element(1 + offset), power))
         witness = density_witness(u, constraints)
         assert member(witness, min_at(u))
+        # it vanishes on the anchor set away from the constrained places
+        zeros = u.anchor_set().difference(finite_set(RATIONALS, [c.place for c in constraints]))
+        assert closed_ideal(RATIONALS, zeros).member(witness)
         for c in constraints:
             value = witness.component_at(c.place)
             gap = value - c.target
             if not gap.is_zero():
-                from adelic.localfields import valuation_of_element
-
                 assert valuation_of_element(gap, c.place) >= c.min_valuation
         done += 1
     _report(10, "topology",
             f"{len(closed_ideals)} closed / {len(dense_ideals)} dense flags "
-            "exact; 100 density witnesses satisfied their neighborhoods")
+            f"exact; {agreements} closed-ideal memberships agreed with zero_at; "
+            "100 density witnesses satisfied their neighborhoods and lay in "
+            "the closed ideal of their zero region")
 
 
 def test_criterion_11_pointwise_oracle_equivalence():

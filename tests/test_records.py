@@ -1,10 +1,13 @@
-"""The package's value records: equality, hashing, printing, immutability
-and the ordering of places, for every record class."""
+"""The package's value records: equality, hashing, printing and
+immutability, for every record class."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import adelic
 from adelic.adeles import Adele, TailPoly, one_adele
 from adelic.config import Settings
 from adelic.localfields import LocalElement, embed
@@ -17,6 +20,7 @@ from adelic.places import (
     place_above,
 )
 from adelic.placesets import KPlaceSet, QPlaceSet, finite_qset, finite_set
+from adelic.records import Record
 from adelic.spectrum import (
     ClosedIdeal,
     Constraint,
@@ -93,15 +97,20 @@ def test_records_compare_hash_and_print_as_their_fields(cls, make, make_other, t
             delattr(x, name)
 
 
-def test_places_order_as_their_field_tuples():
-    fiber = factor_prime(GAUSS, 5)
-    assert fiber[0] < fiber[1] and fiber[0] <= fiber[1] and fiber[1] > fiber[0]
-    assert fiber[1] >= fiber[1] and not fiber[1] < fiber[1]
-    five, seven = place_above(RATIONALS, 5), place_above(RATIONALS, 7)
-    assert sorted([seven, five]) == [five, seven]
-    real, cx = archimedean_places(CUBE2)
-    assert real < cx and not cx <= real and cx > real and real >= real
-    with pytest.raises(TypeError):
-        five < real
-    with pytest.raises(TypeError):
-        five < factor_prime(GAUSS, 5)[0]   # fields have no order
+def test_every_record_takes_the_shared_rule_and_has_a_case():
+    """Equality and hashing come from `Record`, save `NumberField`'s cached
+    hash; no record is ordered; and each record class has a row in CASES,
+    so its equality, hash and repr are checked above."""
+    for module in pkgutil.iter_modules(adelic.__path__):
+        importlib.import_module(f"adelic.{module.name}")
+    records, todo = [], Record.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("adelic."):
+            records.append(cls)
+    assert [cls.__qualname__ for cls in records if cls is not NumberField
+            and {"__eq__", "__hash__"} & cls.__dict__.keys()] == []
+    assert [cls.__qualname__ for cls in [Record, *records]
+            if {"__lt__", "__le__", "__gt__", "__ge__"} & cls.__dict__.keys()] == []
+    assert sorted(cls.__qualname__ for cls in set(records) - {case[0] for case in CASES}) == []

@@ -266,6 +266,27 @@ def test_restrict_to_level_flags():
         restrict_to_level(ideal, {v5})
 
 
+def test_restrict_keeps_the_archimedean_rule():
+    """A restriction to a set without the archimedean places was accepted,
+    while `restrict_to_level` refuses the same set (see above)."""
+    arch = frozenset(archimedean_places(RATIONALS))
+    v5 = place_above(RATIONALS, 5)
+    with pytest.raises(InvalidLevel):
+        restrict_to_level(zero_at(v5), arch | {v5}).restrict({v5})
+
+
+@pytest.mark.parametrize("other", [
+    lambda: {place_above(GAUSS, 5, 0)},
+    lambda: set(archimedean_places(GAUSS)),
+], ids=["finite", "arch"])
+def test_restrict_to_level_refuses_another_field(other):
+    """A level holding a place of Q(i) was accepted for a prime of Q, and
+    its printed S_f named the place of Q(i)."""
+    arch = frozenset(archimedean_places(RATIONALS))
+    with pytest.raises(FieldMismatch):
+        restrict_to_level(zero_at(place_above(RATIONALS, 5)), arch | other())
+
+
 def test_level_chain_consistency():
     rng = random.Random(23)
     arch = frozenset(archimedean_places(RATIONALS))
@@ -276,7 +297,7 @@ def test_level_chain_consistency():
     for ideal in catalogue_ideals():
         direct = restrict_to_level(ideal, s1)
         via = restrict_to_level(ideal, s2).restrict(s1)
-        assert (direct.kind, direct.level) == (via.kind, via.level)
+        assert (direct.ideal.kind, direct.level) == (via.ideal.kind, via.level)
         assert (direct.is_maximal, direct.is_minimal) == (via.is_maximal, via.is_minimal)
         for a in pool:
             assert direct.member(a) == via.member(a)

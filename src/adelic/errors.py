@@ -14,8 +14,8 @@ class UnsupportedPrime(AdelicError):
 
     Raised when the prime may divide the index of the polynomial order in
     the maximal order (so the factors of the defining polynomial mod p do
-    not match the places above p), or when the prime exceeds the desk-scale
-    bound.
+    not match the places above p), or when an integer needed as a prime
+    reaches the desk-scale bound, prime or not.
     """
 
 

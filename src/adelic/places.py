@@ -21,7 +21,8 @@ from .numberfields import NumberField, read_int
 from .primes import isprime, prime_divisors_below, prime_power_root, primerange
 from .records import Record
 
-FACTOR_CAP = 1_000_000  # primes from here on are beyond desk scale
+FACTOR_CAP = 1_000_000  # integers from here on are beyond desk scale
+LEAST_PRIME_PAST_CAP = 1_000_003  # the least prime at or past FACTOR_CAP
 
 
 class FinitePlace(Record):
@@ -121,14 +122,15 @@ def supported_primes_dividing(field: NumberField, n: int) -> tuple[int, ...]:
     """The prime divisors of n != 0 that are not excluded primes, ascending.
 
     Only primes below desk scale are found by trial division.  The prime
-    of a prime-power cofactor past it is listed, so `factor_prime`
-    refuses it by name; any other cofactor cannot be named without
-    splitting it and is refused here with `UnsupportedPrime`."""
+    of a cofactor that is a power of a prime below FACTOR_CAP**2 is
+    listed, so `factor_prime` refuses it by name; any other cofactor
+    cannot be named without splitting it and is refused here with
+    `UnsupportedPrime`."""
     found, rest = prime_divisors_below(abs(n), FACTOR_CAP)
     if rest > 1:
-        if (p := prime_power_root(rest)) is None:
+        if (p := prime_power_root(rest, FACTOR_CAP)) is None:
             raise UnsupportedPrime(
-                f"{rest} has more than one prime factor past the desk-scale bound"
+                f"{rest} has no prime factor below the desk-scale bound"
             )
         found |= {p}
     excluded = excluded_primes(field)
@@ -157,20 +159,25 @@ def factor_prime(field: NumberField, p: int) -> tuple[FinitePlace, ...]:
     The fiber is sorted by (e, f, factor coefficients); the ordering is
     deterministic and stable across calls.
     """
-    _check_prime(p)
+    check_prime(p)
     return _factor_cached(field, p)
 
 
-def _check_prime(p) -> None:
-    if not isinstance(p, int) or p < 2 or not isprime(p):
+def check_prime(p) -> None:
+    """Refuse anything but a prime below desk scale: desk scale is checked
+    before primality, which is decided only below it."""
+    if not isinstance(p, int) or p < 2:
         raise NotPrime(f"{p} is not prime")
     check_desk_scale(p)
+    if not isprime(p):
+        raise NotPrime(f"{p} is not prime")
 
 
-def check_desk_scale(p: int) -> None:
-    """Refuse a prime at or past FACTOR_CAP, beyond desk scale."""
-    if p >= FACTOR_CAP:
-        raise UnsupportedPrime(f"prime {p} exceeds the desk-scale bound")
+def check_desk_scale(n: int) -> None:
+    """Refuse an integer at or past FACTOR_CAP, beyond desk scale, prime
+    or not."""
+    if n >= FACTOR_CAP:
+        raise UnsupportedPrime(f"{n} exceeds the desk-scale bound")
 
 
 def place_above(field: NumberField, p: int, index: int = 0) -> FinitePlace:
@@ -192,7 +199,7 @@ def splitting_class(field: NumberField, p: int) -> tuple[tuple[int, int], ...]:
     the excluded ones.  Below desk scale these are the `disc_primes`; the
     divisibility test leaves the discriminant unfactored.
     """
-    _check_prime(p)
+    check_prime(p)
     if field.discriminant % p == 0:
         return tuple(sorted((w.e, w.f) for w in _factor_cached(field, p)))
     blocks = poly.distinct_degree(poly.pnorm(field.coeffs, p), p)

@@ -46,11 +46,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import FieldMismatch, NotPrime
+from .errors import FieldMismatch
 from .numberfields import NumberField, RATIONALS, read_int
 from .places import (
     FinitePlace,
     check_desk_scale,
+    check_prime,
     class_label,
     disc_primes,
     excluded_primes,
@@ -227,8 +228,7 @@ def all_primes() -> QPlaceSet:
 def _checked_primes(primes) -> frozenset[int]:
     out = frozenset(primes)
     for p in out:
-        if not isinstance(p, int) or not isprime(p):
-            raise NotPrime(f"{p} is not prime")
+        check_prime(p)
     return out
 
 
@@ -429,6 +429,7 @@ def parse_qset(text: str) -> QPlaceSet:
         cells.add(cell)
     plus = frozenset(map(read_int, split_items(plus_text, ",")))
     minus = frozenset(map(read_int, split_items(minus_text, ",")))
+    check_desk_scale(max(plus | minus, default=0))
     nonprimes = sorted(p for p in plus | minus if not isprime(p))
     if nonprimes:
         raise ValueError(f"numbers {nonprimes} are not prime")

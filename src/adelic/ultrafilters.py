@@ -41,7 +41,7 @@ from . import config
 from .errors import FieldMismatch, NotAPartition, UnsupportedSelection
 from .numberfields import NumberField, RATIONALS
 from .places import (
-    FACTOR_CAP,
+    LEAST_PRIME_PAST_CAP,
     FinitePlace,
     check_desk_scale,
     class_label,
@@ -122,9 +122,8 @@ class FreeQUltrafilter(Ultrafilter):
         self._chain: dict[NumberField, tuple] = {}
         self.bound = bound = config.DEFAULT.prime_bound
         # a bound past desk scale is refused even where the witness search stops early
-        beyond = next(primerange(FACTOR_CAP, min(bound, 2 * FACTOR_CAP)), None)
-        if beyond is not None:
-            check_desk_scale(beyond)
+        if bound > LEAST_PRIME_PAST_CAP:
+            check_desk_scale(LEAST_PRIME_PAST_CAP)
         if next(self._witnesses(), None) is None:
             raise UnsupportedSelection(
                 f"no unramified prime below {bound} realizes a cell of the anchor set"

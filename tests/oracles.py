@@ -3,9 +3,8 @@
 The factorization oracle scans all residues with numpy and splits
 rootless quartics by solving the coefficient equations directly, so it
 shares no code path with the library's distinct-degree machinery.  The
-integer oracles divide by every candidate up to the square root, and
-Mersenne primes are decided by the Lucas-Lehmer test, so neither shares
-code with the sieve, Miller-Rabin or Lucas steps of `adelic.primes`.
+integer oracles divide by every candidate up to the square root, so they
+share no code with the sieve of `adelic.primes`.
 The place-set oracles are the original Boolean-operation code: nested-loop
 context extension, a pointwise rebuild of the finite modification, then a
 canonical form that drops one cylinder field at a time and starts over.
@@ -364,26 +363,6 @@ def trial_division_factor(n):
 
 def trial_division_isprime(n):
     return n >= 2 and trial_division_factor(n) == {n: 1}
-
-
-def lucas_lehmer(q):
-    """Is the Mersenne number 2**q - 1 prime, for an odd prime q?"""
-    m = (1 << q) - 1
-    s = 4
-    for _ in range(q - 2):
-        s = (s * s - 2) % m
-    return s == 0
-
-
-def is_strong_pseudoprime(n, base):
-    """Does odd n pass the Miller-Rabin round for this base: with
-    n - 1 = d * 2**s, d odd, is base**d = 1 or base**(d * 2**r) = -1 mod n
-    for some r < s?"""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    return pow(base, d, n) == 1 or any(
-        pow(base, d * 2 ** r, n) == n - 1 for r in range(s))
 
 
 @cache

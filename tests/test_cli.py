@@ -283,6 +283,8 @@ def test_cli_import_loads_no_sympy():
 
 # -- the front door: random argv, no traceback ----------------------------------
 
+_P30 = 10 ** 30 + 57  # a prime past 10**12, so no root of it is below (10**6)**2
+
 POLYS = ("1,0,1", "-5,0,1", "-2,0,0,1", "1,1,1,1,1", "0,1", "-1,1", "1", "",
          "0,0,1", "1,0,0", "2,0,1", "-1,0,0,0,1", "x", "1,,1")
 ULTRAS = ("at:5:0", "at:2:0", "at:5:3", "at:4:0", "at:-3:0", "at:5", "free:all",
@@ -294,12 +296,13 @@ ULTRAS = ("at:5:0", "at:2:0", "at:5:3", "at:4:0", "at:-3:0", "at:5", "free:all",
           "free[q{ctx[1,0,1] cells[1x1+1x1] plus[] minus[]}]",
           "free[q{ctx[-2,0,0,1|1,0,1] cells[1x1+1x2*1x1+1x1] plus[] minus[]}]",
           "free[q{ctx[] cells[] plus[5] minus[]}]", "free[q{ctx[1,0,1] cells[1x3] plus[] minus[]}]",
+          "free[q{ctx[] cells[~] plus[] minus[1000003]}]",
           f"free[{_ALL}", f"free[{_ALL}}}]",
           "free[]", f"free[k{{field[1,0,1] 1:{_ALL}}}]",
           "lift:1:free[q{ctx[1,0,1] cells[1x2] plus[] minus[]}]",
           f"lift:2:free[{_ALL}]",
           "lift:1:free[q{ctx[1,0,1] cells[~] plus[] minus[]}]")
-ADELES = ("zero", "one", "uni", "uni^2", "uni^0", "uni^x", "uni:3", "diag:6",
+ADELES = ("zero", "one", "uni", "uni^2", "uni^0", "uni^x", "uni:3", "diag:6", f"diag:{_P30}",
           "diag:-1/2", "diag:1/0", "diag:x", "diag:", "diag:1,2,3",
           "ind:-2,0,0,1:1x1+1x2", "ind:1,0,1:1x2", "ind:1,0,1:2x1", "ind:1,0,1",
           "ind:x:1x1",
@@ -324,7 +327,8 @@ VALUES = {
     "--poly": st.sampled_from(POLYS),
     "--field": st.sampled_from(POLYS),
     "--ext": st.sampled_from(POLYS),
-    "--prime": st.sampled_from(("-3", "0", "1", "2", "5", "13", "4", "1000003", "x")),
+    "--prime": st.sampled_from(("-3", "0", "1", "2", "5", "13", "4", "1000003", "1000004",
+                                str(_P30), "x")),
     "--ideal": IDEALS,
     "--adele": st.sampled_from(ADELES),
     "--ultra": st.sampled_from(ULTRAS),
@@ -448,26 +452,30 @@ def test_index_prime_past_desk_scale_is_refused():
 
 
 _N = 10000000000000000141000000000000000459  # a 19-digit prime times a 20-digit one
-_PRIME_PAST_DESK_SCALE = "error: UnsupportedPrime: prime 1000003 exceeds the desk-scale bound"
+_PRIME_PAST_DESK_SCALE = "error: UnsupportedPrime: 1000003 exceeds the desk-scale bound"
 _GAUSS_MEMBER = ("member", "--ideal", "max@free:1,0,1:1x1+1x1", "--adele")
 
 
 @pytest.mark.parametrize("argv,code,line", [
     (("fiber", "--ideal", "between@free:all@uni", "--ext", f"-{_N},0,1"), 0, "fiber_size=2"),
     ((*_GAUSS_MEMBER, f"diag:{_N}"), 2,
-     f"error: UnsupportedPrime: {_N} has more than one prime factor past the desk-scale bound"),
+     f"error: UnsupportedPrime: {_N} has no prime factor below the desk-scale bound"),
+    ((*_GAUSS_MEMBER, f"diag:{_P30}"), 2,
+     f"error: UnsupportedPrime: {_P30} has no prime factor below the desk-scale bound"),
     ((*_GAUSS_MEMBER, "diag:1000003"), 2, _PRIME_PAST_DESK_SCALE),
     ((*_GAUSS_MEMBER, "diag:7/1000003"), 2, _PRIME_PAST_DESK_SCALE),
     (("member", "--field", "1,0,1", "--ideal", "max@lift:1:free:1,0,1:1x1+1x1",
       "--adele", "diag:1000003"), 2, _PRIME_PAST_DESK_SCALE),
-], ids=["fiber-discriminant", "member-norm-composite", "member-norm-prime",
+], ids=["fiber-discriminant", "member-norm-composite", "member-norm-large-prime",
+        "member-norm-prime",
         "member-denominator-prime", "member-norm-prime-square"])
 def test_large_composite_discriminant_is_not_factored(argv, code, line):
     """Nothing is split past desk scale.  The special primes of x^2 - N,
     N the product of two primes near 10**18, are found without splitting
-    N; a coefficient N of an adele is refused unsplit, and one prime past
-    desk scale is refused by name, also from the norm 1000003**2 of
-    1000003 over Q(i).  Splitting N would blow the timeout."""
+    N; a coefficient N of an adele is refused unsplit, as is the prime
+    10**30 + 57, which trial division below 10**6 cannot prove prime.  A
+    prime below 10**12 is refused by name, also from the norm 1000003**2
+    of 1000003 over Q(i).  Splitting N would blow the timeout."""
     done = subprocess.run([sys.executable, "-m", "adelic.cli", *argv],
                           capture_output=True, env=_src_env(), text=True, timeout=10)
     assert done.returncode == code, done.stderr
@@ -475,6 +483,24 @@ def test_large_composite_discriminant_is_not_factored(argv, code, line):
         assert line in done.stdout.splitlines()
     else:
         assert done.stdout == "" and done.stderr.splitlines() == [line]
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("factor", "--poly", "1,0,1", "--prime", "1000004"), "1000004 exceeds the desk-scale bound"),
+    (("factor", "--poly", "1,0,1", "--prime", str(_P30)), f"{_P30} exceeds the desk-scale bound"),
+    (("classify", "--ideal", "max@free[q{ctx[] cells[~] plus[] minus[1000003]}]"),
+     "1000003 exceeds the desk-scale bound"),
+    (("--prime-bound", "3000000", "classify", "--ideal", "max@free:1,0,1:1x1+1x1"),
+     "1000003 exceeds the desk-scale bound"),
+], ids=["prime-composite", "prime-large", "qset-listed", "prime-bound"])
+def test_integers_past_desk_scale_exit_2(argv, line):
+    """Every integer of 10**6 or more the user writes as a prime is refused
+    as past desk scale, prime or not."""
+    err = io.StringIO()
+    with _cli_state_restored(), contextlib.redirect_stderr(err):
+        code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert err.getvalue() == f"error: UnsupportedPrime: {line}\n"
 
 
 def test_settings_are_read_from_config_only():

@@ -18,7 +18,12 @@ from adelic.placesets import all_primes
 from adelic.primes import primerange
 
 from conftest import CUBE2, CYCLO5, GAUSS, ROOT5
-from oracles import enumerate_finite_places, oracle_unramified_class, splitting_types
+from oracles import (
+    enumerate_finite_places,
+    oracle_unramified_class,
+    splitting_types,
+    trial_division_isprime,
+)
 from oracles import unramified_classes as oracle_unramified_classes
 
 
@@ -73,14 +78,15 @@ def test_splitting_class_factors_no_discriminant(monkeypatch):
 
 
 def test_supported_primes_dividing():
-    """Primes past desk scale are never split: the prime of a prime-power
-    cofactor is listed, so `factor_prime` refuses it by name, and any other
-    cofactor is refused whole.  Excluded primes are dropped."""
+    """Primes past desk scale are never split: the prime of a power of a
+    prime below 10**12 is listed, so `factor_prime` refuses it by name,
+    and any other cofactor is refused whole.  Excluded primes are
+    dropped."""
     assert supported_primes_dividing(GAUSS, 6 * 1000003) == (2, 3, 1000003)
     assert supported_primes_dividing(GAUSS, 5 * 1000003 ** 2) == (5, 1000003)
     n = 1000003 * 1000033
     with pytest.raises(UnsupportedPrime,
-                       match=f"^{n} has more than one prime factor past the desk-scale bound$"):
+                       match=f"^{n} has no prime factor below the desk-scale bound$"):
         supported_primes_dividing(GAUSS, n)
     assert excluded_primes(ROOT5) == (2,)
     assert supported_primes_dividing(ROOT5, 12) == (3,)
@@ -100,12 +106,30 @@ def test_errors():
 
 
 def test_desk_scale_refusals_share_one_message():
-    message = r"^prime 1000003 exceeds the desk-scale bound$"
+    message = r"^1000003 exceeds the desk-scale bound$"
     for refuse in (places.check_desk_scale, lambda p: factor_prime(GAUSS, p),
                    all_primes().contains_prime):
         with pytest.raises(UnsupportedPrime, match=message):
             refuse(1_000_003)
     places.check_desk_scale(999_983)
+
+
+def test_desk_scale_is_checked_before_primality():
+    """From 10**6 on no integer is tested for primality: prime or not, it
+    is refused as past desk scale."""
+    for n in (1_000_000, 1_000_004, 2 ** 89 - 1, 3 * (2 ** 89 - 1), 10 ** 30 + 57):
+        for check in (factor_prime, splitting_class):
+            with pytest.raises(UnsupportedPrime, match=f"^{n} exceeds the desk-scale bound$"):
+                check(GAUSS, n)
+    for n in (-7, 0, 1, 999_999, 1.0):
+        with pytest.raises(NotPrime):
+            factor_prime(GAUSS, n)
+
+
+def test_least_prime_past_the_cap():
+    p = places.LEAST_PRIME_PAST_CAP
+    assert trial_division_isprime(p)
+    assert not any(trial_division_isprime(n) for n in range(places.FACTOR_CAP, p))
 
 
 def test_excluded_primes():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adelic.adeles import one_adele, parse_adele
-from adelic.errors import FieldMismatch, NotPrime
+from adelic.errors import FieldMismatch, NotPrime, UnsupportedPrime
 from adelic.extensions import to_extension
 from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import excluded_primes, factor_prime, place_above
@@ -335,6 +335,20 @@ def test_edited_printed_text_is_refused_or_read_as_printed(case):
 ])
 def test_finite_modifications_reject_non_primes(build):
     with pytest.raises(NotPrime):
+        build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: finite_qset([10 ** 30 + 57]),
+    lambda: finite_qset([5, 1_000_004]),
+    lambda: cofinite_qset([1_000_003]),
+    lambda: parse_qset("q{ctx[] cells[] plus[1000003] minus[]}"),
+    lambda: parse_qset("q{ctx[] cells[~] plus[] minus[4,1000004]}"),
+], ids=["finite-prime", "finite-composite", "cofinite", "parse-plus", "parse-minus"])
+def test_listed_primes_past_desk_scale_are_refused(build):
+    """A listed entry of 10**6 or more is refused as past desk scale,
+    prime or not, before any primality test."""
+    with pytest.raises(UnsupportedPrime, match="exceeds the desk-scale bound$"):
         build()
 
 

@@ -1,30 +1,28 @@
 import random
-from math import isqrt, prod
+from itertools import accumulate
+from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from adelic import primes
+from adelic.places import FACTOR_CAP
 from adelic.primes import (
-    PSI_13,
     SIEVE_LIMIT,
-    _MR_BASES,
-    _strong_lucas_probable_prime,
     isprime,
     prime_divisors_below,
     prime_power_root,
     primerange,
 )
 
-from oracles import (
-    divisors,
-    is_strong_pseudoprime,
-    lucas_lehmer,
-    trial_division_factor,
-    trial_division_isprime,
-)
+from oracles import divisors, trial_division_factor, trial_division_isprime
 
-# two primes just below 2**31, and the two prime factors of PSI_13
+# two primes just below 2**31
 P31, Q31 = 2147483647, 2147483629
-PSI_13_FACTORS = (1287836182261, 2575672364521)
+# the number of primes below 2**k for k = 2..20 (OEIS A007053)
+PRIMES_BELOW_POWERS_OF_TWO = (2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028,
+                              1900, 3512, 6542, 12251, 23000, 43390, 82025)
+BOUNDS = (2, 3, 100, 1024, 1031, 5000, 10 ** 6)
 
 
 def test_primerange_edges():
@@ -40,55 +38,34 @@ def test_primerange_edges():
 
 
 def test_isprime_small_and_at_the_sieve_limit():
-    for n in list(range(-3, 5000)) + list(range(SIEVE_LIMIT - 200, SIEVE_LIMIT + 200)):
+    for n in list(range(-3, 5000)) + list(range(SIEVE_LIMIT - 400, SIEVE_LIMIT)):
         assert isprime(n) == trial_division_isprime(n), n
 
 
 def test_isprime_random_against_trial_division():
     rng = random.Random(20)
-    for bits, count in ((24, 300), (32, 200), (40, 40)):
-        for _ in range(count):
-            n = rng.getrandbits(bits)
-            assert isprime(n) == trial_division_isprime(n), n
+    for _ in range(500):
+        n = rng.getrandbits(20)
+        assert isprime(n) == trial_division_isprime(n), n
 
 
-def test_psi13_is_a_strong_pseudoprime_that_isprime_rejects():
-    a, b = PSI_13_FACTORS
-    assert a * b == PSI_13
-    assert trial_division_isprime(a) and trial_division_isprime(b)
-    assert all(is_strong_pseudoprime(PSI_13, base) for base in _MR_BASES)
-    assert not isprime(PSI_13)
+def test_isprime_counts_the_primes_below_each_power_of_two():
+    counts = list(accumulate(isprime(n) for n in range(SIEVE_LIMIT)))
+    assert SIEVE_LIMIT == 1 << 20
+    assert tuple(counts[(1 << k) - 1] for k in range(2, 21)) == PRIMES_BELOW_POWERS_OF_TWO
 
 
-def test_mersenne_numbers_against_lucas_lehmer():
-    # 2**89 - 1 and 2**127 - 1 are prime; every exponent here past 81 puts
-    # 2**q - 1 above PSI_13, where the strong Lucas test joins in
-    for q in (89, 127):
-        assert isprime(2 ** q - 1) and lucas_lehmer(q)
-    for q in primerange(3, 200):
-        assert isprime(2 ** q - 1) == lucas_lehmer(q), q
+def test_isprime_answers_below_the_sieve_limit_only(monkeypatch):
+    """The sieve covers desk scale; a larger number is a caller's error,
+    refused without building a sieve."""
+    assert FACTOR_CAP <= SIEVE_LIMIT
+    monkeypatch.setattr(primes, "_sieve_below", lambda n: pytest.fail(f"sieve below {n} built"))
+    for n in (SIEVE_LIMIT, SIEVE_LIMIT + 1, 10 ** 30 + 57):
+        with pytest.raises(ValueError):
+            isprime(n)
 
 
-def test_products_of_two_primes():
-    assert trial_division_isprime(P31) and trial_division_isprime(Q31)
-    assert not isprime(P31 * Q31)
-    # above PSI_13: a strong pseudoprime must also fail the Lucas test
-    big = 2 ** 89 - 1
-    assert not isprime(big * P31) and not isprime(big * big)
-
-
-def test_strong_lucas_pseudoprimes():
-    # the odd composites below 30000 that pass the strong Lucas test with
-    # Selfridge's parameters (OEIS A217255)
-    passing = [n for n in range(3, 30000, 2)
-               if isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n)
-               and not trial_division_isprime(n)]
-    assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
-    assert all(_strong_lucas_probable_prime(p) for p in primerange(3, 30000))
-
-
-@given(st.integers(min_value=1, max_value=10 ** 9),
-       st.sampled_from((2, 3, 100, 1024, 1031, 5000, 10 ** 6)))
+@given(st.integers(min_value=1, max_value=10 ** 9), st.sampled_from(BOUNDS))
 @settings(max_examples=300, deadline=None)
 def test_prime_divisors_below_match_trial_division(n, bound):
     factors = trial_division_factor(n)
@@ -108,19 +85,28 @@ def test_prime_divisors_below_never_split_the_cofactor():
     assert prime_divisors_below(1031 * 1033, 10 ** 6) == ({1031, 1033}, 1)
 
 
-@given(st.integers(min_value=1, max_value=10 ** 9))
+@given(st.integers(min_value=1, max_value=10 ** 9), st.sampled_from(BOUNDS))
 @settings(max_examples=300, deadline=None)
-def test_prime_power_root_matches_trial_division(n):
-    factors = trial_division_factor(n)
-    assert prime_power_root(n) == (next(iter(factors)) if len(factors) == 1 else None)
+def test_prime_power_root_matches_trial_division(n, bound):
+    """The cofactor trial division leaves is named exactly when it is a
+    power of one prime below bound**2."""
+    cofactor = prime_divisors_below(n, bound)[1]
+    factors = trial_division_factor(cofactor)
+    expected = next(iter(factors)) if len(factors) == 1 else None
+    if expected is not None and expected >= bound * bound:
+        expected = None
+    assert prime_power_root(cofactor, bound) == expected
 
 
 def test_prime_power_roots_past_the_sieve():
+    """With no prime factor below 10**6, a root below 10**12 is prime and
+    named; a number with no such root is refused, prime or not."""
     big = 2 ** 89 - 1
-    for p in (P31, Q31, big):
-        assert all(prime_power_root(p ** k) == p for k in (1, 2, 3, 5, 6))
-    for n in (P31 * Q31, (P31 * Q31) ** 2, P31 ** 2 * Q31, big * P31, PSI_13):
-        assert prime_power_root(n) is None
+    for p in (P31, Q31):
+        assert all(prime_power_root(p ** k, 10 ** 6) == p for k in (1, 2, 3, 5, 6))
+    for n in (P31 * Q31, (P31 * Q31) ** 2, P31 ** 2 * Q31, big * P31,
+              *(big ** k for k in (1, 2, 3))):
+        assert prime_power_root(n, 10 ** 6) is None
 
 
 def test_divisors():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from adelic import config
+from adelic import config, ultrafilters
 from adelic.adeles import vanishing_on
 from adelic.errors import (
     FieldMismatch,
@@ -12,7 +12,7 @@ from adelic.errors import (
 )
 from adelic.localfields import INF
 from adelic.numberfields import NumberField, RATIONALS
-from adelic.places import factor_prime, place_above, splitting_class
+from adelic.places import FACTOR_CAP, factor_prime, place_above, splitting_class
 from adelic.placesets import (
     all_primes,
     class_atom,
@@ -411,9 +411,17 @@ def test_split_selector_samples_few_primes(monkeypatch):
 
 def test_prime_bound_past_desk_scale_is_refused(monkeypatch):
     """Sampling that stops early still refuses a bound whose primes could
-    not all be factored."""
-    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=1_100_000))
-    with pytest.raises(UnsupportedPrime, match="prime 1000003 exceeds"):
-        free_on_atom(GAUSS, SPLIT_GAUSS)
+    not all be factored, and sieves no range past desk scale to decide."""
+    sieved = ultrafilters.primerange
+
+    def below_desk_scale(a, b):
+        assert a < FACTOR_CAP, f"primerange({a}, {b}) starts past desk scale"
+        return sieved(a, b)
+
+    monkeypatch.setattr(ultrafilters, "primerange", below_desk_scale)
+    for bound in (1_100_000, 1_000_004, 3_000_000):
+        monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=bound))
+        with pytest.raises(UnsupportedPrime, match="^1000003 exceeds"):
+            free_on_atom(GAUSS, SPLIT_GAUSS)
     monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=1_000_003))
     free_on_atom(GAUSS, SPLIT_GAUSS)

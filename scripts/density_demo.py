@@ -17,7 +17,7 @@ GAUSS = NumberField((1, 0, 1))
 
 
 def main():
-    split = free_on_atom(GAUSS, ((1, 1), (1, 1)), "split")
+    split = free_on_atom(GAUSS, ((1, 1), (1, 1)))
     ideal = min_at(split)
     print("minimal ideal of the split-class ultrafilter; witnesses inside "
           "shrinking neighborhoods of 1:")

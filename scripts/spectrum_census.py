@@ -37,7 +37,7 @@ def census(bound):
 
 def fibers():
     gauss = FIELDS["x^2+1"]
-    split = free_on_atom(gauss, ((1, 1), (1, 1)), "split")
+    split = free_on_atom(gauss, ((1, 1), (1, 1)))
     pi = uniformizer_adele(RATIONALS)
     samples = [
         ("vanishing at the place above 5", zero_at(place_above(RATIONALS, 5))),

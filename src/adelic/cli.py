@@ -186,8 +186,6 @@ def _place_text(w) -> str:
 
 
 def _ultra_text(u: Ultrafilter) -> str:
-    if isinstance(u, PrincipalUltrafilter):
-        return f"at:{u.place.p}:{u.place.index}"
     if isinstance(u, FreeKUltrafilter):
         return f"lift:{u.effective_position}:{_ultra_text(u.base)}"
     return f"free[{u.anchor_set().to_text()}]"
@@ -230,9 +228,8 @@ def cmd_member(opts) -> int:
         predicate = "in_m" if ideal.kind == "max_at" else "is_zero"
         print(f"witness={membership_set(alpha, predicate).to_text()}")
     elif ideal.kind == "between":
-        d_alpha, d_beta = selected_profile(ideal.ultra, alpha, ideal.beta)
-        print(f"profile_alpha={d_alpha}")
-        print(f"profile_beta={d_beta}")
+        print(f"profile_alpha={selected_profile(ideal.ultra, alpha)}")
+        print(f"profile_beta={selected_profile(ideal.ultra, ideal.beta)}")
     return 0
 
 

@@ -8,8 +8,9 @@ from .records import Record
 class Settings(Record):
     """Numeric limits for free-ultrafilter witnesses.
 
-    prime_bound: a free ultrafilter looks for the witnesses of its
-        selector among the primes below this bound, read when it is built.
+    prime_bound: a free ultrafilter looks for its witness prime, and for
+        each later move of it, among the primes below this bound, read
+        when it is built; the bound decides only refusal.
     """
 
     __slots__ = ("prime_bound",)

@@ -111,7 +111,7 @@ def _descend_generator(ideal: PrimeIdeal) -> Adele:
     generator is p to that degree at every prime, or zero when the
     generator vanishes on its selected piece.
     """
-    depth = selected_profile(ideal.ultra, ideal.beta)[0]
+    depth = selected_profile(ideal.ultra, ideal.beta)
     if depth == INF:
         return zero_adele(RATIONALS)
     return make_adele(RATIONALS, tail=TailPoly.uniformizer_power(RATIONALS, depth))

@@ -68,10 +68,8 @@ class LocalContext:
     """Shared machinery for one place at one working precision."""
 
     def __init__(self, place: FinitePlace, digits: int):
-        self.place = place
         self.p = place.p
         self.e = place.e
-        self.f = place.f
         self.digits = digits
         self.pw = place.p ** digits
         self.G = _lifted_blocks(place.field, place.p, digits)[place.index]
@@ -106,60 +104,38 @@ class LocalContext:
         return poly.divmod_monic(z, self.G, p ** digits)[1]
 
     def divide_by_uniformizer(self, vec, prec):
-        """Divide an element of positive valuation by the uniformizer."""
-        t = vec
-        for _ in range(self.e - 1):
-            t = self.mul(t, self.pi)
-        t = self.mul(t, self.unit_inv)
-        prec = min(prec, self.unit_digits)
-        pk = self.p ** prec
-        t = tuple(c % pk for c in t)
-        assert all(c % self.p == 0 for c in t), "element not divisible by uniformizer"
-        return tuple(c // self.p for c in t), prec - 1
+        """Divide an element of positive valuation, reduced mod p**prec,
+        by the uniformizer: divide by p when unramified; else multiply by
+        pi**(e-1) * unit_inv, which is p / pi, and divide by p."""
+        if self.e >= 2:
+            for _ in range(self.e - 1):
+                vec = self.mul(vec, self.pi)
+            vec = self.mul(vec, self.unit_inv)
+            prec = min(prec, self.unit_digits)
+            pk = self.p ** prec
+            vec = tuple(c % pk for c in vec)
+        assert all(c % self.p == 0 for c in vec), "element not divisible by uniformizer"
+        return tuple(c // self.p for c in vec), prec - 1
 
     def extract(self, vec, prec):
         """Certified (valuation, unit vector, unit precision) of vec.
 
-        vec holds coefficients certified mod p**prec.  Each digit consumed
-        raises the valuation by at least one, and a ramified place gives up
-        one more to the unit cofactor's precision, so the unit precision
-        returned is at least prec - v - 1 for the valuation v of vec; the
-        caller sizes prec from that.
+        vec holds coefficients certified mod p**prec.  One loop reads the
+        valuation v: while the residue is not a unit, divide by the
+        uniformizer, spending one digit.  A ramified place gives up one
+        more digit to the unit cofactor's precision, so the unit precision
+        returned is at least prec - v - 1, and the unit vector is
+        vec / pi**v; the caller sizes prec from that.
         """
-        p = self.p
         val = 0
         while True:
-            pk = p ** prec
+            pk = self.p ** prec
             vec = tuple(c % pk for c in vec)
             assert any(vec), "working precision below the valuation"
-            k = min(_vp(c, p) for c in vec if c)
-            if k > 0:
-                vec = tuple(c // p ** k for c in vec)
-                prec -= k
-                val += self.e * k
-                if self.e >= 2:
-                    # p ** k contributes pi ** (e*k) times the inverse of
-                    # (pi**e / p) ** k to the unit cofactor
-                    for _ in range(k):
-                        vec = self.mul(vec, self.unit_inv)
-                    prec = min(prec, self.unit_digits)
             if self.residue_is_unit(vec):
                 return val, vec, prec
-            # e = 1 cannot reach here: after the p-division some coefficient
-            # is a p-unit and the vector has degree below the factor's
-            assert self.e >= 2, "unramified residue check failed"
             vec, prec = self.divide_by_uniformizer(vec, prec)
             val += 1
-
-
-def _vp(n, p):
-    if n == 0:
-        return INF
-    v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
 
 
 @lru_cache(maxsize=None)

@@ -105,7 +105,7 @@ def between(u: Ultrafilter, beta: Adele) -> PrimeIdeal:
     _require_free(u)
     if beta.field != u.field:
         raise FieldMismatch("generator and ultrafilter over different fields")
-    if selected_profile(u, beta)[0] < 1:
+    if selected_profile(u, beta) < 1:
         raise DegenerateGenerator(
             "the generator is a unit on the ultrafilter; the displayed "
             "membership set would be the whole ring"
@@ -125,27 +125,26 @@ def member(alpha: Adele, ideal: PrimeIdeal) -> bool:
             return alpha.arch_at(w).is_zero()
         return alpha.valuation_at(w) == INF
     if ideal.kind == "max_at":
-        return selected_profile(ideal.ultra, alpha)[0] >= 1
+        return selected_profile(ideal.ultra, alpha) >= 1
     if ideal.kind == "min_at":
-        return selected_profile(ideal.ultra, alpha)[0] == INF
+        return selected_profile(ideal.ultra, alpha) == INF
     assert ideal.kind == "between"
     return member_between(alpha, ideal.ultra, ideal.beta)
 
 
 @lru_cache(maxsize=8192)
-def selected_profile(u: Ultrafilter, *adeles: Adele):
-    """Tail degrees of the given adeles, each on the region piece of it
-    that the free ultrafilter selects.
+def selected_profile(u: Ultrafilter, a: Adele):
+    """Tail degree of the adele on the region piece of it that the free
+    ultrafilter selects.
 
-    Each adele's pieces partition the finite places, so u contains one of
-    them, and it contains a joint piece exactly when it contains each
-    adele's piece.  The finitely many exceptional and suspect places never
-    matter to a free ultrafilter, so the degree there is the answer.
+    The override regions and the places they leave to the default tail
+    partition the finite places, so u contains exactly one of them: the
+    first override region it contains, or else the default's.  The
+    finitely many exceptional and suspect places never matter to a free
+    ultrafilter, so the degree there is the answer.
     """
-    return tuple(
-        next(tail.min_degree() for region, tail in a.pieces() if u.contains(region))
-        for a in adeles
-    )
+    return next((tail for region, tail in a.overrides if u.contains(region)),
+                a.tail).min_degree()
 
 
 def member_between(alpha: Adele, u: Ultrafilter, beta: Adele) -> bool:
@@ -157,7 +156,7 @@ def member_between(alpha: Adele, u: Ultrafilter, beta: Adele) -> bool:
     the two selected tail degrees.
     """
     _require_free(u)
-    d_alpha, d_beta = selected_profile(u, alpha, beta)
+    d_alpha, d_beta = selected_profile(u, alpha), selected_profile(u, beta)
     if d_beta < 1:
         raise DegenerateGenerator("generator is a unit on the ultrafilter")
     if d_beta == INF:

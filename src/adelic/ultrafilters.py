@@ -3,24 +3,28 @@
 Principal ultrafilters are anchored at a single place.  A free ultrafilter
 over the rationals is anchored on a set with cells and, to stay a genuine
 ultrafilter on the whole algebra (which keeps refining as more extensions
-enter the picture), carries a selector: for every registered extension,
-one unramified splitting class chosen greedily in registration order:
-the class of the first witness below the prime bound the ultrafilter was
-built with.  Every membership query answers "does the selected joint
-class lie among the set's cells", so the four ultrafilter axioms hold by
-construction, finite sets are never members, and cofinite sets always
-are.
+enter the picture), follows one witness prime: for every registered
+extension, in registration order, it selects the unramified splitting
+class of its witness.  Every membership query answers "does the selected
+joint class lie among the set's cells", so the four ultrafilter axioms
+hold by construction, finite sets are never members, and cofinite sets
+always are.
 
-A witness is a prime below the bound that divides no discriminant of the
-atom's context, of the chain's fields or of the field being selected,
-whose joint class lies in a cell of the atom and which has the chain's
-class in every chain field.  By Chebotarev's density theorem (Neukirch,
-Algebraic Number Theory, VII.13) one such prime proves that the primes of
-its joint class have positive density, so every set the ultrafilter
-contains is infinite.  An atom or a chain step without a witness is
-refused (`UnsupportedSelection`).  The first witness below a bound is the
-first witness below every larger bound, so the bound decides only whether
-a step is refused, never which class it selects.
+The witness starts as the least prime below the prime bound the
+ultrafilter was built with whose joint class over the atom's context is a
+cell of the atom.  It moves only when it divides the discriminant of a
+newly selected field, to the least larger prime below the bound that
+divides no discriminant of the chain's fields or of the new field, has a
+joint class among the atom's cells and has the chain's class in every
+chain field.  Every prime below the old witness already failed a
+condition the new step keeps, so that is also the least such prime from
+2: each selected class is the class of the first witness below the
+bound, and the bound decides only whether a step is refused, never which
+class it selects.  By Chebotarev's density theorem (Neukirch, Algebraic Number
+Theory, VII.13) one witness proves that the primes of its joint class
+have positive density, so every set the ultrafilter contains is infinite.
+An atom or a chain step without a witness is refused
+(`UnsupportedSelection`).
 
 A free ultrafilter over an extension field is a section lift of a free
 rational one at a fiber position, short fibers padding to their first
@@ -44,7 +48,6 @@ from .places import (
     LEAST_PRIME_PAST_CAP,
     FinitePlace,
     check_desk_scale,
-    class_label,
     disc_primes,
     factor_prime,
     joint_class,
@@ -56,7 +59,6 @@ from .placesets import (
     all_primes,
     class_atom,
     fiber_size_exactly,
-    finite_set,
     section_image,
 )
 from .primes import primerange
@@ -64,19 +66,9 @@ from .registry import ensure_registered, registered_fields
 
 
 class Ultrafilter:
+    """An ultrafilter on the describable place sets of one field."""
+
     field: NumberField
-
-    @property
-    def is_principal(self) -> bool:
-        raise NotImplementedError
-
-    def contains(self, s) -> bool:
-        raise NotImplementedError
-
-    def anchor_set(self):
-        """A canonical member set (the generator for principal
-        ultrafilters, the atom or its section image for free ones)."""
-        raise NotImplementedError
 
 
 def _check_set(u: Ultrafilter, s) -> None:
@@ -97,9 +89,6 @@ class PrincipalUltrafilter(Ultrafilter):
         _check_set(self, s)
         return s.contains_place(self.place)
 
-    def anchor_set(self):
-        return finite_set(self.field, [self.place])
-
     def __eq__(self, other):
         return isinstance(other, PrincipalUltrafilter) and self.place == other.place
 
@@ -115,16 +104,16 @@ class FreeQUltrafilter(Ultrafilter):
     witnessed cell, such as an unramified class atom or an intersection of
     atoms of several fields."""
 
-    def __init__(self, atom: QPlaceSet, label: str = "atom"):
+    def __init__(self, atom: QPlaceSet):
         self.field = RATIONALS
         self.atom = atom
-        self.label = label
         self._chain: dict[NumberField, tuple] = {}
         self.bound = bound = config.DEFAULT.prime_bound
         # a bound past desk scale is refused even where the witness search stops early
         if bound > LEAST_PRIME_PAST_CAP:
             check_desk_scale(LEAST_PRIME_PAST_CAP)
-        if next(self._witnesses(), None) is None:
+        self.witness = self._least_witness(2)
+        if self.witness is None:
             raise UnsupportedSelection(
                 f"no unramified prime below {bound} realizes a cell of the anchor set"
             )
@@ -136,9 +125,10 @@ class FreeQUltrafilter(Ultrafilter):
     def _selected_class(self, K: NumberField):
         """The splitting class this ultrafilter selects for extension K.
 
-        Selections are made greedily in registration order, each one
-        conditioned on all earlier selections, so every query answered by
-        this ultrafilter factors through one fixed choice of joint class.
+        Selections are made in registration order, each one the class of
+        the witness that also meets every earlier selection, so every
+        query answered by this ultrafilter factors through one fixed
+        choice of joint class.
         """
         if K in self._chain:
             return self._chain[K]
@@ -151,24 +141,28 @@ class FreeQUltrafilter(Ultrafilter):
         self._extend_chain(K)
         return self._chain[K]
 
-    def _witnesses(self, *fields: NumberField):
-        """The primes below the bound that witness the atom together with
-        the chain so far, avoiding the discriminants of `fields` too."""
+    def _least_witness(self, start: int, *fields: NumberField):
+        """The least prime from `start` below the bound that witnesses the
+        atom together with the chain so far, avoiding the discriminants of
+        `fields` too; None when there is none."""
         atom, chain = self.atom, list(self._chain.items())
         avoid = set().union(*map(disc_primes, (*self._chain, *fields)))
-        for p in primerange(2, self.bound):
-            if p not in avoid and joint_class(p, atom.context) in atom.cells \
-                    and all(splitting_class(G, p) == cls for G, cls in chain):
-                yield p
+        return next((p for p in primerange(start, self.bound)
+                     if p not in avoid and joint_class(p, atom.context) in atom.cells
+                     and all(splitting_class(G, p) == cls for G, cls in chain)), None)
 
     def _extend_chain(self, F: NumberField) -> None:
-        p = next(self._witnesses(F), None)
-        if p is None:
-            raise UnsupportedSelection(
-                f"no prime below {self.bound} supports a splitting "
-                f"class of {list(F.coeffs)} for this ultrafilter"
-            )
-        self._chain[F] = splitting_class(F, p)
+        # the witness meets every chain class, so it moves only when it
+        # divides the discriminant of F
+        if self.witness in disc_primes(F):
+            p = self._least_witness(self.witness + 1, F)
+            if p is None:
+                raise UnsupportedSelection(
+                    f"no prime below {self.bound} supports a splitting "
+                    f"class of {list(F.coeffs)} for this ultrafilter"
+                )
+            self.witness = p
+        self._chain[F] = splitting_class(F, self.witness)
 
     def contains(self, s) -> bool:
         _check_set(self, s)
@@ -186,7 +180,7 @@ class FreeQUltrafilter(Ultrafilter):
         return hash(("free", self.atom, self.bound))
 
     def __repr__(self):
-        return f"Free({self.label})"
+        return f"Free({self.atom.to_text()}, witness {self.witness})"
 
 
 class FreeKUltrafilter(Ultrafilter):
@@ -244,16 +238,15 @@ class FreeKUltrafilter(Ultrafilter):
 # -- operations -------------------------------------------------------------
 
 
-def free_on_atom(field: NumberField, cls, label: str | None = None) -> FreeQUltrafilter:
+def free_on_atom(field: NumberField, cls) -> FreeQUltrafilter:
     """Free rational ultrafilter anchored on the splitting-class atom of a
     registered extension."""
-    atom = class_atom(field, cls)
-    return FreeQUltrafilter(atom, label or f"{list(field.coeffs)}:{class_label(tuple(sorted(cls)))}")
+    return FreeQUltrafilter(class_atom(field, cls))
 
 
-def free_cofinite(label: str = "all-primes") -> FreeQUltrafilter:
+def free_cofinite() -> FreeQUltrafilter:
     """Free ultrafilter anchored on the full prime set."""
-    return FreeQUltrafilter(all_primes(), label)
+    return FreeQUltrafilter(all_primes())
 
 
 def partition_pick(u: Ultrafilter, parts) -> int:

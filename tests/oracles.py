@@ -329,8 +329,9 @@ def distinguishing_witness(a, b):
 
     Free rational pairs are separated by the class atom of the first
     registered extension where their selectors disagree; other pairs fall
-    back to anchor sets and their complements (which covers distinct
-    section positions and principal-versus-free pairs).
+    back to anchor sets (a principal ultrafilter's singleton) and their
+    complements, which covers distinct section positions and
+    principal-versus-free pairs.
     """
     if a.field != b.field:
         raise FieldMismatch("ultrafilters over different fields")
@@ -340,8 +341,11 @@ def distinguishing_witness(a, b):
             if ca != cb:
                 return class_atom(K, ca)
         return None
-    anchor = a.anchor_set()
-    for s in (anchor, anchor.complement(), b.anchor_set().complement()):
+
+    def anchor(u):
+        return finite_set(u.field, [u.place]) if u.is_principal else u.anchor_set()
+
+    for s in (anchor(a), anchor(a).complement(), anchor(b).complement()):
         if a.contains(s) and not b.contains(s):
             return s
     return None

@@ -77,11 +77,11 @@ def _report(number, name, detail):
 
 def _free_catalogue():
     return {
-        "split": free_on_atom(GAUSS, ((1, 1), (1, 1)), "split"),
-        "inert": free_on_atom(GAUSS, ((1, 2),), "inert"),
+        "split": free_on_atom(GAUSS, ((1, 1), (1, 1))),
+        "inert": free_on_atom(GAUSS, ((1, 2),)),
         "cofinite": free_cofinite(),
-        "cube-split": free_on_atom(CUBE2, ((1, 1), (1, 1), (1, 1)), "cube-split"),
-        "cyclo-inert": free_on_atom(CYCLO5, ((1, 4),), "cyclo-inert"),
+        "cube-split": free_on_atom(CUBE2, ((1, 1), (1, 1), (1, 1))),
+        "cyclo-inert": free_on_atom(CYCLO5, ((1, 4),)),
     }
 
 
@@ -265,10 +265,10 @@ def test_criterion_6_lattice_and_separators():
     mixed_c = class_atom(CUBE2, ((1, 1), (1, 2)))
     full_c = class_atom(CUBE2, ((1, 1), (1, 1), (1, 1)))
     refined = [
-        FreeQUltrafilter(split_a.intersect(mixed_c), "split*mixed"),
-        FreeQUltrafilter(split_a.intersect(full_c), "split*full"),
-        FreeQUltrafilter(inert_a.intersect(mixed_c), "inert*mixed"),
-        FreeQUltrafilter(inert_a.intersect(full_c), "inert*full"),
+        FreeQUltrafilter(split_a.intersect(mixed_c)),
+        FreeQUltrafilter(split_a.intersect(full_c)),
+        FreeQUltrafilter(inert_a.intersect(mixed_c)),
+        FreeQUltrafilter(inert_a.intersect(full_c)),
         frees["split"],
         frees["inert"],
     ]

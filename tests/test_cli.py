@@ -623,3 +623,26 @@ def test_scripts_match_golden_stdout(script):
                           capture_output=True, env=_src_env())
     assert done.returncode == 0, done.stderr.decode()
     assert done.stdout == (GOLDEN.parent / f"{script}.txt").read_bytes()
+
+
+def test_readme_library_example_gives_its_commented_results():
+    """The python block under README's "Library example" runs in a fresh
+    interpreter, and each commented expression gives the result its
+    comment starts with."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    program, comments = [], []
+    for line in block.split("```", 1)[0].splitlines():
+        code, _, comment = line.partition("  # ")
+        if comment:
+            line = f"print(repr({code.strip()}))"
+            comments.append(comment)
+        program.append(line)
+    done = subprocess.run([sys.executable, "-c", "\n".join(program)],
+                          capture_output=True, env=_src_env(), text=True)
+    assert done.returncode == 0, done.stderr
+    printed = done.stdout.splitlines()
+    assert printed == ["True", "False", "{'is_maximal': False, 'is_minimal': True}",
+                       "False", "2"]
+    assert len(comments) == len(printed)
+    assert all(comment.startswith(result) for result, comment in zip(printed, comments))

@@ -69,8 +69,8 @@ def test_fiber_of_zero_ideals():
 
 
 def test_fiber_of_ultrafilter_ideals():
-    split = free_on_atom(GAUSS, ((1, 1), (1, 1)), "split")
-    inert = free_on_atom(GAUSS, ((1, 2),), "inert")
+    split = free_on_atom(GAUSS, ((1, 1), (1, 1)))
+    inert = free_on_atom(GAUSS, ((1, 2),))
     assert len(fiber_of_spec(max_at(split), GAUSS)) == 2
     assert len(fiber_of_spec(min_at(split), GAUSS)) == 2
     assert len(fiber_of_spec(max_at(inert), GAUSS)) == 1
@@ -84,7 +84,7 @@ def test_fiber_of_ultrafilter_ideals():
 
 
 def test_fiber_of_between_ideals():
-    split = free_on_atom(GAUSS, ((1, 1), (1, 1)), "split")
+    split = free_on_atom(GAUSS, ((1, 1), (1, 1)))
     pi = uniformizer_adele(RATIONALS)
     fiber = fiber_of_spec(between(split, pi), GAUSS)
     assert len(fiber) == len(lifts(split, GAUSS)) == 2
@@ -97,7 +97,7 @@ def test_fiber_of_between_ideals():
 
 def test_contract_of_ultrafilter_ideals_agrees_on_samples():
     rng = random.Random(7)
-    split = free_on_atom(GAUSS, ((1, 1), (1, 1)), "split")
+    split = free_on_atom(GAUSS, ((1, 1), (1, 1)))
     ups = lifts(split, GAUSS)
     pool = [random_adele(RATIONALS, rng) for _ in range(20)]
     pool = [a for a in pool if all(hasattr(v, "field") for _, v in a.exceptional)]
@@ -111,7 +111,7 @@ def test_contract_of_ultrafilter_ideals_agrees_on_samples():
 
 def test_between_contract_oracle_agreement():
     rng = random.Random(9)
-    split = free_on_atom(GAUSS, ((1, 1), (1, 1)), "split")
+    split = free_on_atom(GAUSS, ((1, 1), (1, 1)))
     pi = uniformizer_adele(RATIONALS)
     up = fiber_of_spec(between(split, pi), GAUSS)[1]
     down = contract_prime(up)
@@ -127,19 +127,19 @@ def test_between_contract_oracle_agreement():
 
 
 def test_contracted_generator_carries_the_selected_degree():
-    split = free_on_atom(GAUSS, ((1, 1), (1, 1)), "split")
+    split = free_on_atom(GAUSS, ((1, 1), (1, 1)))
     pi = uniformizer_adele(RATIONALS)
     for beta, depth in ((pi, 1), (pi.mul(pi), 2),
                         (vanishing_on(RATIONALS, split.anchor_set()), INF)):
         for up in fiber_of_spec(between(split, beta), GAUSS):
             down = contract_prime(up)
             assert down.ultra == split
-            assert selected_profile(split, down.beta) == (depth,)
+            assert selected_profile(split, down.beta) == depth
 
 
 def test_between_fiber_uniqueness_per_lift():
     rng = random.Random(13)
-    split = free_on_atom(GAUSS, ((1, 1), (1, 1)), "split")
+    split = free_on_atom(GAUSS, ((1, 1), (1, 1)))
     pi = uniformizer_adele(RATIONALS)
     pi2 = pi.mul(pi)
     for up_index in (0, 1):

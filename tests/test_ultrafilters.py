@@ -12,7 +12,8 @@ from adelic.errors import (
 )
 from adelic.localfields import INF
 from adelic.numberfields import NumberField, RATIONALS
-from adelic.places import FACTOR_CAP, factor_prime, place_above, splitting_class
+from adelic.places import (FACTOR_CAP, class_label, factor_prime, place_above,
+                           splitting_class)
 from adelic.placesets import (
     all_primes,
     class_atom,
@@ -53,14 +54,14 @@ QUINTIC = NumberField((-1, -1, 0, 0, 0, 1))  # x^5 - x - 1, Galois group S5
 def catalogue_ultrafilters():
     """At least ten ultrafilters: principal and free, base and lifted."""
     out = [PrincipalUltrafilter(place_above(RATIONALS, p)) for p in (2, 3, 5, 7, 13)]
-    split = free_on_atom(GAUSS, ((1, 1), (1, 1)), "split")
-    inert = free_on_atom(GAUSS, ((1, 2),), "inert")
+    split = free_on_atom(GAUSS, ((1, 1), (1, 1)))
+    inert = free_on_atom(GAUSS, ((1, 2),))
     out += [
         split,
         inert,
         free_cofinite(),
-        free_on_atom(CUBE2, ((1, 1), (1, 1), (1, 1)), "cube-split"),
-        free_on_atom(CYCLO5, ((1, 4),), "cyclo-inert"),
+        free_on_atom(CUBE2, ((1, 1), (1, 1), (1, 1))),
+        free_on_atom(CYCLO5, ((1, 4),)),
     ]
     out += [FreeKUltrafilter(GAUSS, split, 1), FreeKUltrafilter(GAUSS, split, 2)]
     out.append(PrincipalUltrafilter(place_above(GAUSS, 5, 0)))
@@ -321,7 +322,7 @@ def test_free_ultrafilters_keep_their_bound(monkeypatch):
     assert large._selected_class(GAUSS) == INERT_GAUSS
     assert large != small and len({tiny, small, large}) == 3
     alpha = vanishing_on(RATIONALS, class_atom(GAUSS, SPLIT_GAUSS))
-    assert selected_profile(large, alpha) == (0,)
+    assert selected_profile(large, alpha) == 0
     # below 3 the only prime, 2, ramifies: the cached answer for 10^4 is not reused
     with pytest.raises(UnsupportedSelection):
         selected_profile(tiny, alpha)
@@ -355,9 +356,14 @@ def test_selector_chain_matches_first_witness(bound, monkeypatch):
         if not atom.cells:
             continue
         try:
-            got = _chain(FreeQUltrafilter(atom))
+            u = FreeQUltrafilter(atom)
         except UnsupportedSelection:
             got = None
+        else:
+            got = _chain(u)
+            # the whole chain is the one witness's classes
+            assert u.witness < bound
+            assert all(cls == splitting_class(K, u.witness) for K, cls in got[0].items()), atom
         assert got == reference_selector_chain(atom, registered_fields(), bound), atom
         # the cells give some context field one class
         fixed = any(len({cell[i] for cell in atom.cells}) == 1
@@ -399,6 +405,31 @@ def test_selector_chain_does_not_depend_on_the_bound(monkeypatch):
     assert chains[totally_split, 1_000] is None
     assert chains[totally_split, 10_000] == chains[totally_split, 100_000]
     assert not chains[totally_split, 10_000][1]
+
+
+def test_selector_scans_start_past_the_witness(monkeypatch):
+    """The cofinite witness is 2; 2 ramifies in x^2+1, so it moves to 3
+    (inert), and 3 ramifies in x^3-2, so it moves to 7, the least prime
+    from 4 that is inert in x^2+1 and ramifies in neither.  No scan
+    restarts at 2."""
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=10_000))
+    sieved, starts = ultrafilters.primerange, []
+
+    def recorded(a, b):
+        starts.append(a)
+        return sieved(a, b)
+
+    monkeypatch.setattr(ultrafilters, "primerange", recorded)
+    clear_registry()
+    ensure_registered(GAUSS)
+    ensure_registered(CUBE2)
+    u = free_cofinite()
+    witnesses = [u.witness]
+    for K in (GAUSS, CUBE2):
+        u._selected_class(K)
+        witnesses.append(u.witness)
+    assert witnesses == [2, 3, 7] and starts == [2, 3, 4]
+    assert {K: class_label(cls) for K, cls in u._chain.items()} == {GAUSS: "1x2", CUBE2: "1x3"}
 
 
 def test_split_selector_samples_few_primes(monkeypatch):

@@ -82,9 +82,9 @@ class LocalContext:
             for _ in range(self.e - 1):
                 power = self.mul(power, pi)
             assert all(c % p == 0 for c in power), "uniformizer power not divisible by p"
-            unit = tuple((c // p) % (self.pw // p) for c in power)
+            self.unit = tuple((c // p) % (self.pw // p) for c in power)  # pi^e / p
             self.unit_digits = digits - 1
-            self.unit_inv = self._invert(unit, self.unit_digits)
+            self.unit_inv = self._invert(self.unit, self.unit_digits)
 
     def mul(self, a, b):
         return poly.mulmod(a, b, self.G, self.pw)
@@ -232,6 +232,10 @@ def embed(x: FieldElement, place: FinitePlace, digits: int = DEFAULT_DIGITS) -> 
         inv = pow(den, -1, ctx.pw)
         vec = tuple(c * inv % ctx.pw for c in vec)
     val, unit, prec = ctx.extract(vec, ctx.digits)
+    if place.e >= 2:  # p^-k = pi^(-ek) * (pi^e / p)^k
+        for _ in range(k):
+            unit = ctx.mul(unit, ctx.unit)
+        prec = min(prec, ctx.unit_digits)
     assert prec >= digits, "certified unit digits fell below the request"
     pk = p ** digits
     return LocalElement(place, val - place.e * k, tuple(c % pk for c in unit[: len(ctx.G) - 1]), digits)

@@ -22,10 +22,13 @@ G = g + m*((f rem g)/m * t rem g) mod k, where t inverts f quo g mod
 each lifted factor, f becomes its exact cofactor f quo G, so the
 dividends shrink and the last block is a quotient, not a lift.
 
-Over F_p every divisor in the factoring path is monic: `pgcd` returns
-monic gcds, and the exact quotient of a monic polynomial by a monic one
-is monic.  So `divmod_monic(f, g, p)` is the one F_p division, a product
-mod p is `pnorm(mul(f, g), p)`, and a difference is `sub`, which `pgcd`
+Over F_p, `factor_mod_p` factors in one pass: distinct-degree splitting
+takes out each degree's irreducible factors with all their copies, and
+equal-degree splitting separates them (von zur Gathen & Gerhard, ch. 14).
+Every divisor on that path is monic: `pgcd` returns monic gcds, and the
+exact quotient of a monic polynomial by a monic one is monic.  So
+`divmod_monic(f, g, p)` is the one F_p division, a product mod p is
+`pnorm(mul(f, g), p)`, and a difference is `sub`, which `pgcd`
 normalizes.  The one inverse is `pinverse(a, g, p)`, a^-1 mod (g, p) for
 a monic g, by Euclid on divisors made monic.
 
@@ -370,59 +373,14 @@ class _PackedRing:
         return self.reduce(out)
 
 
-def pth_root(f, p):
-    """Inverse of Frobenius on F_p[x]: f must have the form g(x**p)."""
-    out = []
-    for i, c in enumerate(f):
-        if i % p == 0:
-            out.append(c % p)
-        elif c % p != 0:
-            raise ValueError("polynomial is not a p-th power pattern")
-    return trim(out)
-
-
-def squarefree_decomposition(f, p):
-    """Decompose monic f over F_p as a product of squarefree parts.
-
-    Returns a list of (g, m) with the g squarefree, pairwise coprime, and
-    f = prod g**m.
-    """
-    f = pmonic(pnorm(f, p), p)
-    if degree(f) <= 0:
-        return []
-    out = {}
-
-    def absorb(g, m):
-        if degree(g) >= 1:
-            out[g] = out.get(g, 0) + m
-
-    def run(f, mult):
-        d = pnorm(derivative(f), p)
-        if not d:
-            run(pth_root(f, p), mult * p)
-            return
-        c = pgcd(f, d, p)
-        w = tuple(divmod_monic(f, c, p)[0])
-        i = 1
-        while degree(w) > 0:
-            y = pgcd(w, c, p)
-            z = tuple(divmod_monic(w, y, p)[0])
-            absorb(z, i * mult)
-            w = y
-            c = tuple(divmod_monic(c, y, p)[0])
-            i += 1
-        if degree(c) > 0:
-            run(pth_root(c, p), mult * p)
-
-    run(f, 1)
-    return sorted(out.items(), key=lambda t: (t[1], t[0]))
-
-
 def distinct_degree(f, p):
-    """Split squarefree monic f into (d, product of degree-d irreducibles,
-    ring): ring is the `_PackedRing` of the product when one was built for
-    it, so that `_equal_degree` need not build it again, and None if not.
+    """Split monic f, squarefree or not, into (d, product of its distinct
+    degree-d irreducible factors, ring); ring is the `_PackedRing` of the
+    product when one was built for it (`_equal_degree` reuses it), else None.
 
+    Each block g leaves w with every copy of its factors, p-th powers too:
+    w is divided by g, then by gcd(w, g) until that is 1.  So w keeps only
+    factors of degree above d, and is irreducible below degree 2(d + 1).
     x^(p^d) mod w comes from x^(p^(d-1)) through the Frobenius rows
     x^(ip) mod w (Berlekamp's Q matrix), built once from x^p mod w and
     reduced again whenever a factor splits off w.
@@ -436,7 +394,10 @@ def distinct_degree(f, p):
             g = pgcd(sub(ring.unpack(frob), (0, 1)), w, p)
             if degree(g) > 0:
                 out.append((d, g, ring if g == w else None))
-                w = tuple(divmod_monic(w, g, p)[0])
+                common = g
+                while degree(common) > 0:
+                    w = tuple(divmod_monic(w, common, p)[0])
+                    common = pgcd(w, g, p)
             d += 1
             if degree(w) < 2 * d:
                 break
@@ -502,7 +463,7 @@ def _equal_degree(g, d, p, ring=None):
 
 
 def factor_mod_p(f, p):
-    """Full factorization of a monic polynomial over F_p.
+    """Full factorization of a monic polynomial over F_p, in one pass.
 
     Returns a sorted list of (irreducible factor, multiplicity); factors are
     monic coefficient tuples, lowest degree first.
@@ -510,18 +471,17 @@ def factor_mod_p(f, p):
     f = pmonic(pnorm(f, p), p)
     if degree(f) <= 0:
         return []
-    counts = {}
-    for part, m in squarefree_decomposition(f, p):
-        for d, block, ring in distinct_degree(part, p):
-            for irr in _equal_degree(block, d, p, ring):
-                counts[irr] = counts.get(irr, 0) + m
-    out = sorted(counts.items(), key=lambda t: (degree(t[0]), t[0]))
-    check = (1,)
-    for g, m in out:
-        for _ in range(m):
-            check = pnorm(mul(check, g), p)
-    assert check == f, "factorization self-check failed"
-    return out
+    out, rest = [], f
+    for d, block, ring in distinct_degree(f, p):
+        for irr in _equal_degree(block, d, p, ring):
+            q, r = divmod_monic(rest, irr, p)
+            m = 0
+            while not any(r):
+                rest, m = q, m + 1
+                q, r = divmod_monic(rest, irr, p)
+            out.append((irr, m))
+    assert degree(rest) == 0, "factorization self-check failed"
+    return sorted(out, key=lambda t: (degree(t[0]), t[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -125,21 +125,19 @@ class FreeQUltrafilter(Ultrafilter):
     def _selected_class(self, K: NumberField):
         """The splitting class this ultrafilter selects for extension K.
 
-        Selections are made in registration order, each one the class of
-        the witness that also meets every earlier selection, so every
-        query answered by this ultrafilter factors through one fixed
-        choice of joint class.
+        Selections are made in registration order, K registered first if
+        it is new, each one the class of the witness that also meets every
+        earlier selection, so every query answered by this ultrafilter
+        factors through one fixed choice of joint class.
         """
         if K in self._chain:
             return self._chain[K]
+        ensure_registered(K)
         for F in registered_fields():
             if F not in self._chain:
                 self._extend_chain(F)
             if F == K:
                 return self._chain[K]
-        ensure_registered(K)
-        self._extend_chain(K)
-        return self._chain[K]
 
     def _least_witness(self, start: int, *fields: NumberField):
         """The least prime from `start` below the bound that witnesses the

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adelic import localfields
 from adelic import polynomials as poly
@@ -17,7 +18,8 @@ from adelic.places import excluded_primes, factor_prime, place_above
 from adelic.spectrum import quotient_eval
 
 from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS
-from oracles import element_norm, trial_division_factor
+from oracles import (element_norm, linear_hensel_lift, oracle_mul_mod, oracle_pmul,
+                     trial_division_factor)
 
 SEXTIC = NumberField((-2, 0, 0, 0, 0, 0, 1))   # x^6 - 2
 QUINTIC = NumberField((-1, -1, 0, 0, 0, 1))     # x^5 - x - 1
@@ -29,6 +31,16 @@ def test_embed_inverse_of_two_at_three():
     assert image.valuation == 0
     assert image.unit == (122,)                # 2 * 122 = 244 = 1 + 3^5
     assert (2 * image.unit[0]) % 3 ** 5 == 1
+
+
+def test_embed_unit_part_at_a_ramified_place_with_p_in_the_denominator():
+    """Over Q(i) at the place above 2, pi = 1 + i and pi^2 = 2i, so
+    1/2 = pi^-2 * i and i/2 = pi^-2 * (-1)."""
+    w = place_above(GAUSS, 2)
+    half = embed(GAUSS.element(Fraction(1, 2)), w, 8)
+    assert (half.valuation, half.unit) == (-2, (0, 1))
+    half_i = embed(GAUSS.element(0, Fraction(1, 2)), w, 8)
+    assert (half_i.valuation, half_i.unit) == (-2, (255, 0))
 
 
 def test_embed_basics():
@@ -195,3 +207,56 @@ def test_embed_does_not_depend_on_the_order_of_precisions(cleared_lifts):
     localfields._LIFTS.clear()
     localfields._context.cache_clear()
     assert _embed_table((256, 64, 16)) == ascending
+
+
+# every place with e >= 2 above a supported prime of a catalogue field
+RAMIFIED = [w for field in CATALOGUE for p in trial_division_factor(abs(field.discriminant))
+            if p not in excluded_primes(field) for w in factor_prime(field, p) if w.e >= 2]
+
+
+def _unit_product(a, b, digits):
+    """The product of the unit parts of two local elements at one place mod
+    (G, p**digits), with G the place's block lifted by the linear Hensel
+    oracle."""
+    w = a.place
+    blocks = []
+    for v in factor_prime(w.field, w.p):
+        block = (1,)
+        for _ in range(v.e):
+            block = oracle_pmul(block, v.factor, w.p)
+        blocks.append(block)
+    G = linear_hensel_lift(w.field.coeffs, blocks, w.p, digits)[w.index]
+    return oracle_mul_mod(a.unit, b.unit, G, w.p ** digits)
+
+
+@pytest.mark.parametrize("w", RAMIFIED, ids=lambda w: f"{list(w.field.coeffs)}@{w.p}")
+def test_embed_reduces_to_integral_elements(w):
+    """For x = y / p^k with y integral, embed(x) * embed(p^k) = embed(y):
+    valuations add and unit parts multiply mod (G, p**digits)."""
+    rng = random.Random(w.p * 31 + w.field.degree)
+    field, digits = w.field, 12
+    for _ in range(40):
+        y = field.element(*[rng.randint(-60, 60) for _ in range(field.degree)])
+        if y.is_zero():
+            continue
+        k = rng.randint(1, 4)
+        pk = field.element(w.p ** k)
+        x, px, image = embed(y / pk, w, digits), embed(pk, w, digits), embed(y, w, digits)
+        assert x.valuation + px.valuation == image.valuation
+        assert _unit_product(x, px, digits) == poly.pnorm(image.unit, w.p ** digits), (y, k)
+
+
+@given(st.sampled_from(RAMIFIED), st.data())
+@settings(max_examples=200, deadline=None)
+def test_embed_is_multiplicative_at_ramified_places(w, data):
+    """embed(x * y) = embed(x) * embed(y) for x and y with powers of p in
+    their numerators or denominators, so that those of the product cancel."""
+    field, digits = w.field, 8
+    coeffs = st.lists(st.integers(-30, 30), min_size=field.degree, max_size=field.degree)
+    powers = st.integers(-3, 3).map(lambda k: field.element(Fraction(w.p) ** k))
+    x, y = (field.element(*data.draw(coeffs)) * data.draw(powers) for _ in range(2))
+    if x.is_zero() or y.is_zero():
+        return
+    ex, ey, exy = (embed(z, w, digits) for z in (x, y, x * y))
+    assert ex.valuation + ey.valuation == exy.valuation
+    assert _unit_product(ex, ey, digits) == poly.pnorm(exy.unit, w.p ** digits)

@@ -251,12 +251,36 @@ def test_factor_mod_p_against_brute_force():
         assert poly.factor_mod_p(f, p) == brute_factor_mod_p(f, p), (f, p)
 
 
+def _power_product(factors, p):
+    """prod g**e mod p over the (g, e) pairs, by schoolbook products."""
+    f = (1,)
+    for g, e in factors:
+        for _ in range(e):
+            f = oracle_pmul(f, g, p)
+    return f
+
+
+# (p, sorted factorization): h1^3 * h2 with h1, h2 of one degree; three
+# linear multiplicities; a cube mod 3 and squares only mod 2, which are
+# p-th powers
+PINNED_PRODUCTS = (
+    (5, [((2, 0, 1), 3), ((3, 0, 1), 1)]),
+    (7, [((3, 1), 4), ((5, 1), 2), ((6, 1), 1)]),
+    (3, [((1, 1), 3), ((2, 1), 1)]),
+    (2, [((1, 1), 2), ((1, 1, 1), 2), ((1, 1, 0, 1), 4)]),
+    (2, [((1, 1, 1), 3), ((1, 0, 1, 1), 2), ((1, 1, 0, 1), 1)]),
+)
+
+
 def test_factor_mod_p_of_products_of_irreducibles():
-    """Products of up to five distinct irreducibles of degree 1-4 (degree up
-    to 20), so that factors split off w after the Frobenius rows are built
-    and the rows are reduced again; irreducibility comes from the brute-force
-    oracle."""
+    """The pinned products, and products of up to five distinct irreducibles
+    of degree 1-4, each to a power 1-4 (degree up to 80), so that factors
+    split off w after the Frobenius rows are built and the rows are reduced
+    again, and every copy of a repeated factor leaves w with it;
+    irreducibility comes from the brute-force oracle, and the squarefree
+    product of the factors matches the unramified class oracle."""
     rng = random.Random(11)
+    cases = list(PINNED_PRODUCTS)
     for _ in range(120):
         p = rng.choice(SMALL_PRIMES + (101, 997, 29989))
         irreducibles, count = set(), rng.randint(2, 5)
@@ -264,13 +288,32 @@ def test_factor_mod_p_of_products_of_irreducibles():
             g = tuple(rng.randrange(p) for _ in range(rng.randint(1, 4))) + (1,)
             if brute_factor_mod_p(g, p) == [(g, 1)]:
                 irreducibles.add(g)
-        f = (1,)
-        for g in irreducibles:
-            f = oracle_pmul(f, g, p)
-        expected = sorted(((g, 1) for g in irreducibles), key=lambda t: (len(t[0]), t[0]))
+        cases.append((p, sorted(((g, rng.randint(1, 4)) for g in sorted(irreducibles)),
+                                key=lambda t: (len(t[0]), t[0]))))
+    for p, expected in cases:
+        assert all(brute_factor_mod_p(g, p) == [(g, 1)] for g, _ in expected), (p, expected)
+        f = _power_product(expected, p)
         assert poly.factor_mod_p(f, p) == expected, (f, p)
-        cls = tuple(sorted((1, poly.degree(g)) for g in irreducibles))
-        assert oracle_unramified_class(f, p) == cls, (f, p)
+        squarefree = _power_product([(g, 1) for g, _ in expected], p)
+        cls = tuple(sorted((1, poly.degree(g)) for g, _ in expected))
+        assert oracle_unramified_class(squarefree, p) == cls, (f, p)
+
+
+@pytest.mark.parametrize("f, p, factors", [
+    ((-2, 0, 0, 1), 3, [((1, 1), 3)]),                              # x^3 - 2
+    ((-2, 0, 0, 0, 0, 0, 1), 2, [((0, 1), 6)]),                     # x^6 - 2
+    ((-2, 0, 0, 0, 0, 0, 1), 3, [((1, 0, 1), 3)]),
+    ((-1, -1, 0, 0, 0, 1), 19, [((6, 1), 2), ((10, 13, 7, 1), 1)]),  # x^5 - x - 1
+    ((-1, -1, 0, 0, 0, 1), 151, [((9, 1), 1), ((39, 1), 2), ((61, 64, 1), 1)]),
+])
+def test_factor_mod_p_at_discriminant_primes(f, p, factors):
+    """Factorizations of degree 5 and 6 at primes dividing the
+    discriminant, past the degree-4 brute-force oracle: each factor is
+    irreducible by brute force, and the factors reassemble f mod p."""
+    assert poly.factor_mod_p(f, p) == factors
+    for g, _ in factors:
+        assert brute_factor_mod_p(g, p) == [(g, 1)], (g, p)
+    assert _power_product(factors, p) == poly.pnorm(f, p)
 
 
 @given(
@@ -311,25 +354,3 @@ def test_packed_pow_edges(p):
                   tuple(rng.randrange(-p, p) for _ in range(2 * poly.degree(m) + 1))):
             for e in (0, 1, p, (p * p - 1) // 2):
                 assert _packed_pow(a, e, m, p) == oracle_pow_mod(a, e, m, p), (m, a, e)
-
-
-@given(
-    st.integers(min_value=0, max_value=len(SMALL_PRIMES) - 1),
-    st.lists(st.tuples(st.integers(0, 30), st.integers(1, 3)), min_size=1, max_size=3),
-)
-@settings(max_examples=150, deadline=None)
-def test_squarefree_decomposition_reassembles(pi, spec):
-    p = SMALL_PRIMES[pi]
-    f = (1,)
-    for seed, mult in spec:
-        g = poly.pnorm((seed % p, 1), p)
-        for _ in range(mult):
-            f = oracle_pmul(f, g, p)
-    parts = poly.squarefree_decomposition(f, p)
-    rebuilt = (1,)
-    for g, m in parts:
-        for _ in range(m):
-            rebuilt = oracle_pmul(rebuilt, g, p)
-        # each part really is squarefree
-        assert poly.degree(poly.pgcd(g, poly.pnorm(poly.derivative(g), p), p)) == 0
-    assert rebuilt == poly.pmonic(f, p)

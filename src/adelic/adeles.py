@@ -1,13 +1,16 @@
 """Finite-data elements of the adele ring of a number field.
 
 An adele stores exact field elements at the archimedean places, a finite
-exceptional map at finitely many finite places, and a piecewise tail: a
-default polynomial in the formal uniformizer symbol, overridden on
-finitely many disjoint describable regions by other such polynomials.  The
-symbol evaluates at each finite place to that place's canonical
-uniformizer (p when unramified, the lifted factor at the generator when
-ramified), which is the image of a field element, so every component is
-exact field data and valuations are certified integers.
+exceptional map at finitely many finite places (a set holding one
+(place, value) entry per place), and a piecewise tail: a default
+polynomial in the formal uniformizer symbol, overridden by other such
+polynomials on a finite set of pairwise disjoint describable regions.
+Both sets are unordered, so equal adeles hold equal sets; the printed
+order of their entries belongs to `to_text` alone.  The symbol evaluates
+at each finite place to that place's canonical uniformizer (p when
+unramified, the lifted factor at the generator when ramified), which is
+the image of a field element, so every component is exact field data and
+valuations are certified integers.
 
 Because nonzero tail coefficients are units at all but finitely many
 places, the valuation of a tail is its lowest nonzero degree at almost
@@ -35,7 +38,6 @@ from .places import (
 )
 from .placesets import (
     empty_set,
-    everything_set,
     finite_set,
     parse_kset,
     parse_qset,
@@ -148,13 +150,17 @@ def _element_suspects(c: FieldElement) -> set[int]:
 
 
 class Adele(Record):
-    """A finite-data adele; see the module docstring for the layout."""
+    """A finite-data adele; see the module docstring for the layout.
+
+    `exceptional` is a frozenset with one (place, value) entry per place,
+    and `overrides` a frozenset of (region, tail) entries whose regions are
+    pairwise disjoint; `to_text` orders both when it prints them."""
 
     __slots__ = ("field", "arch", "exceptional", "overrides", "tail")
 
     def __init__(self, field: NumberField, arch: tuple[FieldElement, ...],
-                 exceptional: tuple[tuple[FinitePlace, FieldElement], ...],
-                 overrides: tuple[tuple[object, TailPoly], ...], tail: TailPoly):
+                 exceptional: frozenset[tuple[FinitePlace, FieldElement]],
+                 overrides: frozenset[tuple[object, TailPoly]], tail: TailPoly):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "arch", arch)
         object.__setattr__(self, "exceptional", exceptional)
@@ -185,13 +191,11 @@ class Adele(Record):
         exact zero)."""
         return valuation_of_element(self.component_at(w), w)
 
-    def pieces(self) -> list:
-        """(region, tail) pairs partitioning the finite places: each
-        override, then the default tail on the places no override takes."""
-        rest = everything_set(self.field)
-        for region, _ in self.overrides:
-            rest = rest.difference(region)
-        return list(self.overrides) + [(rest, self.tail)]
+    def left_to_default(self, region):
+        """The places of the region that no override of this adele takes."""
+        for r, _ in self.overrides:
+            region = region.difference(r)
+        return region
 
     # -- ring structure ----------------------------------------------------
 
@@ -209,8 +213,8 @@ class Adele(Record):
 
     def neg(self) -> "Adele":
         arch = tuple(-x for x in self.arch)
-        exceptional = tuple((w, -v) for w, v in self.exceptional)
-        overrides = tuple((r, t.neg()) for r, t in self.overrides)
+        exceptional = frozenset((w, -v) for w, v in self.exceptional)
+        overrides = frozenset((r, t.neg()) for r, t in self.overrides)
         return Adele(self.field, arch, exceptional, overrides, self.tail.neg())
 
     def sub(self, other: "Adele") -> "Adele":
@@ -237,10 +241,15 @@ class Adele(Record):
         def holds(val) -> bool:
             return val == INF if predicate == "is_zero" else val >= 1
 
+        # the override regions whose verdict differs from the default
+        # tail's, complemented when the default's verdict holds
+        default = holds(self.tail.min_degree())
         out = empty_set(self.field)
-        for region, tail in self.pieces():
-            if holds(tail.min_degree()):
+        for region, tail in self.overrides:
+            if holds(tail.min_degree()) != default:
                 out = out.union(region)
+        if default:
+            out = out.complement()
         # pointwise corrections above suspect primes
         added, dropped = [], []
         for p in sorted(self.suspect_primes()):
@@ -254,22 +263,15 @@ class Adele(Record):
             out = out.difference(finite_set(self.field, dropped))
         return out
 
-    def non_integral_places(self) -> list[FinitePlace]:
-        out = []
-        for p in sorted(self.suspect_primes()):
-            for w in factor_prime(self.field, p):
-                if self.valuation_at(w) < 0:
-                    out.append(w)
-        return out
-
     def to_text(self) -> str:
         arch = "|".join(x.to_text() for x in self.arch)
         exc = ";".join(
             f"{w.p}:{w.index}={v.to_text()}"
             for w, v in sorted(self.exceptional, key=lambda t: (t[0].p, t[0].index))
         )
-        ovr = "||".join(f"{region.to_text()}->{tail.to_text()}"
-                        for region, tail in self.overrides)
+        # region texts are distinct, since the regions are disjoint and nonempty
+        ovr = "||".join(f"{r}->{t}" for r, t in sorted(
+            (region.to_text(), tail.to_text()) for region, tail in self.overrides))
         f = ",".join(str(c) for c in self.field.coeffs)
         return (f"adele{{field[{f}] arch[{arch}] exc[{exc}] "
                 f"ovr[{ovr}] tail[{self.tail.to_text()}]}}")
@@ -287,32 +289,20 @@ def membership_set(alpha: Adele, predicate: str):
 
 def _combine(a: Adele, b: Adele, field_op, tail_op) -> Adele:
     arch = tuple(field_op(x, y) for x, y in zip(a.arch, b.arch))
-    places = sorted(
-        {w for w, _ in a.exceptional} | {w for w, _ in b.exceptional},
-        key=lambda w: (w.p, w.index),
-    )
-    exceptional = [(w, field_op(a.component_at(w), b.component_at(w))) for w in places]
-    pieces_a, pieces_b = a.pieces(), b.pieces()
-    last = (len(pieces_a) - 1, len(pieces_b) - 1)
+    places = {w for w, _ in a.exceptional} | {w for w, _ in b.exceptional}
+    exceptional = frozenset((w, field_op(a.component_at(w), b.component_at(w)))
+                            for w in places)
     default_tail = tail_op(a.tail, b.tail)
-    overrides = []
-    for i, (ra, ta) in enumerate(pieces_a):
-        for j, (rb, tb) in enumerate(pieces_b):
-            if (i, j) == last:
-                continue  # the two defaults meet in the new default
-            region = ra.intersect(rb)
-            if region.is_empty():
-                continue
-            overrides.append((region, tail_op(ta, tb)))
-    # drop overrides indistinguishable from the default
-    overrides = [(r, t) for r, t in overrides if t.coeffs != default_tail.coeffs]
-    return Adele(a.field, arch, tuple(exceptional), _printed_order(overrides), default_tail)
-
-
-def _printed_order(overrides) -> tuple:
-    """Overrides sorted by region text, the order `to_text` prints, so that
-    equal adeles hold equal override tuples."""
-    return tuple(sorted(overrides, key=lambda t: t[0].to_text()))
+    # each override meets each override of the other operand and the places
+    # the other leaves to its default; the two defaults meet in the new one
+    meets = [(ra.intersect(rb), tail_op(ta, tb))
+             for ra, ta in a.overrides for rb, tb in b.overrides]
+    meets += [(b.left_to_default(ra), tail_op(ta, b.tail)) for ra, ta in a.overrides]
+    meets += [(a.left_to_default(rb), tail_op(a.tail, tb)) for rb, tb in b.overrides]
+    # drop empty meets and overrides indistinguishable from the default
+    overrides = frozenset((r, t) for r, t in meets
+                          if t.coeffs != default_tail.coeffs and not r.is_empty())
+    return Adele(a.field, arch, exceptional, overrides, default_tail)
 
 
 # -- constructors -----------------------------------------------------------
@@ -321,10 +311,11 @@ def _printed_order(overrides) -> tuple:
 def diagonal(x: FieldElement) -> Adele:
     """The image of a field element on every component."""
     field = x.field
-    arch = tuple(x for _ in archimedean_places(field))
-    out = Adele(field, arch, (), (), TailPoly.constant(x))
-    bad = tuple((w, x) for w in out.non_integral_places())
-    return Adele(field, arch, bad, (), TailPoly.constant(x))
+    tail = TailPoly.constant(x)
+    # ascending primes, so the first prime `factor_prime` refuses is the least
+    bad = frozenset((w, x) for p in sorted(tail.suspect_primes())
+                    for w in factor_prime(field, p) if valuation_of_element(x, w) < 0)
+    return Adele(field, tuple(x for _ in archimedean_places(field)), bad, frozenset(), tail)
 
 
 def diagonal_rational(field: NumberField, q) -> Adele:
@@ -336,8 +327,8 @@ def uniformizer_adele(field: NumberField, power: int = 1) -> Adele:
     return Adele(
         field,
         tuple(field.one() for _ in archimedean_places(field)),
-        (),
-        (),
+        frozenset(),
+        frozenset(),
         TailPoly.uniformizer_power(field, power),
     )
 
@@ -359,8 +350,8 @@ def vanishing_on(field: NumberField, region) -> Adele:
     return Adele(
         field,
         tuple(field.one() for _ in archimedean_places(field)),
-        (),
-        ((region, TailPoly.zero(field)),),
+        frozenset(),
+        frozenset({(region, TailPoly.zero(field))}),
         TailPoly.constant(field.one()),
     )
 
@@ -375,10 +366,8 @@ def set_component(a: Adele, place, value) -> Adele:
         arch = list(a.arch)
         arch[place.index] = value
         return Adele(a.field, tuple(arch), a.exceptional, a.overrides, a.tail)
-    exceptional = [(w, v) for w, v in a.exceptional if w != place]
-    exceptional.append((place, value))
-    exceptional.sort(key=lambda t: (t[0].p, t[0].index))
-    return Adele(a.field, a.arch, tuple(exceptional), a.overrides, a.tail)
+    exceptional = frozenset((w, v) for w, v in a.exceptional if w != place)
+    return Adele(a.field, a.arch, exceptional | {(place, value)}, a.overrides, a.tail)
 
 
 def make_adele(field: NumberField, arch=None, exceptional=(), overrides=(),
@@ -387,8 +376,7 @@ def make_adele(field: NumberField, arch=None, exceptional=(), overrides=(),
         arch = tuple(field.zero() for _ in archimedean_places(field))
     if tail is None:
         tail = TailPoly.zero(field)
-    exceptional = tuple(sorted(exceptional, key=lambda t: (t[0].p, t[0].index)))
-    return Adele(field, tuple(arch), exceptional, _printed_order(overrides), tail)
+    return Adele(field, tuple(arch), frozenset(exceptional), frozenset(overrides), tail)
 
 
 def parse_adele(text: str) -> Adele:

@@ -36,9 +36,9 @@ fiber's first place.  Operands over different fields raise
 `FieldMismatch`.
 
 This module alone chooses between the two set types for a field:
-`empty_set(field)`, `everything_set(field)` and `finite_set(field, places)`
-build a `QPlaceSet` over the rationals and a `KPlaceSet` over an extension,
-and every other module builds its field-generic sets through them.
+`empty_set(field)` and `finite_set(field, places)` build a `QPlaceSet`
+over the rationals and a `KPlaceSet` over an extension, and every other
+module builds its field-generic sets through them.
 """
 
 from __future__ import annotations
@@ -365,10 +365,6 @@ def everything_kset(field: NumberField) -> KPlaceSet:
 
 def empty_set(field: NumberField):
     return empty_qset() if field == RATIONALS else empty_kset(field)
-
-
-def everything_set(field: NumberField):
-    return all_primes() if field == RATIONALS else everything_kset(field)
 
 
 def finite_set(field: NumberField, places):

@@ -123,7 +123,7 @@ def member(alpha: Adele, ideal: PrimeIdeal) -> bool:
         w = ideal.place
         if isinstance(w, ArchimedeanPlace):
             return alpha.arch_at(w).is_zero()
-        return alpha.valuation_at(w) == INF
+        return alpha.component_at(w).is_zero()
     if ideal.kind == "max_at":
         return selected_profile(ideal.ultra, alpha) >= 1
     if ideal.kind == "min_at":

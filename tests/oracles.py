@@ -36,6 +36,10 @@ Gaussian elimination over the rationals, and real roots from a Sturm
 chain of exact remainders.  It shares no code with the package's integer
 vectors, multiplication matrices, Bareiss determinants or
 pseudo-remainders.
+The adele references are the original piecewise rules: each adele is cut
+into its override regions and the region its default tail takes
+(`pieces`), and sums, products (`reference_combine`) and membership sets
+(`reference_membership_set`) read every meet of those pieces.
 The helpers only tests need live here too, beside the oracles: adele
 equality (`adele_equals`, which reads the places of a set with no cells,
 `finite_places`), agreement of local elements up to a precision
@@ -52,13 +56,13 @@ from math import isqrt
 import numpy as np
 
 from adelic import polynomials as poly
-from adelic.adeles import membership_set
+from adelic.adeles import make_adele, membership_set
 from adelic.errors import FieldMismatch
 from adelic.localfields import INF
 from adelic.numberfields import RATIONALS
 from adelic.places import FACTOR_CAP, factor_prime, splitting_class, supported_primes
-from adelic.placesets import (class_atom, empty_set, everything_set, fiber_size_exactly,
-                              finite_set)
+from adelic.placesets import (all_primes, class_atom, empty_set, everything_kset,
+                              fiber_size_exactly, finite_set)
 from adelic.primes import primerange
 from adelic.registry import registered_fields
 from adelic.ultrafilters import FreeQUltrafilter
@@ -169,6 +173,68 @@ def pointwise_set(alpha, predicate, places):
     return {w for w in places if holds(w)}
 
 
+def everything_set(field):
+    """All finite places of the field, as a place set."""
+    return all_primes() if field == RATIONALS else everything_kset(field)
+
+
+def pieces(a):
+    """(region, tail) pairs partitioning the finite places: each override
+    of the adele, then the default tail on the places no override takes."""
+    rest = everything_set(a.field)
+    for r, _ in a.overrides:
+        rest = rest.difference(r)
+    return list(a.overrides) + [(rest, a.tail)]
+
+
+def reference_combine(a, b, field_op, tail_op):
+    """The sum or product of two adeles by the original rule: every piece
+    of a meets every piece of b, and the two default pieces meet in the
+    new default tail."""
+    arch = tuple(field_op(x, y) for x, y in zip(a.arch, b.arch))
+    places = {w for w, _ in a.exceptional} | {w for w, _ in b.exceptional}
+    exceptional = [(w, field_op(a.component_at(w), b.component_at(w))) for w in places]
+    pieces_a, pieces_b = pieces(a), pieces(b)
+    last = (len(pieces_a) - 1, len(pieces_b) - 1)
+    default_tail = tail_op(a.tail, b.tail)
+    overrides = []
+    for i, (ra, ta) in enumerate(pieces_a):
+        for j, (rb, tb) in enumerate(pieces_b):
+            if (i, j) == last:
+                continue
+            region = ra.intersect(rb)
+            if region.is_empty():
+                continue
+            overrides.append((region, tail_op(ta, tb)))
+    overrides = [(r, t) for r, t in overrides if t.coeffs != default_tail.coeffs]
+    return make_adele(a.field, arch, exceptional, overrides, default_tail)
+
+
+def reference_membership_set(alpha, predicate):
+    """`Adele.membership_set` by the original rule: the union of the pieces
+    whose tail degree satisfies the predicate, corrected place by place
+    above the suspect primes."""
+    def holds(val):
+        return val == INF if predicate == "is_zero" else val >= 1
+
+    field = alpha.field
+    out = empty_set(field)
+    for region, tail in pieces(alpha):
+        if holds(tail.min_degree()):
+            out = out.union(region)
+    added, dropped = [], []
+    for p in sorted(alpha.suspect_primes()):
+        for w in factor_prime(field, p):
+            actual = holds(alpha.valuation_at(w))
+            if actual != out.contains_place(w):
+                (added if actual else dropped).append(w)
+    if added:
+        out = out.union(finite_set(field, added))
+    if dropped:
+        out = out.difference(finite_set(field, dropped))
+    return out
+
+
 def brute_member_between(alpha, u, beta, n_max=64):
     """Quantifier search for the intermediate-prime membership test.
 
@@ -177,12 +243,6 @@ def brute_member_between(alpha, u, beta, n_max=64):
     optimal witness set Y); the upward closure of ultrafilters makes this
     search over the generating family exact.
     """
-    def pieces(a):
-        rest = everything_set(a.field)
-        for r, _ in a.overrides:
-            rest = rest.difference(r)
-        return list(a.overrides) + [(rest, a.tail)]
-
     field = alpha.field
     suspects = sorted(alpha.suspect_primes() | beta.suspect_primes())
     suspect_places = [w for p in suspects for w in factor_prime(field, p)]
@@ -223,7 +283,7 @@ def joint_selected_profile(u, *adeles):
     combos = [((), everything_set(adeles[0].field))]
     for a in adeles:
         combos = [(degs + (tail.min_degree(),), region.intersect(r))
-                  for degs, region in combos for r, tail in a.pieces()]
+                  for degs, region in combos for r, tail in pieces(a)]
         combos = [(degs, region) for degs, region in combos if not region.is_empty()]
     return next(degs for degs, region in combos if u.contains(region))
 
@@ -280,8 +340,8 @@ def adele_equals(a, b):
     places = {w for w, _ in a.exceptional} | {w for w, _ in b.exceptional}
     if any(a.component_at(w) != b.component_at(w) for w in places):
         return False
-    pieces_b = b.pieces()
-    for ra, ta in a.pieces():
+    pieces_b = pieces(b)
+    for ra, ta in pieces(a):
         for rb, tb in pieces_b:
             if ta.coeffs == tb.coeffs:
                 continue

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from operator import add, mul
 
 import pytest
 
 from adelic.adeles import (
+    TailPoly,
     diagonal,
     diagonal_rational,
     membership_set,
@@ -16,7 +18,7 @@ from adelic.adeles import (
 )
 from adelic.errors import FieldMismatch
 from adelic.localfields import INF, embed
-from adelic.numberfields import RATIONALS
+from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import (
     archimedean_places,
     place_above,
@@ -25,7 +27,15 @@ from adelic.placesets import class_atom, finite_qset, full_preimage
 
 from conftest import CUBE2, GAUSS
 from gen import random_adele, random_element
-from oracles import adele_equals, enumerate_finite_places, pointwise_set
+from oracles import (
+    adele_equals,
+    enumerate_finite_places,
+    pointwise_set,
+    reference_combine,
+    reference_membership_set,
+)
+
+C3_CUBIC = NumberField((1, -3, 0, 1))  # x^3 - 3x + 1: cyclic, so some cells no prime realizes
 
 
 def test_diagonal_examples():
@@ -169,6 +179,24 @@ def test_membership_set_oracle_equivalence():
                 assert {w for w in places if described.contains_place(w)} == brute
 
 
+def test_arithmetic_and_membership_sets_print_as_the_piecewise_reference():
+    """Sums, products and both membership sets print exactly the text of
+    the original rules, which meet every piece of each operand."""
+    rng = random.Random(43)
+    for field in (RATIONALS, GAUSS, CUBE2, C3_CUBIC):
+        for _ in range(30):
+            a, b = random_adele(field, rng), random_adele(field, rng)
+            assert a.add(b).to_text() == \
+                reference_combine(a, b, add, TailPoly.add).to_text()
+            assert a.sub(b).to_text() == \
+                reference_combine(a, b.neg(), add, TailPoly.add).to_text()
+            assert a.mul(b).to_text() == \
+                reference_combine(a, b, mul, TailPoly.mul).to_text()
+            for predicate in ("is_zero", "in_m"):
+                assert a.membership_set(predicate).to_text() == \
+                    reference_membership_set(a, predicate).to_text()
+
+
 def test_vanishing_on_region():
     atom = class_atom(GAUSS, ((1, 1), (1, 1)))
     ind = vanishing_on(RATIONALS, atom)
@@ -193,7 +221,8 @@ def test_serialization_round_trip():
 
 
 def test_read_back_adele_is_equal_with_an_equal_hash():
-    """Equal adeles hold their overrides in one order, the printed one."""
+    """An adele read back from its text is equal to it and hashes the same:
+    equality does not depend on the order in which parts were built."""
     rng = random.Random(3)
     fields = (RATIONALS, GAUSS, CUBE2)
     for i in range(200):

@@ -74,6 +74,17 @@ def test_member_uniformizer_with_witness():
     assert "witness=q{ctx[] cells[~] plus[] minus[]}" in out
 
 
+def test_member_between_prints_both_profiles():
+    code, out = run_cli("member", "--ideal", "between@free:1,0,1:1x1+1x1@uni",
+                        "--adele", "uni^2")
+    assert code == 0
+    assert out == (
+        "ideal=between@free[q{ctx[1,0,1] cells[1x1+1x1] plus[] minus[]}]"
+        "@adele{field[0,1] arch[1] exc[] ovr[] tail[0&1]}\n"
+        "adele=adele{field[0,1] arch[1] exc[] ovr[] tail[0&0&1]}\n"
+        "member=true\nprofile_alpha=2\nprofile_beta=1\n")
+
+
 def test_member_witness_round_trips():
     _, out = run_cli("member", "--ideal", "max@free:1,0,1:1x1+1x1", "--adele", "diag:6")
     witness_line = next(l for l in out.splitlines() if l.startswith("witness="))
@@ -114,6 +125,9 @@ def test_classify():
     code, out = run_cli("classify", "--ideal", "zero@p:5:0")
     assert "is_maximal=true" in out and "is_minimal=true" in out \
         and "is_closed=true" in out
+    code, out = run_cli("classify", "--ideal", "zero@inf:0")
+    assert code == 0
+    assert out == "ideal=zero@inf:0\nis_maximal=true\nis_minimal=true\nis_closed=true\n"
 
 
 def test_fiber():

@@ -212,8 +212,8 @@ def test_every_definition_is_reached_from_the_cli_the_scripts_or_the_declared_ap
 
 
 def test_only_placesets_builds_extension_sets_by_name():
-    """Other modules build field-generic sets through `empty_set`,
-    `everything_set` and `finite_set`, so the choice of set type for a
+    """Other modules build field-generic sets through `empty_set` and
+    `finite_set`, so the choice of set type for a
     field is made in `placesets` alone."""
     owned = {"empty_kset", "everything_kset", "finite_kset"}
     found = [f"{path.name}:{node.lineno}: {alias.name}"

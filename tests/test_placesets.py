@@ -18,7 +18,6 @@ from adelic.placesets import (
     empty_qset,
     empty_set,
     everything_kset,
-    everything_set,
     fiber_size_at_least,
     fiber_size_exactly,
     finite_qset,
@@ -49,6 +48,7 @@ from conftest import (
 from gen import random_adele, random_kset, random_place_set, random_qset, random_wide_qset
 from oracles import (
     enumerate_finite_places,
+    everything_set,
     finite_places,
     reference_complement,
     reference_contains,

@@ -50,13 +50,10 @@ from .records import Record
 
 
 class TailPoly(Record):
-    """Polynomial in the formal uniformizer with field coefficients."""
+    """Polynomial in the formal uniformizer over `field`: `coeffs` is a
+    tuple of FieldElements, lowest degree first, with no trailing zero."""
 
     __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: NumberField, coeffs: tuple[FieldElement, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def make(field: NumberField, coeffs) -> "TailPoly":
@@ -150,22 +147,14 @@ def _element_suspects(c: FieldElement) -> set[int]:
 
 
 class Adele(Record):
-    """A finite-data adele; see the module docstring for the layout.
+    """A finite-data adele (field, arch, exceptional, overrides, tail); see
+    the module docstring for the layout.
 
     `exceptional` is a frozenset with one (place, value) entry per place,
     and `overrides` a frozenset of (region, tail) entries whose regions are
     pairwise disjoint; `to_text` orders both when it prints them."""
 
     __slots__ = ("field", "arch", "exceptional", "overrides", "tail")
-
-    def __init__(self, field: NumberField, arch: tuple[FieldElement, ...],
-                 exceptional: frozenset[tuple[FinitePlace, FieldElement]],
-                 overrides: frozenset[tuple[object, TailPoly]], tail: TailPoly):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "arch", arch)
-        object.__setattr__(self, "exceptional", exceptional)
-        object.__setattr__(self, "overrides", overrides)
-        object.__setattr__(self, "tail", tail)
 
     # -- component access --------------------------------------------------
 

@@ -55,7 +55,6 @@ from .extensions import fiber_of_spec
 from .ultrafilters import (
     FreeKUltrafilter,
     FreeQUltrafilter,
-    PrincipalUltrafilter,
     Ultrafilter,
     free_cofinite,
     free_on_atom,
@@ -95,10 +94,6 @@ def _parse_poly(text: str) -> NumberField:
 @_spec
 def _parse_ultra(field: NumberField, text: str) -> Ultrafilter:
     parts = text.split(":")
-    if parts[0] == "at":
-        if len(parts) != 3:
-            raise UsageError("principal ultrafilter spec is at:<prime>:<index>")
-        return PrincipalUltrafilter(place_above(field, read_int(parts[1]), read_int(parts[2])))
     if parts[0] == "lift":
         if len(parts) < 3:
             raise UsageError("lift spec is lift:<position>:<base free spec>")
@@ -265,8 +260,6 @@ def cmd_fiber(opts) -> int:
 def cmd_density(opts) -> int:
     field = _parse_poly(opts["field"])
     u = _parse_ultra(field, opts["ultra"])
-    if u.is_principal:
-        raise UsageError("density takes a free ultrafilter spec")
     constraints = [_parse_constraint(field, text) for text in opts["constraint"]]
     witness = density_witness(u, constraints)
     print(f"ultrafilter={_ultra_text(u)}")

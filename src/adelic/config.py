@@ -15,11 +15,8 @@ class Settings(Record):
 
     __slots__ = ("prime_bound",)
 
-    def __init__(self, prime_bound: int = 10_000):
-        object.__setattr__(self, "prime_bound", prime_bound)
 
-
-DEFAULT = Settings()
+DEFAULT = Settings(10_000)
 
 
 def set_defaults(prime_bound: int) -> Settings:

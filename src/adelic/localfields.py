@@ -152,7 +152,7 @@ def context_for(place: FinitePlace, digits: int) -> LocalContext:
 
 
 class LocalElement(Record):
-    """An element of the completion at a finite place.
+    """An element of the completion at place, a finite place.
 
     valuation is exact (INF for the exact zero); unit is the coefficient
     vector of the unit cofactor modulo p**precision, written in powers of
@@ -160,13 +160,6 @@ class LocalElement(Record):
     """
 
     __slots__ = ("place", "valuation", "unit", "precision")
-
-    def __init__(self, place: FinitePlace, valuation: int | float,
-                 unit: tuple[int, ...] | None, precision: int):
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "precision", precision)
 
     @property
     def is_zero(self) -> bool:

@@ -110,16 +110,11 @@ def _element(field: NumberField, num, den: int) -> "FieldElement":
 
 
 class FieldElement(Record):
-    """num / den: num holds the coefficients of a polynomial in the
-    generator reduced mod the defining polynomial, lowest power first, one
-    int per degree; den > 0 has no common factor with all of them."""
+    """An element of field, num / den: num holds the coefficients of a
+    polynomial in the generator reduced mod the defining polynomial, lowest
+    power first, one int per degree; den > 0 shares no factor with all."""
 
     __slots__ = ("field", "num", "den")
-
-    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
 
     def _check(self, other):
         if self.field != other.field:

@@ -26,20 +26,11 @@ LEAST_PRIME_PAST_CAP = 1_000_003  # the least prime at or past FACTOR_CAP
 
 
 class FinitePlace(Record):
-    """The place above p with ramification e and residue degree f; factor
-    is its monic irreducible factor mod p, lowest degree first, and index
-    its position in the canonical fiber ordering."""
+    """The place of field above p with ramification e and residue degree f;
+    factor is its monic irreducible factor mod p, lowest degree first, and
+    index its position in the canonical fiber ordering."""
 
     __slots__ = ("field", "p", "e", "f", "factor", "index")
-
-    def __init__(self, field: NumberField, p: int, e: int, f: int,
-                 factor: tuple[int, ...], index: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "index", index)
 
     @property
     def is_finite(self) -> bool:
@@ -50,14 +41,9 @@ class FinitePlace(Record):
 
 
 class ArchimedeanPlace(Record):
-    """The real or complex embedding at position index."""
+    """The embedding of field at position index, real or complex."""
 
     __slots__ = ("field", "index", "real")
-
-    def __init__(self, field: NumberField, index: int, real: bool):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "real", real)
 
     @property
     def is_finite(self) -> bool:

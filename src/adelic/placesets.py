@@ -74,16 +74,11 @@ def _denotes(p: int, context, cells) -> bool:
 
 
 class QPlaceSet(Record):
-    """A describable set of finite places of the rationals (primes)."""
+    """A describable set of finite places of the rationals (primes): the
+    cells over the context fields, with the primes plus added and minus
+    taken out."""
 
     __slots__ = ("context", "cells", "plus", "minus")
-
-    def __init__(self, context: tuple[NumberField, ...], cells: frozenset[Cell],
-                 plus: frozenset[int], minus: frozenset[int]):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
 
     # -- membership ------------------------------------------------------
 
@@ -236,10 +231,6 @@ def finite_qset(primes) -> QPlaceSet:
     return _raw((), (), _checked_primes(primes), ())
 
 
-def cofinite_qset(missing) -> QPlaceSet:
-    return _raw((), {()}, (), _checked_primes(missing))
-
-
 def _class_set(field: NumberField, wanted) -> QPlaceSet:
     """The primes whose splitting class in the field satisfies `wanted`:
     a cell per unramified class, the discriminant primes listed."""
@@ -268,26 +259,17 @@ def fiber_size_exactly(field: NumberField, m: int) -> QPlaceSet:
     return _class_set(field, lambda cls: len(cls) == m)
 
 
-def supported_qset(field: NumberField) -> QPlaceSet:
-    """Primes whose places in the extension field exist in the model."""
-    return cofinite_qset(excluded_primes(field))
-
-
 # -- extension-level sets --------------------------------------------------
 
 
 class KPlaceSet(Record):
-    """A describable set of finite places of an extension field.
+    """A describable set of finite places of the extension field.
 
     coords[j] is the rational-level set of primes p such that the place at
     position j (0-based) of the fiber above p lies in the set.
     """
 
     __slots__ = ("field", "coords")
-
-    def __init__(self, field: NumberField, coords: tuple[QPlaceSet, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
 
     def _check(self, other):
         if self.field != other.field:
@@ -389,7 +371,7 @@ def section_image(field: NumberField, position: int, base: QPlaceSet) -> KPlaceS
     tall = fiber_size_at_least(field, position)
     coords[position - 1] = base.intersect(tall)
     if position > 1:
-        short = supported_qset(field).difference(tall)
+        short = fiber_size_at_least(field, 1).difference(tall)
         coords[0] = base.intersect(short)
     return kset_from_coords(field, coords)
 

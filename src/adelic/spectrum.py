@@ -42,8 +42,8 @@ from .errors import (
     InvalidLevel,
 )
 from .localfields import DEFAULT_DIGITS, INF, embed, valuation_of_element
-from .numberfields import FieldElement, NumberField
-from .places import ArchimedeanPlace, FinitePlace, Place, archimedean_places
+from .numberfields import NumberField
+from .places import ArchimedeanPlace, Place, archimedean_places
 from .placesets import finite_set
 from .records import Record
 from .ultrafilters import Ultrafilter
@@ -58,18 +58,11 @@ NOT_PRINCIPAL = _NotPrincipal()
 
 
 class PrimeIdeal(Record):
-    """kind is "zero_at" (with place), "max_at" or "min_at" (with ultra) or
-    "between" (with ultra and beta)."""
+    """A prime ideal (field, kind, place, ultra, beta): kind is "zero_at"
+    (with place), "max_at" or "min_at" (with ultra) or "between" (with
+    ultra and beta); the fields a kind does not use are None."""
 
     __slots__ = ("field", "kind", "place", "ultra", "beta")
-
-    def __init__(self, field: NumberField, kind: str, place: Place | None = None,
-                 ultra: Ultrafilter | None = None, beta: Adele | None = None):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "ultra", ultra)
-        object.__setattr__(self, "beta", beta)
 
     def __repr__(self):
         if self.kind == "zero_at":
@@ -88,17 +81,17 @@ def _require_free(u: Ultrafilter) -> None:
 
 
 def zero_at(place: Place) -> PrimeIdeal:
-    return PrimeIdeal(place.field, "zero_at", place=place)
+    return PrimeIdeal(place.field, "zero_at", place, None, None)
 
 
 def max_at(u: Ultrafilter) -> PrimeIdeal:
     _require_free(u)
-    return PrimeIdeal(u.field, "max_at", ultra=u)
+    return PrimeIdeal(u.field, "max_at", None, u, None)
 
 
 def min_at(u: Ultrafilter) -> PrimeIdeal:
     _require_free(u)
-    return PrimeIdeal(u.field, "min_at", ultra=u)
+    return PrimeIdeal(u.field, "min_at", None, u, None)
 
 
 def between(u: Ultrafilter, beta: Adele) -> PrimeIdeal:
@@ -110,7 +103,7 @@ def between(u: Ultrafilter, beta: Adele) -> PrimeIdeal:
             "the generator is a unit on the ultrafilter; the displayed "
             "membership set would be the whole ring"
         )
-    return PrimeIdeal(u.field, "between", ultra=u, beta=beta)
+    return PrimeIdeal(u.field, "between", None, u, beta)
 
 
 # -- membership --------------------------------------------------------------
@@ -205,10 +198,6 @@ class LevelIdeal(Record):
 
     __slots__ = ("ideal", "level")
 
-    def __init__(self, ideal: PrimeIdeal, level: frozenset[Place]):
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "level", level)
-
     @property
     def is_maximal(self) -> bool:
         # vanishing at a place outside the level is not maximal in the subring
@@ -261,14 +250,9 @@ def quotient_eval(alpha: Adele, place: Place, digits: int = DEFAULT_DIGITS):
 
 
 class Constraint(Record):
-    """Requires val(x - target) >= min_valuation at the place."""
+    """At place, requires val(x - target) >= min_valuation."""
 
     __slots__ = ("place", "target", "min_valuation")
-
-    def __init__(self, place: FinitePlace, target: FieldElement, min_valuation: int):
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "min_valuation", min_valuation)
 
 
 def density_witness(u: Ultrafilter, constraints=()) -> Adele:
@@ -294,15 +278,10 @@ def density_witness(u: Ultrafilter, constraints=()) -> Adele:
 
 
 class ClosedIdeal(Record):
-    """The closed ideal of adeles vanishing on a fixed set of places:
-    finite_part is a describable place set."""
+    """The closed ideal of adeles over field vanishing on finite_part, a
+    describable place set, and on the archimedean places of arch_part."""
 
     __slots__ = ("field", "finite_part", "arch_part")
-
-    def __init__(self, field: NumberField, finite_part, arch_part: tuple[ArchimedeanPlace, ...]):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "finite_part", finite_part)
-        object.__setattr__(self, "arch_part", arch_part)
 
     def member(self, alpha: Adele) -> bool:
         if alpha.field != self.field:

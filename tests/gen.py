@@ -15,7 +15,6 @@ from adelic.places import factor_prime
 from adelic.placesets import (
     all_primes,
     class_atom,
-    cofinite_qset,
     empty_qset,
     finite_qset,
     finite_set,
@@ -40,6 +39,11 @@ def random_element(field, rng, span=4, allow_denominator=True):
     den = rng.choice((1, 1, 1, 2, 3)) if allow_denominator else 1
     coeffs = [Fraction(rng.randint(-span, span), den) for _ in range(field.degree)]
     return field.element(*coeffs)
+
+
+def cofinite_qset(missing):
+    """All primes but the listed ones."""
+    return finite_qset(missing).complement()
 
 
 def random_qset(rng, depth=3):

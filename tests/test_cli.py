@@ -231,6 +231,12 @@ def test_between_degenerate_generator_exits_2():
     ("classify", "--ideal", "max@free[q{ctx[1,0,1] cells[1x1+1x1;1x2] plus[] minus[]}]"),
     ("member", "--ideal", "zero@p:5:0", "--adele", "adele{field[0,1] arch[1] exc[] "
      "ovr[k{field[0,1] 1:q{ctx[] cells[] plus[5] minus[]}}->] tail[1]}"),
+    ("classify", "--ideal", "max@lift:1"),
+    ("classify", "--ideal", "max@bogus"),
+    ("classify", "--ideal", "zero@inf:3"),
+    ("classify", "--ideal", "zero@q"),
+    ("classify", "--ideal", "mid@free:all"),
+    ("classify", "--ideal"),
 ], ids=lambda argv: " ".join(argv) or "no-argv")
 def test_malformed_spec_is_usage_error(argv):
     err = io.StringIO()
@@ -239,6 +245,27 @@ def test_malformed_spec_is_usage_error(argv):
     assert code == 1 and out == ""
     assert err.getvalue().startswith("usage error: ")
     assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
+USAGE_LINES = [
+    (("classify", "--ideal", "max@lift:1"), "lift spec is lift:<position>:<base free spec>"),
+    (("classify", "--ideal", "max@bogus"), "unknown ultrafilter spec 'bogus'"),
+    (("classify", "--ideal", "zero@inf:3"), "no archimedean place 3"),
+    (("classify", "--ideal", "zero@q"),
+     "zero ideal spec is zero@p:<prime>:<index> or zero@inf:<index>"),
+    (("classify", "--ideal", "mid@free:all"), "unknown ideal spec 'mid@free:all'"),
+    (("classify", "--ideal"), "option --ideal needs a value"),
+    (("density", "--ultra", "at:4:0"), "unknown ultrafilter spec 'at:4:0'"),
+]
+
+
+@pytest.mark.parametrize("argv,line", USAGE_LINES, ids=[" ".join(argv) for argv, _ in USAGE_LINES])
+def test_usage_error_names_the_fault(argv, line):
+    err = io.StringIO()
+    with _cli_state_restored(), contextlib.redirect_stderr(err):
+        code, _ = run_cli(*argv)
+    assert code == 1
+    assert err.getvalue() == f"usage error: {line}\n"
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])

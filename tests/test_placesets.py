@@ -14,7 +14,6 @@ from adelic.placesets import (
     QPlaceSet,
     all_primes,
     class_atom,
-    cofinite_qset,
     empty_qset,
     empty_set,
     everything_kset,
@@ -28,7 +27,6 @@ from adelic.placesets import (
     parse_qset,
     section_image,
     split_items,
-    supported_qset,
 )
 
 from adelic.primes import primerange
@@ -45,7 +43,14 @@ from conftest import (
     ROOT5,
     SPLIT_GAUSS,
 )
-from gen import random_adele, random_kset, random_place_set, random_qset, random_wide_qset
+from gen import (
+    cofinite_qset,
+    random_adele,
+    random_kset,
+    random_place_set,
+    random_qset,
+    random_wide_qset,
+)
 from oracles import (
     enumerate_finite_places,
     everything_set,
@@ -123,7 +128,8 @@ def test_pointwise_oracle_extension():
 
 
 def test_excluded_primes_are_modelled_explicitly():
-    sup = supported_qset(ROOT5)
+    sup = fiber_size_at_least(ROOT5, 1)
+    assert sup == cofinite_qset(excluded_primes(ROOT5))
     assert not sup.contains_prime(2)
     assert sup.contains_prime(3)
     atom = class_atom(ROOT5, ((1, 1), (1, 1)))

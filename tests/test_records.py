@@ -1,9 +1,12 @@
 """The package's value records: equality, hashing, printing and
 immutability, for every record class."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +40,8 @@ _P5 = "Place(p=5, e=1, f=1, i=0)"
 
 # (class, builder of one record, builder of a different one, its repr)
 CASES = [
-    (Settings, lambda: Settings(prime_bound=8), lambda: Settings(), "Settings(prime_bound=8)"),
+    (Settings, lambda: Settings(prime_bound=8), lambda: Settings(10_000),
+     "Settings(prime_bound=8)"),
     (NumberField, lambda: NumberField((1, 0, 1)), lambda: CUBE2, "NumberField([1, 0, 1])"),
     (FieldElement, lambda: GAUSS.element(1, Fraction(1, 2)), lambda: GAUSS.one(),
      "<1,1/2 in deg-2 field>"),
@@ -97,10 +101,8 @@ def test_records_compare_hash_and_print_as_their_fields(cls, make, make_other, t
             delattr(x, name)
 
 
-def test_every_record_takes_the_shared_rule_and_has_a_case():
-    """Equality and hashing come from `Record`, save `NumberField`'s cached
-    hash; no record is ordered; and each record class has a row in CASES,
-    so its equality, hash and repr are checked above."""
+def _records():
+    """Every record class of the package."""
     for module in pkgutil.iter_modules(adelic.__path__):
         importlib.import_module(f"adelic.{module.name}")
     records, todo = [], Record.__subclasses__()
@@ -109,8 +111,37 @@ def test_every_record_takes_the_shared_rule_and_has_a_case():
         todo += cls.__subclasses__()
         if cls.__module__.startswith("adelic."):
             records.append(cls)
+    return records
+
+
+def test_every_record_takes_the_shared_rule_and_has_a_case():
+    """Equality and hashing come from `Record`, save `NumberField`'s cached
+    hash; no record is ordered; and each record class has a row in CASES,
+    so its equality, hash and repr are checked above."""
+    records = _records()
     assert [cls.__qualname__ for cls in records if cls is not NumberField
             and {"__eq__", "__hash__"} & cls.__dict__.keys()] == []
     assert [cls.__qualname__ for cls in [Record, *records]
             if {"__lt__", "__le__", "__gt__", "__ge__"} & cls.__dict__.keys()] == []
     assert sorted(cls.__qualname__ for cls in set(records) - {case[0] for case in CASES}) == []
+
+
+def test_every_record_but_number_field_takes_its_init_from_its_slots():
+    """Only `NumberField` writes an `__init__`; every other record's is the
+    one `Record` generates, `(self, *slots)`.  The source is read because a
+    generated `__init__` sits in the class's `__dict__` too."""
+    records = _records()
+    written = []
+    for module in {cls.__module__ for cls in records}:
+        path = Path(importlib.import_module(module).__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                    for item in node.body):
+                written.append(node.name)
+    assert sorted({cls.__name__ for cls in records} & set(written)) == ["NumberField"]
+    for cls in records:
+        if cls is not NumberField:
+            assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+            assert list(inspect.signature(cls.__init__).parameters) == \
+                ["self", *cls.__slots__]

@@ -19,12 +19,14 @@ from adelic.errors import (
     FieldMismatch,
     InconsistentNeighborhood,
     InvalidLevel,
+    NotAPartition,
     UnsupportedPrime,
 )
 from adelic.extensions import to_extension
-from adelic.numberfields import RATIONALS
+from adelic.localfields import embed
+from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import archimedean_places, place_above
-from adelic.placesets import finite_qset
+from adelic.placesets import all_primes, finite_qset, finite_set, section_image
 from adelic.spectrum import (
     NOT_PRINCIPAL,
     Constraint,
@@ -43,7 +45,13 @@ from adelic.spectrum import (
     selected_profile,
     zero_at,
 )
-from adelic.ultrafilters import free_cofinite, free_on_atom, lifts
+from adelic.ultrafilters import (
+    FreeKUltrafilter,
+    free_cofinite,
+    free_on_atom,
+    lifts,
+    partition_pick,
+)
 
 from conftest import CUBE2, FULL_SPLIT_CUBE2, GAUSS
 from gen import random_adele, random_nonzero_profile_adele
@@ -286,6 +294,54 @@ def test_restrict_to_level_refuses_another_field(other):
     arch = frozenset(archimedean_places(RATIONALS))
     with pytest.raises(FieldMismatch):
         restrict_to_level(zero_at(place_above(RATIONALS, 5)), arch | other())
+
+
+def _level_at_5():
+    v5 = place_above(RATIONALS, 5)
+    return restrict_to_level(zero_at(v5), {v5, *archimedean_places(RATIONALS)})
+
+
+REFUSALS = [
+    (FieldMismatch, "place of a different field",
+     lambda: one_adele(RATIONALS).arch_at(archimedean_places(GAUSS)[0])),
+    (FieldMismatch, "element and place fields differ",
+     lambda: embed(GAUSS.one(), place_above(RATIONALS, 5))),
+    (FieldMismatch, "rational-level set queried with an extension place",
+     lambda: all_primes().contains_place(place_above(GAUSS, 5, 0))),
+    (FieldMismatch, "place does not belong to this field",
+     lambda: finite_set(GAUSS, []).contains_place(place_above(CUBE2, 5, 0))),
+    (FieldMismatch, "generator and ultrafilter over different fields",
+     lambda: between(free_cofinite(), uniformizer_adele(GAUSS))),
+    (FieldMismatch, "adele and ideal over different fields",
+     lambda: member(one_adele(GAUSS), zero_at(place_above(RATIONALS, 5)))),
+    (FieldMismatch, "constraint at a place of a different field",
+     lambda: density_witness(free_cofinite(),
+                             [Constraint(place_above(GAUSS, 5, 0), GAUSS.one(), 1)])),
+    (FieldMismatch, "adele over a different field",
+     lambda: closed_ideal(RATIONALS, []).member(one_adele(GAUSS))),
+    (FieldMismatch, "lifts are taken from the rationals",
+     lambda: lifts(FreeKUltrafilter(GAUSS, free_cofinite(), 1), CUBE2)),
+    (ValueError, "unknown predicate 'bogus'",
+     lambda: one_adele(RATIONALS).membership_set("bogus")),
+    (ValueError, "must have integer coefficients", lambda: NumberField((1.5, 0, 1))),
+    (ValueError, "section position 3 out of range",
+     lambda: section_image(GAUSS, 3, all_primes())),
+    (ValueError, "section position out of range",
+     lambda: FreeKUltrafilter(GAUSS, free_cofinite(), 3)),
+    (ZeroDivisionError, "inverse of zero", lambda: RATIONALS.zero().inverse()),
+    (InvalidLevel, "restriction target must be a sub-level",
+     lambda: _level_at_5().restrict(
+         frozenset({place_above(RATIONALS, 7), *archimedean_places(RATIONALS)}))),
+    (NotAPartition, "empty part list", lambda: partition_pick(free_cofinite(), [])),
+]
+
+
+@pytest.mark.parametrize("error,message,call", REFUSALS,
+                         ids=[f"{error.__name__}: {message}" for error, message, _ in REFUSALS])
+def test_library_refuses_what_it_cannot_answer(error, message, call):
+    with pytest.raises(error) as refused:
+        call()
+    assert message in str(refused.value)
 
 
 def test_level_chain_consistency():

@@ -17,7 +17,6 @@ from adelic.places import (FACTOR_CAP, class_label, factor_prime, place_above,
 from adelic.placesets import (
     all_primes,
     class_atom,
-    cofinite_qset,
     empty_qset,
     finite_qset,
     full_preimage,
@@ -38,7 +37,7 @@ from adelic.registry import clear_registry, ensure_registered, registered_fields
 from adelic.spectrum import selected_profile
 
 from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS, INERT_GAUSS, ROOT5, SPLIT_GAUSS
-from gen import random_kset, random_qset, random_wide_qset
+from gen import cofinite_qset, random_kset, random_qset, random_wide_qset
 from oracles import (
     cycle_types,
     discriminant_primes,

@@ -18,6 +18,7 @@ from .errors import (
     NotAPartition,
     NotPrime,
     UnsupportedPrime,
+    UnsupportedSelection,
 )
 
 __all__ = [
@@ -30,4 +31,5 @@ __all__ = [
     "NotAPartition",
     "NotPrime",
     "UnsupportedPrime",
+    "UnsupportedSelection",
 ]

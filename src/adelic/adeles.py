@@ -359,12 +359,10 @@ def set_component(a: Adele, place, value) -> Adele:
     return Adele(a.field, a.arch, exceptional | {(place, value)}, a.overrides, a.tail)
 
 
-def make_adele(field: NumberField, arch=None, exceptional=(), overrides=(),
-               tail: TailPoly | None = None) -> Adele:
+def make_adele(field: NumberField, arch=None, exceptional=(), overrides=(), *,
+               tail: TailPoly) -> Adele:
     if arch is None:
         arch = tuple(field.zero() for _ in archimedean_places(field))
-    if tail is None:
-        tail = TailPoly.zero(field)
     return Adele(field, tuple(arch), frozenset(exceptional), frozenset(overrides), tail)
 
 
@@ -399,4 +397,4 @@ def parse_adele(text: str) -> Adele:
         if any(not region.intersect(r).is_empty() for r, _ in overrides):
             raise ValueError("adele text has overlapping override regions")
         overrides.append((region, tail(item[arrow + 2:])))
-    return printed(make_adele(field, arch, exceptional, overrides, tail(tail_text)), text)
+    return printed(make_adele(field, arch, exceptional, overrides, tail=tail(tail_text)), text)

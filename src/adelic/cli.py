@@ -58,6 +58,7 @@ from .ultrafilters import (
     Ultrafilter,
     free_cofinite,
     free_on_atom,
+    section_lift,
 )
 
 
@@ -98,7 +99,7 @@ def _parse_ultra(field: NumberField, text: str) -> Ultrafilter:
         if len(parts) < 3:
             raise UsageError("lift spec is lift:<position>:<base free spec>")
         base = _parse_ultra(RATIONALS, ":".join(parts[2:]))
-        return FreeKUltrafilter(field, base, read_int(parts[1]))
+        return section_lift(field, base, read_int(parts[1]))
     if parts[0] == "free" or text.startswith("free["):
         if field != RATIONALS:
             raise UsageError("free atoms live over the rationals; use lift:<pos>:free...")
@@ -182,7 +183,7 @@ def _place_text(w) -> str:
 
 def _ultra_text(u: Ultrafilter) -> str:
     if isinstance(u, FreeKUltrafilter):
-        return f"lift:{u.effective_position}:{_ultra_text(u.base)}"
+        return f"lift:{u.position}:{_ultra_text(u.base)}"
     return f"free[{u.anchor_set().to_text()}]"
 
 

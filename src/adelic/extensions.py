@@ -81,7 +81,7 @@ def to_extension(alpha: Adele, field: NumberField) -> Adele:
         if not kregion.is_empty():
             overrides.append((kregion, _lift_tail(tail, field)))
     return make_adele(field, arch, exceptional, overrides,
-                      _lift_tail(alpha.tail, field))
+                      tail=_lift_tail(alpha.tail, field))
 
 
 def _lift_tail(tail: TailPoly, field: NumberField) -> TailPoly:

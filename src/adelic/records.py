@@ -1,11 +1,12 @@
 """Immutable value records.
 
-The package's value classes (fields, elements, places, place sets, adeles,
-ideals) list their fields in `__slots__` and set them once, in `__init__`,
-through `object.__setattr__`.  `Record` refuses any later assignment and
-prints a record as `Name(field=value, ...)`.  Two records are equal when
-they are of the same class and their field tuples are equal, and a record
-hashes as its field tuple, read by one `operator.attrgetter` per class.
+The package's value classes (fields, elements, places, place sets,
+ultrafilters, adeles, ideals) list their fields in `__slots__` and set
+them once, in `__init__`, through `object.__setattr__`.  `Record` refuses
+any later assignment and prints a record as `Name(field=value, ...)`.
+Two records are equal when they are of the same class and their field
+tuples are equal, and a record hashes as its field tuple, read by one
+`operator.attrgetter` per class.
 
 A class that lists slots and writes no `__init__` gets a generated
 `__init__(self, <slots in order>)`: the code of the template below for its
@@ -21,6 +22,9 @@ benchmark's set-up.
 One exception is measured.  `NumberField` validates its polynomial and
 caches its hash, so it writes its own `__init__`: fields key most caches
 and are hashed about nine times as often as all other records together.
+One value class is no record: a `FreeQUltrafilter` moves its witness and
+extends its chain of selected classes as queries reach new fields, so it
+writes its own equality, on its anchor set and prime bound.
 """
 
 from __future__ import annotations

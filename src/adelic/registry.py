@@ -3,7 +3,10 @@
 Splitting-class atoms refer to registered extensions, and free
 ultrafilters resolve their selector cells in registration order, so the
 registry must be populated before ultrafilter queries begin (register
-everything up front; queries afterwards are safe to run concurrently).
+everything up front).  Queries mutate shared state and are not
+thread-safe: one may move a free ultrafilter's witness and extend its
+chain of selected classes, and it writes the module-level cache of
+Hensel lifts in `localfields`.
 """
 
 from __future__ import annotations

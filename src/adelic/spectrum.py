@@ -46,7 +46,7 @@ from .numberfields import NumberField
 from .places import ArchimedeanPlace, Place, archimedean_places
 from .placesets import finite_set
 from .records import Record
-from .ultrafilters import Ultrafilter
+from .ultrafilters import FreeKUltrafilter, FreeQUltrafilter, Ultrafilter
 
 
 class _NotPrincipal:
@@ -73,7 +73,7 @@ class PrimeIdeal(Record):
 
 
 def _require_free(u: Ultrafilter) -> None:
-    if u.is_principal:
+    if not isinstance(u, (FreeQUltrafilter, FreeKUltrafilter)):
         raise ValueError(
             "ultrafilter ideals take free ultrafilters; principal ones "
             "correspond to the zero_at variant at the adele level"

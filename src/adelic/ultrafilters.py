@@ -1,14 +1,14 @@
 """Ultrafilters on the describable place-set algebra.
 
-Principal ultrafilters are anchored at a single place.  A free ultrafilter
-over the rationals is anchored on a set with cells and, to stay a genuine
-ultrafilter on the whole algebra (which keeps refining as more extensions
-enter the picture), follows one witness prime: for every registered
-extension, in registration order, it selects the unramified splitting
-class of its witness.  Every membership query answers "does the selected
-joint class lie among the set's cells", so the four ultrafilter axioms
-hold by construction, finite sets are never members, and cofinite sets
-always are.
+A principal ultrafilter is the record of one place, and holds the sets
+containing it.  A free ultrafilter over the rationals is anchored on a
+set with cells and, to stay a genuine ultrafilter on the whole algebra
+(which keeps refining as more extensions enter the picture), follows one
+witness prime: for every registered extension, in registration order, it
+selects the unramified splitting class of its witness.  Every membership
+query answers "does the selected joint class lie among the set's cells",
+so the four ultrafilter axioms hold by construction, finite sets are
+never members, and cofinite sets always are.
 
 The witness starts as the least prime below the prime bound the
 ultrafilter was built with whose joint class over the atom's context is a
@@ -28,15 +28,17 @@ An atom or a chain step without a witness is refused
 
 A free ultrafilter over an extension field is a section lift of a free
 rational one at a fiber position, short fibers padding to their first
-place.  Its effective position is the position itself when that is at
-most the fiber size m the base selects, and 1 otherwise; lifts beyond m
-collapse to the lift at 1, which is what makes the number of distinct
-lifts equal m.  It answers a query by asking the base about the one
-coordinate of the set at its effective position.  That is exact: the base
-contains the primes with exactly m places above them, so it contains the
-primes whose padded place lies in the set exactly when it contains those
-among them with m places, where the padded place is the one at the
-effective position.
+place.  `section_lift` applies the padding once and stores the effective
+position: the position asked for when that is at most the fiber size m
+the base selects, and 1 otherwise, so lifts beyond m are the lift at 1
+and the number of distinct lifts is m.  Reading m when the lift is built
+changes no selection, because the base resolves the registered fields in
+registration order whenever it is asked.  A lift answers a query by
+asking the base about the one coordinate of the set at its position.
+That is exact: the base contains the primes with exactly m places above
+them, so it contains the primes whose padded place lies in the set
+exactly when it contains those among them with m places, where the
+padded place is the one at the stored position.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .errors import FieldMismatch, NotAPartition, UnsupportedSelection
 from .numberfields import NumberField, RATIONALS
 from .places import (
     LEAST_PRIME_PAST_CAP,
-    FinitePlace,
     check_desk_scale,
     disc_primes,
     factor_prime,
@@ -62,13 +63,8 @@ from .placesets import (
     section_image,
 )
 from .primes import primerange
+from .records import Record
 from .registry import ensure_registered, registered_fields
-
-
-class Ultrafilter:
-    """An ultrafilter on the describable place sets of one field."""
-
-    field: NumberField
 
 
 def _check_set(u: Ultrafilter, s) -> None:
@@ -76,30 +72,21 @@ def _check_set(u: Ultrafilter, s) -> None:
         raise FieldMismatch("place set belongs to a different field")
 
 
-class PrincipalUltrafilter(Ultrafilter):
-    def __init__(self, place: FinitePlace):
-        self.field = place.field
-        self.place = place
+class PrincipalUltrafilter(Record):
+    """The principal ultrafilter (place) of the sets containing one place."""
+
+    __slots__ = ("place",)
 
     @property
-    def is_principal(self) -> bool:
-        return True
+    def field(self) -> NumberField:
+        return self.place.field
 
     def contains(self, s) -> bool:
         _check_set(self, s)
         return s.contains_place(self.place)
 
-    def __eq__(self, other):
-        return isinstance(other, PrincipalUltrafilter) and self.place == other.place
 
-    def __hash__(self):
-        return hash(("principal", self.place))
-
-    def __repr__(self):
-        return f"Principal({self.place!r})"
-
-
-class FreeQUltrafilter(Ultrafilter):
+class FreeQUltrafilter:
     """Free ultrafilter over the rationals anchored on a set with a
     witnessed cell, such as an unramified class atom or an intersection of
     atoms of several fields."""
@@ -117,10 +104,6 @@ class FreeQUltrafilter(Ultrafilter):
             raise UnsupportedSelection(
                 f"no unramified prime below {bound} realizes a cell of the anchor set"
             )
-
-    @property
-    def is_principal(self) -> bool:
-        return False
 
     def _selected_class(self, K: NumberField):
         """The splitting class this ultrafilter selects for extension K.
@@ -181,59 +164,42 @@ class FreeQUltrafilter(Ultrafilter):
         return f"Free({self.atom.to_text()}, witness {self.witness})"
 
 
-class FreeKUltrafilter(Ultrafilter):
-    """Section lift of a free rational ultrafilter to an extension field."""
+class FreeKUltrafilter(Record):
+    """Section lift (field, base, position) of a free rational ultrafilter
+    to an extension field, at a position no larger than the fiber size the
+    base selects; `section_lift` builds one."""
 
-    def __init__(self, field: NumberField, base: FreeQUltrafilter, position: int):
-        if field == RATIONALS or not isinstance(base, FreeQUltrafilter):
-            raise ValueError("a section lift takes a free rational ultrafilter "
-                             "to a proper extension")
-        if not 1 <= position <= field.degree:
-            raise ValueError("section position out of range")
-        ensure_registered(field)
-        self.field = field
-        self.base = base
-        self.position = position
-
-    @property
-    def is_principal(self) -> bool:
-        return False
-
-    @property
-    def selected_fiber_size(self) -> int:
-        return len(self.base._selected_class(self.field))
-
-    @property
-    def effective_position(self) -> int:
-        # beyond the selected fiber size the padding rule sends the
-        # section to the fiber's first place
-        return self.position if self.position <= self.selected_fiber_size else 1
+    __slots__ = ("field", "base", "position")
 
     def contains(self, s) -> bool:
         _check_set(self, s)
-        return self.base.contains(s.coords[self.effective_position - 1])
+        return self.base.contains(s.coords[self.position - 1])
 
     def anchor_set(self) -> KPlaceSet:
-        m = self.selected_fiber_size
+        m = len(self.base._selected_class(self.field))
         v = self.base.atom.intersect(fiber_size_exactly(self.field, m))
-        return section_image(self.field, self.effective_position, v)
+        return section_image(self.field, self.position, v)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeKUltrafilter)
-            and self.field == other.field
-            and self.base == other.base
-            and self.effective_position == other.effective_position
-        )
 
-    def __hash__(self):
-        return hash(("lift", self.field, self.base, self.effective_position))
-
-    def __repr__(self):
-        return f"Lift({self.position}, {self.base!r} -> deg {self.field.degree})"
+Ultrafilter = PrincipalUltrafilter | FreeQUltrafilter | FreeKUltrafilter
 
 
 # -- operations -------------------------------------------------------------
+
+
+def section_lift(field: NumberField, base: FreeQUltrafilter,
+                 position: int) -> FreeKUltrafilter:
+    """The lift of a free rational ultrafilter to an extension field at a
+    fiber position; a position past the fiber size the base selects pads
+    to the fiber's first place, so it reads as 1."""
+    if field == RATIONALS or not isinstance(base, FreeQUltrafilter):
+        raise ValueError("a section lift takes a free rational ultrafilter "
+                         "to a proper extension")
+    if not 1 <= position <= field.degree:
+        raise ValueError("section position out of range")
+    ensure_registered(field)
+    m = len(base._selected_class(field))
+    return FreeKUltrafilter(field, base, position if position <= m else 1)
 
 
 def free_on_atom(field: NumberField, cls) -> FreeQUltrafilter:

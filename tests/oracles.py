@@ -65,7 +65,7 @@ from adelic.placesets import (all_primes, class_atom, empty_set, everything_kset
                               fiber_size_exactly, finite_set)
 from adelic.primes import primerange
 from adelic.registry import registered_fields
-from adelic.ultrafilters import FreeQUltrafilter
+from adelic.ultrafilters import FreeQUltrafilter, PrincipalUltrafilter
 
 
 def brute_roots(coeffs, p):
@@ -207,7 +207,7 @@ def reference_combine(a, b, field_op, tail_op):
                 continue
             overrides.append((region, tail_op(ta, tb)))
     overrides = [(r, t) for r, t in overrides if t.coeffs != default_tail.coeffs]
-    return make_adele(a.field, arch, exceptional, overrides, default_tail)
+    return make_adele(a.field, arch, exceptional, overrides, tail=default_tail)
 
 
 def reference_membership_set(alpha, predicate):
@@ -403,7 +403,9 @@ def distinguishing_witness(a, b):
         return None
 
     def anchor(u):
-        return finite_set(u.field, [u.place]) if u.is_principal else u.anchor_set()
+        if isinstance(u, PrincipalUltrafilter):
+            return finite_set(u.field, [u.place])
+        return u.anchor_set()
 
     for s in (anchor(a), anchor(a).complement(), anchor(b).complement()):
         if a.contains(s) and not b.contains(s):

@@ -41,13 +41,13 @@ from adelic.spectrum import (
     zero_at,
 )
 from adelic.ultrafilters import (
-    FreeKUltrafilter,
     PrincipalUltrafilter,
     free_cofinite,
     free_on_atom,
     lifts,
     partition_pick,
     pushforward,
+    section_lift,
 )
 
 from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS
@@ -113,8 +113,8 @@ def test_criterion_2_ultrafilter_axioms():
     ]
     catalogue += list(frees.values())
     catalogue += [
-        FreeKUltrafilter(GAUSS, frees["split"], 1),
-        FreeKUltrafilter(GAUSS, frees["split"], 2),
+        section_lift(GAUSS, frees["split"], 1),
+        section_lift(GAUSS, frees["split"], 2),
         PrincipalUltrafilter(place_above(GAUSS, 5, 0)),
     ]
     assert len(catalogue) >= 10

@@ -231,6 +231,7 @@ def test_between_degenerate_generator_exits_2():
     ("classify", "--ideal", "max@free[q{ctx[1,0,1] cells[1x1+1x1;1x2] plus[] minus[]}]"),
     ("member", "--ideal", "zero@p:5:0", "--adele", "adele{field[0,1] arch[1] exc[] "
      "ovr[k{field[0,1] 1:q{ctx[] cells[] plus[5] minus[]}}->] tail[1]}"),
+    ("classify", "--ideal", "max@free[q{ctx[]]"),
     ("classify", "--ideal", "max@lift:1"),
     ("classify", "--ideal", "max@bogus"),
     ("classify", "--ideal", "zero@inf:3"),
@@ -256,6 +257,8 @@ USAGE_LINES = [
     (("classify", "--ideal", "mid@free:all"), "unknown ideal spec 'mid@free:all'"),
     (("classify", "--ideal"), "option --ideal needs a value"),
     (("density", "--ultra", "at:4:0"), "unknown ultrafilter spec 'at:4:0'"),
+    (("classify", "--ideal", "max@free[q{ctx[]]"),
+     "bad spec 'free[q{ctx[]]': unbalanced brackets in 'q{ctx[]'"),
 ]
 
 
@@ -450,10 +453,14 @@ def test_free_ultrafilter_holds_no_ramified_primes():
 @pytest.mark.parametrize("argv", [
     ("member", "--ideal", "max@free:1,-3,0,1:1x1+1x2", "--adele", "diag:6"),
     ("member", "--ideal", "max@free:1,0,1:2x1", "--adele", "uni"),
+    ("--prime-bound", "13", "classify", "--field", "-5,0,1",
+     "--ideal", "max@lift:1:free:1,0,1:1x1+1x1"),
 ], ids=" ".join)
 def test_free_anchor_without_witness_exits_2(argv):
     """x^3 - 3x + 1 has Galois group C3, so no prime has class 1x1+1x2;
-    the class 2x1 of x^2 + 1 holds only the ramified prime 2."""
+    the class 2x1 of x^2 + 1 holds only the ramified prime 2; below 13 the
+    split anchor of x^2 + 1 has witness 5, which divides the discriminant
+    of x^2 - 5, and no larger prime below 13 splits in x^2 + 1."""
     err = io.StringIO()
     with _cli_state_restored(), contextlib.redirect_stderr(err):
         code, out = run_cli(*argv)

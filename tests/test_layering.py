@@ -246,3 +246,15 @@ def test_tracer_names_resolve_in_the_package(monkeypatch):
     assert [name for name in names if resolve(*name) is None] == []
     assert [name for name in tracing.CACHES.values()
             if not hasattr(resolve(*name), "cache_info")] == []
+
+
+def test_package_exports_every_domain_error():
+    """The CLI exits 2 on any `AdelicError`, so `adelic` lists each one in
+    `__all__`."""
+    import adelic
+    from adelic import errors
+
+    domain = {name for name, obj in vars(errors).items()
+              if isinstance(obj, type) and issubclass(obj, errors.AdelicError)}
+    assert sorted(domain - set(adelic.__all__)) == []
+    assert [name for name in domain if getattr(adelic, name) is not getattr(errors, name)] == []

@@ -33,8 +33,14 @@ from adelic.spectrum import (
     restrict_to_level,
     zero_at,
 )
+from adelic.ultrafilters import (
+    FreeKUltrafilter,
+    PrincipalUltrafilter,
+    free_on_atom,
+    section_lift,
+)
 
-from conftest import CUBE2, GAUSS
+from conftest import CUBE2, GAUSS, SPLIT_GAUSS
 
 _P5 = "Place(p=5, e=1, f=1, i=0)"
 
@@ -74,6 +80,13 @@ CASES = [
      lambda: closed_ideal(RATIONALS, [place_above(RATIONALS, 7)]),
      "ClosedIdeal(field=NumberField([0, 1]), finite_part=q{ctx[] cells[] plus[5] minus[]}, "
      "arch_part=())"),
+    (PrincipalUltrafilter, lambda: PrincipalUltrafilter(place_above(RATIONALS, 5)),
+     lambda: PrincipalUltrafilter(place_above(RATIONALS, 7)),
+     f"PrincipalUltrafilter(place={_P5})"),
+    (FreeKUltrafilter, lambda: section_lift(GAUSS, free_on_atom(GAUSS, SPLIT_GAUSS), 1),
+     lambda: section_lift(GAUSS, free_on_atom(GAUSS, SPLIT_GAUSS), 2),
+     "FreeKUltrafilter(field=NumberField([1, 0, 1]), base=Free(q{ctx[1,0,1] cells[1x1+1x1] "
+     "plus[] minus[]}, witness 5), position=1)"),
 ]
 
 

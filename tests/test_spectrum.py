@@ -46,11 +46,12 @@ from adelic.spectrum import (
     zero_at,
 )
 from adelic.ultrafilters import (
-    FreeKUltrafilter,
+    PrincipalUltrafilter,
     free_cofinite,
     free_on_atom,
     lifts,
     partition_pick,
+    section_lift,
 )
 
 from conftest import CUBE2, FULL_SPLIT_CUBE2, GAUSS
@@ -320,14 +321,14 @@ REFUSALS = [
     (FieldMismatch, "adele over a different field",
      lambda: closed_ideal(RATIONALS, []).member(one_adele(GAUSS))),
     (FieldMismatch, "lifts are taken from the rationals",
-     lambda: lifts(FreeKUltrafilter(GAUSS, free_cofinite(), 1), CUBE2)),
+     lambda: lifts(section_lift(GAUSS, free_cofinite(), 1), CUBE2)),
     (ValueError, "unknown predicate 'bogus'",
      lambda: one_adele(RATIONALS).membership_set("bogus")),
     (ValueError, "must have integer coefficients", lambda: NumberField((1.5, 0, 1))),
     (ValueError, "section position 3 out of range",
      lambda: section_image(GAUSS, 3, all_primes())),
     (ValueError, "section position out of range",
-     lambda: FreeKUltrafilter(GAUSS, free_cofinite(), 3)),
+     lambda: section_lift(GAUSS, free_cofinite(), 3)),
     (ZeroDivisionError, "inverse of zero", lambda: RATIONALS.zero().inverse()),
     (InvalidLevel, "restriction target must be a sub-level",
      lambda: _level_at_5().restrict(
@@ -342,6 +343,30 @@ def test_library_refuses_what_it_cannot_answer(error, message, call):
     with pytest.raises(error) as refused:
         call()
     assert message in str(refused.value)
+
+
+NOT_FREE = {
+    "principal": lambda: PrincipalUltrafilter(place_above(RATIONALS, 5)),
+    "no ultrafilter": all_primes,
+}
+FREE_ONLY = {
+    "max_at": max_at,
+    "min_at": min_at,
+    "between": lambda u: between(u, uniformizer_adele(RATIONALS)),
+    "density_witness": density_witness,
+}
+
+
+@pytest.mark.parametrize("build", FREE_ONLY.values(), ids=FREE_ONLY.keys())
+@pytest.mark.parametrize("make", NOT_FREE.values(), ids=NOT_FREE.keys())
+def test_ultrafilter_ideals_refuse_what_is_not_free(make, build):
+    """A principal ultrafilter, or an object that is no ultrafilter at all,
+    is refused with the one message."""
+    with pytest.raises(ValueError) as refused:
+        build(make())
+    assert str(refused.value) == (
+        "ultrafilter ideals take free ultrafilters; principal ones "
+        "correspond to the zero_at variant at the adele level")
 
 
 def test_level_chain_consistency():

@@ -22,7 +22,6 @@ from adelic.placesets import (
     full_preimage,
 )
 from adelic.ultrafilters import (
-    FreeKUltrafilter,
     FreeQUltrafilter,
     PrincipalUltrafilter,
     free_cofinite,
@@ -30,6 +29,7 @@ from adelic.ultrafilters import (
     lifts,
     partition_pick,
     pushforward,
+    section_lift,
 )
 
 from adelic.primes import primerange
@@ -62,7 +62,7 @@ def catalogue_ultrafilters():
         free_on_atom(CUBE2, ((1, 1), (1, 1), (1, 1))),
         free_on_atom(CYCLO5, ((1, 4),)),
     ]
-    out += [FreeKUltrafilter(GAUSS, split, 1), FreeKUltrafilter(GAUSS, split, 2)]
+    out += [section_lift(GAUSS, split, 1), section_lift(GAUSS, split, 2)]
     out.append(PrincipalUltrafilter(place_above(GAUSS, 5, 0)))
     return out
 
@@ -219,10 +219,23 @@ def test_identity_extension():
 
 def test_padding_collapses_high_positions():
     inert = free_on_atom(GAUSS, ((1, 2),))
-    high = FreeKUltrafilter(GAUSS, inert, 2)
-    low = FreeKUltrafilter(GAUSS, inert, 1)
+    high = section_lift(GAUSS, inert, 2)
+    low = section_lift(GAUSS, inert, 1)
     assert high == low
-    assert high.effective_position == 1
+    assert high.position == 1
+
+
+def test_a_lift_the_bound_cannot_select_is_refused_when_built(monkeypatch):
+    """Under bound 13 the split anchor of x^2 + 1 has witness 5, which
+    divides the discriminant of x^2 - 5, and no larger prime below 13
+    splits in x^2 + 1.  The lift is refused when it is built, so hashing
+    or comparing a lift never reads a selector."""
+    monkeypatch.setattr(config, "DEFAULT", config.Settings(prime_bound=13))
+    base = free_on_atom(GAUSS, SPLIT_GAUSS)
+    with pytest.raises(UnsupportedSelection) as refused:
+        section_lift(ROOT5, base, 1)
+    assert str(refused.value) == ("no prime below 13 supports a splitting class "
+                                  "of [-5, 0, 1] for this ultrafilter")
 
 
 def test_lifts_answer_as_the_pullback_rule():
@@ -239,8 +252,8 @@ def test_lifts_answer_as_the_pullback_rule():
         sets = [random_kset(field, rng) for _ in range(12)]
         for base in bases:
             for position in range(1, field.degree + 1):
-                up = FreeKUltrafilter(field, base, position)
-                padded += up.effective_position != position
+                up = section_lift(field, base, position)
+                padded += up.position != position
                 for s in sets:
                     want = pullback_contains(base, s, position)
                     assert up.contains(s) == want

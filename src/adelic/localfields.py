@@ -231,7 +231,7 @@ def embed(x: FieldElement, place: FinitePlace, digits: int = DEFAULT_DIGITS) -> 
         prec = min(prec, ctx.unit_digits)
     assert prec >= digits, "certified unit digits fell below the request"
     pk = p ** digits
-    return LocalElement(place, val - place.e * k, tuple(c % pk for c in unit[: len(ctx.G) - 1]), digits)
+    return LocalElement(place, val - place.e * k, tuple(c % pk for c in unit), digits)
 
 
 def valuation_of_element(x: FieldElement, place: FinitePlace) -> int | float:

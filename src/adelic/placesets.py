@@ -8,21 +8,34 @@ the primes realizing all of those classes at once.  Finite sets are the
 special case of no cells, and cofinite sets have every cell.  Membership
 of any prime is decided by factoring it in each context field.
 
+The cells are one int, `mask`: bit i stands for the i-th cell of
+`product(*(unramified_classes(K) for K in context))`, so the last context
+field varies fastest and the bit order depends on the context alone.
+Coordinate i of a context whose fields have n_0, n_1, ... classes then
+has stride n_(i+1) * n_(i+2) * ...: the cell with class c there is the
+cell with class 0 there shifted up by c strides.  Over a common context,
+union, intersection and complement are `|`, `&` and a masked `~`; a set
+moves to a larger context by OR-ing, per set bit, the cached mask of the
+cells over that bit (its spread), one table per (small, large) context
+pair.  Every table is built on its first use.
+
 The primes of `places.disc_primes` of a context polynomial (the ramified
 primes below desk scale and those dividing the index of the polynomial
 order) belong to no cell; their membership is always recorded explicitly
 in the finite modification.  So the atom of a ramified class, and every
 other set of primes defined by ramified classes, is structurally finite.
+A prime's joint class over a context is read once, as a bit index, and
+cached per (prime, context).
 
 Canonical form: a context field K is dropped exactly when the cells are a
 cylinder along K, i.e. every group of cells agreeing off K holds all the
 classes of K; the finite modification is then recomputed pointwise, once.
-Dropping one cylinder field neither creates nor removes another, so the
-fields to drop are decided in one pass over the original cells and do not
-depend on order.  Since every cell holds one valid class per context field
-(`parse_qset` reads only what `to_text` prints), the cells are a cylinder
-along K exactly when projecting K away divides their number by K's class
-count.
+With zero the mask of the cells of class 0 along K, the cells are a
+cylinder along K exactly when `mask >> c * stride & zero` equals
+`mask & zero` for every class c of K.  Dropping one cylinder field
+neither creates nor removes another, so the fields to drop are decided in
+one pass over the original mask and do not depend on order; the kept
+cells are those whose spread in the original context meets the mask.
 Structurally different but pointwise-equal descriptions (say, a cell that
 no prime realizes versus no cell) can remain distinct; all Boolean
 identities hold on canonical forms, and the pointwise semantics is exact.
@@ -43,8 +56,10 @@ module builds its field-generic sets through them.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections.abc import Set
+from functools import lru_cache, wraps
 from itertools import product
+from math import prod
 
 from .errors import FieldMismatch
 from .numberfields import NumberField, RATIONALS, read_int
@@ -68,17 +83,21 @@ ClassId = tuple[tuple[int, int], ...]
 Cell = tuple[ClassId, ...]
 
 
-def _denotes(p: int, context, cells) -> bool:
-    cell = joint_class(p, context)
-    return cell is not None and cell in cells
+def _denotes(p: int, context, mask: int) -> bool:
+    bit = _prime_bit(p, context)
+    return bit is not None and mask >> bit & 1 == 1
 
 
 class QPlaceSet(Record):
     """A describable set of finite places of the rationals (primes): the
-    cells over the context fields, with the primes plus added and minus
-    taken out."""
+    cells of `mask` over the context fields, with the primes plus added
+    and minus taken out."""
 
-    __slots__ = ("context", "cells", "plus", "minus")
+    __slots__ = ("context", "mask", "plus", "minus")
+
+    @property
+    def cells(self) -> "Cells":
+        return Cells(self.context, self.mask)
 
     # -- membership ------------------------------------------------------
 
@@ -88,7 +107,7 @@ class QPlaceSet(Record):
             return True
         if p in self.minus:
             return False
-        return _denotes(p, self.context, self.cells)
+        return _denotes(p, self.context, self.mask)
 
     def contains_place(self, w: FinitePlace) -> bool:
         if w.field != RATIONALS:
@@ -102,7 +121,7 @@ class QPlaceSet(Record):
         return RATIONALS
 
     def is_empty(self) -> bool:
-        return not self.cells and not self.plus
+        return not self.mask and not self.plus
 
     def is_everything(self) -> bool:
         return self == all_primes()
@@ -110,7 +129,8 @@ class QPlaceSet(Record):
     # -- Boolean algebra --------------------------------------------------
 
     def complement(self) -> "QPlaceSet":
-        return _canonical(self.context, _all_cells(self.context) - self.cells,
+        every = _spread((), self.context)[0]
+        return _canonical(self.context, every & ~self.mask,
                           lambda p: not self.contains_prime(p), self.plus | self.minus)
 
     def union(self, other: "QPlaceSet") -> "QPlaceSet":
@@ -144,80 +164,181 @@ class QPlaceSet(Record):
         return self.to_text()
 
 
+class Cells(Set):
+    """The cells of a set, read from its mask as joint classes."""
+
+    __slots__ = ("context", "mask")
+
+    def __init__(self, context, mask: int):
+        self.context, self.mask = context, mask
+
+    def __contains__(self, cell) -> bool:
+        bit = _cell_bit(cell, self.context)
+        return bit is not None and self.mask >> bit & 1 == 1
+
+    def __iter__(self):
+        cells, rest = _all_cells(self.context), self.mask
+        while rest:
+            low = rest & -rest
+            yield cells[low.bit_length() - 1]
+            rest ^= low
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    @classmethod
+    def _from_iterable(cls, items) -> frozenset:
+        return frozenset(items)
+
+
+# -- the bit layout ---------------------------------------------------------
+
+
 @lru_cache(maxsize=None)
-def _all_cells(context) -> frozenset[Cell]:
-    return frozenset(product(*(unramified_classes(K) for K in context)))
+def _all_cells(context) -> tuple[Cell, ...]:
+    return tuple(product(*(unramified_classes(K) for K in context)))
 
 
-def _raw(context, cells, plus, minus) -> QPlaceSet:
-    return QPlaceSet(tuple(context), frozenset(cells), frozenset(plus), frozenset(minus))
+@lru_cache(maxsize=None)
+def _cell_bit(cell, context) -> int | None:
+    """The bit of a joint unramified class over the context; None for
+    anything else."""
+    if cell is None or len(cell) != len(context):
+        return None
+    bit = 0
+    for cls, K in zip(cell, context):
+        classes = unramified_classes(K)
+        if cls not in classes:
+            return None
+        bit = bit * len(classes) + classes.index(cls)
+    return bit
+
+
+@lru_cache(maxsize=None)
+def _prime_bit(p: int, context) -> int | None:
+    """The bit of p's joint class over the context, None when p is one of
+    the context's discriminant primes."""
+    return _cell_bit(joint_class(p, context), context)
+
+
+@lru_cache(maxsize=None)
+def _context_disc_primes(context) -> frozenset[int]:
+    return frozenset().union(*map(disc_primes, context))
+
+
+def _pattern(sizes, digits) -> int:
+    """The mask of the cells with class digits[i] at every coordinate i
+    where that is not None, over coordinates of sizes[i] classes."""
+    mask, block = 1, 1
+    for n, d in zip(reversed(sizes), reversed(digits)):
+        if d is None:  # n copies of the block, one stride apart
+            mask *= ((1 << block * n) - 1) // ((1 << block) - 1)
+        else:
+            mask <<= d * block
+        block *= n
+    return mask
+
+
+def _sizes(context) -> list[int]:
+    return [len(unramified_classes(K)) for K in context]
+
+
+@lru_cache(maxsize=None)
+def _spread(small, large) -> tuple[int, ...]:
+    """Per cell of `small`, a context within `large`, the mask of the
+    cells of `large` over it."""
+    sizes = _sizes(large)
+    where = [large.index(K) for K in small]
+    out = []
+    for cell in product(*map(range, _sizes(small))):
+        digits = [None] * len(large)
+        for i, d in zip(where, cell):
+            digits[i] = d
+        out.append(_pattern(sizes, digits))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _axes(context) -> tuple[tuple[int, int, int], ...]:
+    """Per coordinate: its class count, its stride, and the mask of the
+    cells of class 0 there."""
+    sizes = _sizes(context)
+    return tuple(
+        (n, prod(sizes[i + 1:]), _pattern(sizes, [0 if j == i else None for j in range(len(sizes))]))
+        for i, n in enumerate(sizes)
+    )
+
+
+def _cylinder(mask: int, n: int, stride: int, zero: int) -> bool:
+    """True when the mask holds all n classes of a coordinate above every
+    combination of the other coordinates."""
+    base = mask & zero
+    return all(mask >> c * stride & zero == base for c in range(1, n))
+
+
+@lru_cache(maxsize=None)
+def _joined(a, b):
+    return tuple(sorted(set(a) | set(b), key=lambda K: K.coeffs))
 
 
 def _aligned(a: QPlaceSet, b: QPlaceSet):
     if not isinstance(b, QPlaceSet):
         raise FieldMismatch("place sets over different fields")
-    ctx = tuple(sorted(set(a.context) | set(b.context), key=lambda K: K.coeffs))
+    ctx = _joined(a.context, b.context)
     return _extend(a, ctx), _extend(b, ctx), ctx
 
 
-def _extend(s: QPlaceSet, ctx) -> frozenset[Cell]:
-    """The cells of s re-expressed over a larger context.  Membership at
+def _extend(s: QPlaceSet, ctx) -> int:
+    """The mask of s re-expressed over a larger context.  Membership at
     the new context's discriminant primes is left to `_canonical`."""
     if s.context == ctx:
-        return s.cells
-    where = [s.context.index(K) if K in s.context else None for K in ctx]
-    return frozenset(
-        out
-        for cell in s.cells
-        for out in product(*(unramified_classes(K) if i is None else (cell[i],)
-                             for i, K in zip(where, ctx)))
-    )
+        return s.mask
+    spread, rest, out = _spread(s.context, ctx), s.mask, 0
+    while rest:
+        low = rest & -rest
+        out |= spread[low.bit_length() - 1]
+        rest ^= low
+    return out
 
 
-def _cylinder(cells, i: int, n: int) -> bool:
-    """True when the cells hold all n classes of coordinate i above every
-    combination of their other coordinates."""
-    return len(cells) % n == 0 and \
-        len({cell[:i] + cell[i + 1:] for cell in cells}) * n == len(cells)
-
-
-def _canonical(context, cells, member, candidates) -> QPlaceSet:
+def _canonical(context, mask, member, candidates) -> QPlaceSet:
     """The canonical set with pointwise membership `member`, given by
-    `cells` over `context` everywhere except possibly at `candidates` and
+    `mask` over `context` everywhere except possibly at `candidates` and
     the context's discriminant primes."""
-    keep = [i for i, K in enumerate(context)
-            if not _cylinder(cells, i, len(unramified_classes(K)))]
-    checked = set(candidates).union(*map(disc_primes, context))
+    keep = tuple(K for K, axis in zip(context, _axes(context)) if not _cylinder(mask, *axis))
+    checked = _context_disc_primes(context).union(candidates)
     if len(keep) < len(context):
-        context = tuple(context[i] for i in keep)
-        cells = {tuple(cell[i] for i in keep) for cell in cells}
+        mask = sum(1 << i for i, spread in enumerate(_spread(keep, context)) if mask & spread)
+        context = keep
     plus, minus = set(), set()
     for p in checked:
         m = member(p)
-        if m != _denotes(p, context, cells):
+        if m != _denotes(p, context, mask):
             (plus if m else minus).add(p)
-    return _raw(context, cells, plus, minus)
+    return QPlaceSet(context, mask, frozenset(plus), frozenset(minus))
 
 
-def _from_parts(context, cells, plus=frozenset(), minus=frozenset()) -> QPlaceSet:
-    """The canonical form of `cells` over `context` with the primes of
+def _from_parts(context, mask, plus=frozenset(), minus=frozenset()) -> QPlaceSet:
+    """The canonical form of `mask` over `context` with the primes of
     `plus` added and those of `minus` removed."""
     def member(p):
-        return p in plus or (p not in minus and _denotes(p, context, cells))
+        return p in plus or (p not in minus and _denotes(p, context, mask))
 
-    return _canonical(context, cells, member, plus | minus)
+    return _canonical(context, mask, member, plus | minus)
 
 
 # -- constructors ---------------------------------------------------------
 
+_NO_PRIMES = frozenset()
+
 
 def empty_qset() -> QPlaceSet:
-    return _raw((), (), (), ())
+    return QPlaceSet((), 0, _NO_PRIMES, _NO_PRIMES)
 
 
 @lru_cache(maxsize=1)
 def all_primes() -> QPlaceSet:
-    return _raw((), {()}, (), ())
+    return QPlaceSet((), 1, _NO_PRIMES, _NO_PRIMES)
 
 
 def _checked_primes(primes) -> frozenset[int]:
@@ -228,19 +349,32 @@ def _checked_primes(primes) -> frozenset[int]:
 
 
 def finite_qset(primes) -> QPlaceSet:
-    return _raw((), (), _checked_primes(primes), ())
+    return QPlaceSet((), 0, _checked_primes(primes), _NO_PRIMES)
+
+
+def _per_field(build):
+    """`build(field, arg)`, cached per (field, arg); the field is
+    registered at every call, outside the cache."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def query(field: NumberField, arg):
+        ensure_registered(field)
+        return cached(field, arg)
+
+    return query
 
 
 def _class_set(field: NumberField, wanted) -> QPlaceSet:
     """The primes whose splitting class in the field satisfies `wanted`:
     a cell per unramified class, the discriminant primes listed."""
-    ensure_registered(field)
     plus = {p for p in disc_primes(field).difference(excluded_primes(field))
             if wanted(splitting_class(field, p))}
-    cells = {(cls,) for cls in unramified_classes(field) if wanted(cls)}
-    return _from_parts((field,), cells, plus)
+    mask = sum(1 << i for i, cls in enumerate(unramified_classes(field)) if wanted(cls))
+    return _from_parts((field,), mask, plus)
 
 
+@_per_field
 def class_atom(field: NumberField, cls: ClassId) -> QPlaceSet:
     """All primes with the given splitting class in the extension field;
     a finite set when the class is ramified."""
@@ -250,11 +384,13 @@ def class_atom(field: NumberField, cls: ClassId) -> QPlaceSet:
     return _class_set(field, lambda c: c == cls)
 
 
+@_per_field
 def fiber_size_at_least(field: NumberField, j: int) -> QPlaceSet:
     """Primes with at least j places above them in the extension field."""
     return _class_set(field, lambda cls: len(cls) >= j)
 
 
+@_per_field
 def fiber_size_exactly(field: NumberField, m: int) -> QPlaceSet:
     return _class_set(field, lambda cls: len(cls) == m)
 
@@ -397,21 +533,21 @@ def parse_qset(text: str) -> QPlaceSet:
         raise ValueError("context fields must be distinct and sorted by coefficients")
     for K in context:
         ensure_registered(K)
-    cells = set()
+    mask = 0
     for cell_text in split_items(cells_text, ";"):
         cell = () if cell_text == "~" else \
             tuple(parse_class_label(cl) for cl in cell_text.split("*"))
-        if len(cell) != len(context) or \
-                any(cls not in unramified_classes(K) for cls, K in zip(cell, context)):
+        bit = _cell_bit(cell, context)
+        if bit is None:
             raise ValueError(f"cell {cell_text!r} is not a joint unramified class of the context")
-        cells.add(cell)
+        mask |= 1 << bit
     plus = frozenset(map(read_int, split_items(plus_text, ",")))
     minus = frozenset(map(read_int, split_items(minus_text, ",")))
     check_desk_scale(max(plus | minus, default=0))
     nonprimes = sorted(p for p in plus | minus if not isprime(p))
     if nonprimes:
         raise ValueError(f"numbers {nonprimes} are not prime")
-    return printed(_from_parts(context, cells, plus, minus), text)
+    return printed(_from_parts(context, mask, plus, minus), text)
 
 
 def parse_kset(text: str) -> KPlaceSet:

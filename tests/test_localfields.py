@@ -15,6 +15,7 @@ from adelic.localfields import (
 )
 from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import excluded_primes, factor_prime, place_above
+from adelic.primes import primerange
 from adelic.spectrum import quotient_eval
 
 from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS
@@ -207,6 +208,23 @@ def test_embed_does_not_depend_on_the_order_of_precisions(cleared_lifts):
     localfields._LIFTS.clear()
     localfields._context.cache_clear()
     assert _embed_table((256, 64, 16)) == ascending
+
+
+@pytest.mark.parametrize("digits", [1, 16, 64])
+def test_embed_unit_has_one_entry_per_local_degree(digits):
+    """The unit part is read mod the place's lifted factor G of degree
+    e * f, with p or powers of it in the numerator or the denominator."""
+    rng = random.Random(digits)
+    for field in CATALOGUE:
+        for p in primerange(2, 30):
+            if p in excluded_primes(field):
+                continue
+            for w in factor_prime(field, p):
+                for k in (-2, 0, 3):
+                    x = field.element(*[rng.randint(-40, 40) for _ in range(field.degree)])
+                    if not x.is_zero():
+                        image = embed(x * field.element(Fraction(p) ** k), w, digits)
+                        assert len(image.unit) == w.e * w.f, (w, k)
 
 
 # every place with e >= 2 above a supported prime of a catalogue field

@@ -30,6 +30,7 @@ from adelic.placesets import (
 )
 
 from adelic.primes import primerange
+from adelic.registry import clear_registry, registered_fields
 from adelic.spectrum import closed_ideal
 
 from conftest import (
@@ -422,3 +423,32 @@ def test_complement_of_four_field_atom_intersection():
     comp = s.complement()
     assert len(comp.cells) == prod(len(unramified_classes(K.degree)) for K in CATALOGUE) - 1
     assert comp.complement() == s
+
+
+def test_cached_class_sets_register_their_field_at_every_call():
+    """`class_atom` and `fiber_size_at_least` are cached, and a cache hit
+    still registers the field, in call order."""
+    class_atom(CUBE2, MIXED_CUBE2)
+    fiber_size_at_least(GAUSS, 1)
+    clear_registry()
+    class_atom(CUBE2, MIXED_CUBE2)
+    fiber_size_at_least(GAUSS, 1)
+    assert registered_fields() == (CUBE2, GAUSS)
+
+
+def _printed_cells(s):
+    cells = s.to_text().split(" cells[")[1].split("]")[0]
+    return len(cells.split(";")) if cells else 0
+
+
+def test_masks_are_canonical_under_operand_order_and_printing():
+    rng = random.Random(23)
+    for _ in range(60):
+        a, b = random_wide_qset(rng), random_wide_qset(rng)
+        for op in (QPlaceSet.union, QPlaceSet.intersect):
+            ab, ba = op(a, b), op(b, a)
+            assert ab == ba and hash(ab) == hash(ba)
+        for s in (a, b, a.union(b), a.intersect(b), a.complement()):
+            read = parse_qset(s.to_text())
+            assert read == s and hash(read) == hash(s)
+            assert len(s.cells) == _printed_cells(s)

@@ -54,10 +54,10 @@ from .spectrum import (
 from .extensions import fiber_of_spec
 from .ultrafilters import (
     FreeKUltrafilter,
-    FreeQUltrafilter,
     Ultrafilter,
     free_cofinite,
     free_on_atom,
+    free_on_set,
     section_lift,
 )
 
@@ -104,7 +104,7 @@ def _parse_ultra(field: NumberField, text: str) -> Ultrafilter:
         if field != RATIONALS:
             raise UsageError("free atoms live over the rationals; use lift:<pos>:free...")
         if text.startswith("free[") and text.endswith("]"):
-            return FreeQUltrafilter(parse_qset(text[5:-1]))
+            return free_on_set(parse_qset(text[5:-1]))
         if len(parts) == 2 and parts[1] == "all":
             return free_cofinite()
         if len(parts) == 3:

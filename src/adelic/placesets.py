@@ -83,7 +83,8 @@ ClassId = tuple[tuple[int, int], ...]
 Cell = tuple[ClassId, ...]
 
 
-def _denotes(p: int, context, mask: int) -> bool:
+def denotes(p: int, context, mask: int) -> bool:
+    """Whether p's joint class over the context is a cell of the mask."""
     bit = _prime_bit(p, context)
     return bit is not None and mask >> bit & 1 == 1
 
@@ -107,7 +108,7 @@ class QPlaceSet(Record):
             return True
         if p in self.minus:
             return False
-        return _denotes(p, self.context, self.mask)
+        return denotes(p, self.context, self.mask)
 
     def contains_place(self, w: FinitePlace) -> bool:
         if w.field != RATIONALS:
@@ -185,10 +186,6 @@ class Cells(Set):
 
     def __len__(self) -> int:
         return self.mask.bit_count()
-
-    @classmethod
-    def _from_iterable(cls, items) -> frozenset:
-        return frozenset(items)
 
 
 # -- the bit layout ---------------------------------------------------------
@@ -313,7 +310,7 @@ def _canonical(context, mask, member, candidates) -> QPlaceSet:
     plus, minus = set(), set()
     for p in checked:
         m = member(p)
-        if m != _denotes(p, context, mask):
+        if m != denotes(p, context, mask):
             (plus if m else minus).add(p)
     return QPlaceSet(context, mask, frozenset(plus), frozenset(minus))
 
@@ -322,7 +319,7 @@ def _from_parts(context, mask, plus=frozenset(), minus=frozenset()) -> QPlaceSet
     """The canonical form of `mask` over `context` with the primes of
     `plus` added and those of `minus` removed."""
     def member(p):
-        return p in plus or (p not in minus and _denotes(p, context, mask))
+        return p in plus or (p not in minus and denotes(p, context, mask))
 
     return _canonical(context, mask, member, plus | minus)
 

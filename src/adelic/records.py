@@ -19,12 +19,10 @@ Compiling a body from source per class, as `collections.namedtuple` does,
 cost about 80 us per class at import and 0.7 ms (27 %) of the local-census
 benchmark's set-up.
 
-One exception is measured.  `NumberField` validates its polynomial and
-caches its hash, so it writes its own `__init__`: fields key most caches
-and are hashed about nine times as often as all other records together.
-One value class is no record: a `FreeQUltrafilter` moves its witness and
-extends its chain of selected classes as queries reach new fields, so it
-writes its own equality, on its anchor set and prime bound.
+`NumberField` is the one value class that is not a plain record: it
+writes its own `__init__`, which validates its polynomial and caches its
+hash, as fields key most caches and are hashed about nine times as often
+as all other records together.
 """
 
 from __future__ import annotations

@@ -46,6 +46,7 @@ from .numberfields import NumberField
 from .places import ArchimedeanPlace, Place, archimedean_places
 from .placesets import finite_set
 from .records import Record
+from .registry import dropped_on_clear
 from .ultrafilters import FreeKUltrafilter, FreeQUltrafilter, Ultrafilter
 
 
@@ -125,6 +126,7 @@ def member(alpha: Adele, ideal: PrimeIdeal) -> bool:
     return member_between(alpha, ideal.ultra, ideal.beta)
 
 
+@dropped_on_clear
 @lru_cache(maxsize=8192)
 def selected_profile(u: Ultrafilter, a: Adele):
     """Tail degree of the adele on the region piece of it that the free

@@ -1,30 +1,32 @@
 """Ultrafilters on the describable place-set algebra.
 
 A principal ultrafilter is the record of one place, and holds the sets
-containing it.  A free ultrafilter over the rationals is anchored on a
-set with cells and, to stay a genuine ultrafilter on the whole algebra
-(which keeps refining as more extensions enter the picture), follows one
-witness prime: for every registered extension, in registration order, it
-selects the unramified splitting class of its witness.  Every membership
-query answers "does the selected joint class lie among the set's cells",
+containing it.  A free ultrafilter over the rationals is the record
+(atom, bound) of a set with cells and a prime bound.  To stay a genuine
+ultrafilter on the whole algebra (which keeps refining as more
+extensions enter the picture), it follows one witness prime: for every
+registered extension, in registration order, it selects the unramified
+splitting class of its witness.  A membership query tests one bit of the
+set's mask, that of the witness's joint class over the set's context,
 so the four ultrafilter axioms hold by construction, finite sets are
 never members, and cofinite sets always are.
 
-The witness starts as the least prime below the prime bound the
-ultrafilter was built with whose joint class over the atom's context is a
-cell of the atom.  It moves only when it divides the discriminant of a
-newly selected field, to the least larger prime below the bound that
-divides no discriminant of the chain's fields or of the new field, has a
-joint class among the atom's cells and has the chain's class in every
-chain field.  Every prime below the old witness already failed a
-condition the new step keeps, so that is also the least such prime from
-2: each selected class is the class of the first witness below the
-bound, and the bound decides only whether a step is refused, never which
-class it selects.  By Chebotarev's density theorem (Neukirch, Algebraic Number
-Theory, VII.13) one witness proves that the primes of its joint class
-have positive density, so every set the ultrafilter contains is infinite.
-An atom or a chain step without a witness is refused
-(`UnsupportedSelection`).
+The witness starts as the least prime below the bound whose joint class
+over the atom's context is a cell of the atom.  It moves only when it
+divides the discriminant of a newly selected field, to the least larger
+prime below the bound that divides no discriminant of the chain's fields
+or of the new field, has a joint class among the atom's cells and has
+the chain's class in every chain field.  Every prime below the old
+witness already failed a condition the new step keeps, so that is also
+the least such prime from 2: each selected class is the class of the
+first witness below the bound, and the bound decides only whether a step
+is refused, never which class it selects.  So equal records share their
+witness and resolved fields, one `registry.SELECTORS` entry that the
+builders make (refusals come at build time) and `clear_registry` drops.
+By Chebotarev's density theorem (Neukirch, Algebraic Number Theory, VII.13)
+one witness proves that the primes of its joint class have positive
+density, so every set the ultrafilter contains is infinite.  An atom or
+a chain step without a witness is refused (`UnsupportedSelection`).
 
 A free ultrafilter over an extension field is a section lift of a free
 rational one at a fiber position, short fibers padding to their first
@@ -51,7 +53,6 @@ from .places import (
     check_desk_scale,
     disc_primes,
     factor_prime,
-    joint_class,
     splitting_class,
 )
 from .placesets import (
@@ -59,12 +60,13 @@ from .placesets import (
     QPlaceSet,
     all_primes,
     class_atom,
+    denotes,
     fiber_size_exactly,
     section_image,
 )
 from .primes import primerange
 from .records import Record
-from .registry import ensure_registered, registered_fields
+from .registry import SELECTORS, ensure_registered, registered_fields
 
 
 def _check_set(u: Ultrafilter, s) -> None:
@@ -86,82 +88,65 @@ class PrincipalUltrafilter(Record):
         return s.contains_place(self.place)
 
 
-class FreeQUltrafilter:
-    """Free ultrafilter over the rationals anchored on a set with a
-    witnessed cell, such as an unramified class atom or an intersection of
-    atoms of several fields."""
+class FreeQUltrafilter(Record):
+    """Free ultrafilter (atom, bound) over the rationals, anchored on a set
+    with a witnessed cell, such as an unramified class atom or an
+    intersection of atoms of several fields; `free_on_set` builds one."""
 
-    def __init__(self, atom: QPlaceSet):
-        self.field = RATIONALS
-        self.atom = atom
-        self._chain: dict[NumberField, tuple] = {}
-        self.bound = bound = config.DEFAULT.prime_bound
-        # a bound past desk scale is refused even where the witness search stops early
-        if bound > LEAST_PRIME_PAST_CAP:
-            check_desk_scale(LEAST_PRIME_PAST_CAP)
-        self.witness = self._least_witness(2)
-        if self.witness is None:
-            raise UnsupportedSelection(
-                f"no unramified prime below {bound} realizes a cell of the anchor set"
-            )
+    __slots__ = ("atom", "bound")
+    field = RATIONALS
+
+    def _resolve(self, fields) -> int:
+        """The witness once each of `fields` and every field registered
+        before it is resolved; the selector entry is made on first use."""
+        state = SELECTORS.get(self)
+        if state is None:
+            # a bound past desk scale is refused even where the witness search stops early
+            if self.bound > LEAST_PRIME_PAST_CAP:
+                check_desk_scale(LEAST_PRIME_PAST_CAP)
+            state = SELECTORS[self] = [self._least_witness(2, (), (), (
+                f"no unramified prime below {self.bound} realizes a cell of the anchor set")), set()]
+        resolved = state[1]
+        if not resolved.issuperset(fields):
+            for K in fields:
+                ensure_registered(K)
+            order = registered_fields()
+            for F in order[len(resolved):1 + max(map(order.index, fields))]:
+                self._extend_chain(F, state)
+        return state[0]
 
     def _selected_class(self, K: NumberField):
-        """The splitting class this ultrafilter selects for extension K.
+        """The class selected for extension K: the witness's, once K is resolved."""
+        return splitting_class(K, self._resolve((K,)))
 
-        Selections are made in registration order, K registered first if
-        it is new, each one the class of the witness that also meets every
-        earlier selection, so every query answered by this ultrafilter
-        factors through one fixed choice of joint class.
-        """
-        if K in self._chain:
-            return self._chain[K]
-        ensure_registered(K)
-        for F in registered_fields():
-            if F not in self._chain:
-                self._extend_chain(F)
-            if F == K:
-                return self._chain[K]
-
-    def _least_witness(self, start: int, *fields: NumberField):
+    def _least_witness(self, start: int, chain, fields, refusal: str) -> int:
         """The least prime from `start` below the bound that witnesses the
-        atom together with the chain so far, avoiding the discriminants of
-        `fields` too; None when there is none."""
-        atom, chain = self.atom, list(self._chain.items())
-        avoid = set().union(*map(disc_primes, (*self._chain, *fields)))
-        return next((p for p in primerange(start, self.bound)
-                     if p not in avoid and joint_class(p, atom.context) in atom.cells
-                     and all(splitting_class(G, p) == cls for G, cls in chain)), None)
+        atom, has class cls in G for each (G, cls) of `chain` and divides no
+        discriminant of those fields or of `fields`; refused when none does."""
+        atom = self.atom
+        avoid = set().union(*map(disc_primes, (*(G for G, _ in chain), *fields)))
+        for p in primerange(start, self.bound):
+            if p not in avoid and denotes(p, atom.context, atom.mask) \
+                    and all(splitting_class(G, p) == cls for G, cls in chain):
+                return p
+        raise UnsupportedSelection(refusal)
 
-    def _extend_chain(self, F: NumberField) -> None:
-        # the witness meets every chain class, so it moves only when it
-        # divides the discriminant of F
-        if self.witness in disc_primes(F):
-            p = self._least_witness(self.witness + 1, F)
-            if p is None:
-                raise UnsupportedSelection(
-                    f"no prime below {self.bound} supports a splitting "
-                    f"class of {list(F.coeffs)} for this ultrafilter"
-                )
-            self.witness = p
-        self._chain[F] = splitting_class(F, self.witness)
+    def _extend_chain(self, F: NumberField, state: list) -> None:
+        # the witness meets every chain class, so only disc(F) can move it
+        witness, resolved = state
+        if witness in disc_primes(F):
+            chain = [(G, splitting_class(G, witness)) for G in resolved]
+            state[0] = self._least_witness(witness + 1, chain, (F,), (
+                f"no prime below {self.bound} supports a splitting class of "
+                f"{list(F.coeffs)} for this ultrafilter"))
+        resolved.add(F)
 
     def contains(self, s) -> bool:
         _check_set(self, s)
-        cell = tuple(self._selected_class(K) for K in s.context)
-        return cell in s.cells
+        return denotes(self._resolve(s.context), s.context, s.mask)
 
     def anchor_set(self):
         return self.atom
-
-    def __eq__(self, other):
-        return isinstance(other, FreeQUltrafilter) and \
-            (self.atom, self.bound) == (other.atom, other.bound)
-
-    def __hash__(self):
-        return hash(("free", self.atom, self.bound))
-
-    def __repr__(self):
-        return f"Free({self.atom.to_text()}, witness {self.witness})"
 
 
 class FreeKUltrafilter(Record):
@@ -197,20 +182,26 @@ def section_lift(field: NumberField, base: FreeQUltrafilter,
                          "to a proper extension")
     if not 1 <= position <= field.degree:
         raise ValueError("section position out of range")
-    ensure_registered(field)
     m = len(base._selected_class(field))
     return FreeKUltrafilter(field, base, position if position <= m else 1)
 
 
+def free_on_set(atom: QPlaceSet) -> FreeQUltrafilter:
+    """Free rational ultrafilter anchored on a set with a witnessed cell,
+    under the prime bound in force; refused here when it has no witness."""
+    u = FreeQUltrafilter(atom, config.DEFAULT.prime_bound)
+    u._resolve(())  # makes its selector entry
+    return u
+
+
 def free_on_atom(field: NumberField, cls) -> FreeQUltrafilter:
-    """Free rational ultrafilter anchored on the splitting-class atom of a
-    registered extension."""
-    return FreeQUltrafilter(class_atom(field, cls))
+    """Free rational ultrafilter anchored on a splitting-class atom."""
+    return free_on_set(class_atom(field, cls))
 
 
 def free_cofinite() -> FreeQUltrafilter:
     """Free ultrafilter anchored on the full prime set."""
-    return FreeQUltrafilter(all_primes())
+    return free_on_set(all_primes())
 
 
 def partition_pick(u: Ultrafilter, parts) -> int:

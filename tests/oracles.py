@@ -479,7 +479,7 @@ def cycle_types(generators):
     return types
 
 
-def _reference_cell(p, context):
+def reference_cell(p, context):
     """The joint splitting class of p over the context, or None when p
     divides the discriminant of a context field."""
     if any(p in discriminant_primes(K) for K in context):
@@ -493,7 +493,7 @@ def reference_contains(s, p):
         return True
     if p in s.minus:
         return False
-    return _reference_cell(p, s.context) in s.cells
+    return reference_cell(p, s.context) in s.cells
 
 
 def sequential_canonical(context, cells, plus, minus):
@@ -515,8 +515,8 @@ def sequential_canonical(context, cells, plus, minus):
                 candidates = plus | minus | {p for F in context for p in discriminant_primes(F)}
                 new_plus, new_minus = set(), set()
                 for p in candidates:
-                    m = p in plus or (p not in minus and _reference_cell(p, context) in cells)
-                    d = _reference_cell(p, new_context) in new_cells
+                    m = p in plus or (p not in minus and reference_cell(p, context) in cells)
+                    d = reference_cell(p, new_context) in new_cells
                     if m and not d:
                         new_plus.add(p)
                     elif d and not m:
@@ -524,8 +524,8 @@ def sequential_canonical(context, cells, plus, minus):
                 context, cells, plus, minus = new_context, new_cells, new_plus, new_minus
                 changed = True
                 break
-    plus = {p for p in plus if _reference_cell(p, context) not in cells}
-    minus = {p for p in minus if _reference_cell(p, context) in cells}
+    plus = {p for p in plus if reference_cell(p, context) not in cells}
+    minus = {p for p in minus if reference_cell(p, context) in cells}
     return tuple(context), frozenset(cells), frozenset(plus), frozenset(minus)
 
 
@@ -533,7 +533,7 @@ def _reference_rebuild(context, cells, member, candidates):
     disc = {p for K in context for p in discriminant_primes(K)}
     plus, minus = set(), set()
     for p in set(candidates) | disc:
-        m, d = member(p), _reference_cell(p, context) in cells
+        m, d = member(p), reference_cell(p, context) in cells
         if m and not d:
             plus.add(p)
         elif d and not m:
@@ -575,7 +575,7 @@ def reference_complement(a):
     everything = [()]
     for K in a.context:
         everything = [c + (cls,) for c in everything for cls in unramified_classes(K.degree)]
-    return _reference_rebuild(a.context, set(everything) - a.cells,
+    return _reference_rebuild(a.context, set(everything).difference(a.cells),
                               lambda p: not reference_contains(a, p), a.plus | a.minus)
 
 
@@ -594,7 +594,7 @@ def reference_selector_chain(atom, fields, bound):
     def witnesses(chain, extra):
         avoid = set().union(*(discriminant_primes(K) for K in (*atom.context, *chain, *extra)))
         return [p for p in primes if p not in avoid
-                and _reference_cell(p, atom.context) in atom.cells
+                and reference_cell(p, atom.context) in atom.cells
                 and all(splitting_class(G, p) == cls for G, cls in chain.items())]
 
     if not witnesses({}, ()):

@@ -258,17 +258,17 @@ def test_criterion_6_lattice_and_separators():
     # pairwise-distinct free ultrafilters: joint atoms force a different
     # selected class at some coordinate for every pair
     from adelic.placesets import class_atom
-    from adelic.ultrafilters import FreeQUltrafilter
+    from adelic.ultrafilters import free_on_set
 
     split_a = class_atom(GAUSS, ((1, 1), (1, 1)))
     inert_a = class_atom(GAUSS, ((1, 2),))
     mixed_c = class_atom(CUBE2, ((1, 1), (1, 2)))
     full_c = class_atom(CUBE2, ((1, 1), (1, 1), (1, 1)))
     refined = [
-        FreeQUltrafilter(split_a.intersect(mixed_c)),
-        FreeQUltrafilter(split_a.intersect(full_c)),
-        FreeQUltrafilter(inert_a.intersect(mixed_c)),
-        FreeQUltrafilter(inert_a.intersect(full_c)),
+        free_on_set(split_a.intersect(mixed_c)),
+        free_on_set(split_a.intersect(full_c)),
+        free_on_set(inert_a.intersect(mixed_c)),
+        free_on_set(inert_a.intersect(full_c)),
         frees["split"],
         frees["inert"],
     ]

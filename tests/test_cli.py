@@ -14,7 +14,6 @@ from adelic.cli import main
 from adelic.adeles import membership_set, parse_adele
 from adelic.placesets import parse_qset
 from adelic.registry import clear_registry, ensure_registered, registered_fields
-from adelic.spectrum import selected_profile
 
 
 _ALL = "q{ctx[] cells[~] plus[] minus[]}"  # the text of the set of all primes
@@ -425,7 +424,6 @@ def _cli_state_restored():
         clear_registry()
         for field in fields:
             ensure_registered(field)
-        selected_profile.cache_clear()
         membership_set.cache_clear()
 
 

@@ -96,7 +96,6 @@ DECLARED_API = (
     (("spectrum.closed_ideal", "spectrum.ClosedIdeal.member"), "acceptance criterion 10, topology"),
     (("adeles.diagonal_rational",), "the README library example and perfbench spectrum-warm"),
     (("registry.clear_registry",), "tests/conftest.py"),
-    (("placesets.Cells._from_iterable",), "`set - s.cells` in tests/oracles.py"),
 )
 
 

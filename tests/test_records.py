@@ -35,7 +35,9 @@ from adelic.spectrum import (
 )
 from adelic.ultrafilters import (
     FreeKUltrafilter,
+    FreeQUltrafilter,
     PrincipalUltrafilter,
+    free_cofinite,
     free_on_atom,
     section_lift,
 )
@@ -83,10 +85,12 @@ CASES = [
     (PrincipalUltrafilter, lambda: PrincipalUltrafilter(place_above(RATIONALS, 5)),
      lambda: PrincipalUltrafilter(place_above(RATIONALS, 7)),
      f"PrincipalUltrafilter(place={_P5})"),
+    (FreeQUltrafilter, lambda: free_on_atom(GAUSS, SPLIT_GAUSS), free_cofinite,
+     "FreeQUltrafilter(atom=q{ctx[1,0,1] cells[1x1+1x1] plus[] minus[]}, bound=10000)"),
     (FreeKUltrafilter, lambda: section_lift(GAUSS, free_on_atom(GAUSS, SPLIT_GAUSS), 1),
      lambda: section_lift(GAUSS, free_on_atom(GAUSS, SPLIT_GAUSS), 2),
-     "FreeKUltrafilter(field=NumberField([1, 0, 1]), base=Free(q{ctx[1,0,1] cells[1x1+1x1] "
-     "plus[] minus[]}, witness 5), position=1)"),
+     "FreeKUltrafilter(field=NumberField([1, 0, 1]), base=FreeQUltrafilter(atom=q{ctx[1,0,1] "
+     "cells[1x1+1x1] plus[] minus[]}, bound=10000), position=1)"),
 ]
 
 

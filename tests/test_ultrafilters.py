@@ -22,10 +22,10 @@ from adelic.placesets import (
     full_preimage,
 )
 from adelic.ultrafilters import (
-    FreeQUltrafilter,
     PrincipalUltrafilter,
     free_cofinite,
     free_on_atom,
+    free_on_set,
     lifts,
     partition_pick,
     pushforward,
@@ -33,8 +33,8 @@ from adelic.ultrafilters import (
 )
 
 from adelic.primes import primerange
-from adelic.registry import clear_registry, ensure_registered, registered_fields
-from adelic.spectrum import selected_profile
+from adelic.registry import SELECTORS, clear_registry, ensure_registered, registered_fields
+from adelic.spectrum import max_at, member, selected_profile
 
 from conftest import CATALOGUE, CUBE2, CYCLO5, GAUSS, INERT_GAUSS, ROOT5, SPLIT_GAUSS
 from gen import cofinite_qset, random_kset, random_qset, random_wide_qset
@@ -43,6 +43,7 @@ from oracles import (
     discriminant_primes,
     distinguishing_witness,
     pullback_contains,
+    reference_cell,
     reference_selector_chain,
     unramified_classes,
 )
@@ -98,7 +99,7 @@ def test_free_ultrafilters_reject_finite_contain_cofinite():
     assert split.contains(atom)
     assert split.contains(atom.difference(finite_qset([5])))
     with pytest.raises(UnsupportedSelection):
-        FreeQUltrafilter(finite_qset([5, 13]))
+        free_on_set(finite_qset([5, 13]))
 
 
 def test_principal_semantics():
@@ -340,15 +341,43 @@ def test_free_ultrafilters_keep_their_bound(monkeypatch):
         selected_profile(tiny, alpha)
 
 
+def test_equal_records_share_a_selector_that_clear_registry_drops():
+    """Two cofinite ultrafilters built under opposite registration orders
+    are equal records.  `clear_registry` drops the first one's selector
+    entry and the profile cache with it, so under the new order `member`
+    agrees with `contains` for the second and for the first, kept across
+    the reset: x^3-2 first moves the witness from 2 to 5, split in x^2+1;
+    x^2+1 first moves it to 3, inert there."""
+    split = class_atom(GAUSS, SPLIT_GAUSS)
+    alpha = vanishing_on(RATIONALS, split)
+    clear_registry()
+    ensure_registered(GAUSS)
+    ensure_registered(CUBE2)
+    first = free_cofinite()
+    assert not first.contains(split) and not member(alpha, max_at(first))
+    clear_registry()
+    ensure_registered(CUBE2)
+    ensure_registered(GAUSS)
+    second = free_cofinite()
+    assert second == first and hash(second) == hash(first)
+    assert second.contains(split) and member(alpha, max_at(second))
+    assert first.contains(split) and member(alpha, max_at(first))
+    assert SELECTORS[first] is SELECTORS[second]
+
+
 def _chain(u):
-    """The selector chain over every registered field, and whether it
-    stopped at a field that no prime supports."""
+    """The selector chain over every registered field, in registration
+    order, and whether it stopped at a field that no prime supports: the
+    class of the witness in each field the selector table holds resolved."""
     try:
         for K in registered_fields():
             u._selected_class(K)
     except UnsupportedSelection:
-        return dict(u._chain), True
-    return dict(u._chain), False
+        stopped = True
+    else:
+        stopped = False
+    witness, resolved = SELECTORS[u]
+    return {K: splitting_class(K, witness) for K in registered_fields() if K in resolved}, stopped
 
 
 @pytest.mark.parametrize("bound", [300, 3000])
@@ -368,14 +397,16 @@ def test_selector_chain_matches_first_witness(bound, monkeypatch):
         if not atom.cells:
             continue
         try:
-            u = FreeQUltrafilter(atom)
+            u = free_on_set(atom)
         except UnsupportedSelection:
             got = None
         else:
             got = _chain(u)
-            # the whole chain is the one witness's classes
-            assert u.witness < bound
-            assert all(cls == splitting_class(K, u.witness) for K, cls in got[0].items()), atom
+            # the witness lies in a cell of the atom and off every chain discriminant
+            witness = SELECTORS[u][0]
+            assert witness < bound
+            assert reference_cell(witness, atom.context) in atom.cells, atom
+            assert all(witness not in discriminant_primes(K) for K in got[0]), atom
         assert got == reference_selector_chain(atom, registered_fields(), bound), atom
         # the cells give some context field one class
         fixed = any(len({cell[i] for cell in atom.cells}) == 1
@@ -436,12 +467,14 @@ def test_selector_scans_start_past_the_witness(monkeypatch):
     ensure_registered(GAUSS)
     ensure_registered(CUBE2)
     u = free_cofinite()
-    witnesses = [u.witness]
+    witnesses = [SELECTORS[u][0]]
     for K in (GAUSS, CUBE2):
         u._selected_class(K)
-        witnesses.append(u.witness)
+        witnesses.append(SELECTORS[u][0])
     assert witnesses == [2, 3, 7] and starts == [2, 3, 4]
-    assert {K: class_label(cls) for K, cls in u._chain.items()} == {GAUSS: "1x2", CUBE2: "1x3"}
+    assert SELECTORS[u][1] == {GAUSS, CUBE2}
+    assert {K: class_label(u._selected_class(K)) for K in (GAUSS, CUBE2)} == \
+        {GAUSS: "1x2", CUBE2: "1x3"}
 
 
 def test_split_selector_samples_few_primes(monkeypatch):

@@ -211,16 +211,6 @@ def unramified_classes(field: NumberField) -> tuple[tuple[tuple[int, int], ...],
     return tuple(sorted(_partitions(field.degree)))
 
 
-def joint_class(p: int, fields) -> tuple[tuple[tuple[int, int], ...], ...] | None:
-    """The splitting classes of p in each of the fields, or None when p is
-    in the `disc_primes` of one of them.  Every field is checked before
-    any class is read."""
-    for K in fields:
-        if p in disc_primes(K):
-            return None
-    return tuple([splitting_class(K, p) for K in fields])
-
-
 def class_label(cls: tuple[tuple[int, int], ...]) -> str:
     return "+".join(f"{e}x{f}" for e, f in cls)
 

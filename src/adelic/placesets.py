@@ -15,30 +15,45 @@ Coordinate i of a context whose fields have n_0, n_1, ... classes then
 has stride n_(i+1) * n_(i+2) * ...: the cell with class c there is the
 cell with class 0 there shifted up by c strides.  Over a common context,
 union, intersection and complement are `|`, `&` and a masked `~`; a set
-moves to a larger context by OR-ing, per set bit, the cached mask of the
-cells over that bit (its spread), one table per (small, large) context
-pair.  Every table is built on its first use.
+moves to a larger context by OR-ing, per set bit, the mask of the cells
+over that bit (its spread).
+
+A context is one interned `Context`, the tuple of its fields sorted by
+coefficients: equal field tuples are the same object, which hashes by
+identity, so no table lookup re-hashes the fields.  It owns the tables
+of its bit layout, each built on first use: its discriminant primes, per
+coordinate the two masks of the cylinder test below, its cells, the bit
+of each prime read so far, and dicts keyed by another context for the
+spread to a larger context, the join with another and the context left
+when coordinates are dropped.
 
 The primes of `places.disc_primes` of a context polynomial (the ramified
 primes below desk scale and those dividing the index of the polynomial
 order) belong to no cell; their membership is always recorded explicitly
 in the finite modification.  So the atom of a ramified class, and every
 other set of primes defined by ramified classes, is structurally finite.
-A prime's joint class over a context is read once, as a bit index, and
-cached per (prime, context).
+A prime's joint class over a context is read once, as a bit index, into
+the context's table; a discriminant prime reads the cell count, a bit no
+mask sets.
 
 Canonical form: a context field K is dropped exactly when the cells are a
 cylinder along K, i.e. every group of cells agreeing off K holds all the
 classes of K; the finite modification is then recomputed pointwise, once.
-With zero the mask of the cells of class 0 along K, the cells are a
-cylinder along K exactly when `mask >> c * stride & zero` equals
-`mask & zero` for every class c of K.  Dropping one cylinder field
+With zero the mask of the cells of class 0 along K and copies the sum of
+2**(c * stride) over the classes c of K, the cells are a cylinder along K
+exactly when `(mask & zero) * copies == mask`: the product puts one copy
+of the class-0 cells at each class of K, and the copies do not overlap,
+so no carry occurs.  Dropping one cylinder field
 neither creates nor removes another, so the fields to drop are decided in
 one pass over the original mask and do not depend on order; the kept
 cells are those whose spread in the original context meets the mask.
 Structurally different but pointwise-equal descriptions (say, a cell that
 no prime realizes versus no cell) can remain distinct; all Boolean
 identities hold on canonical forms, and the pointwise semantics is exact.
+The operands' membership at the primes a result must check (its
+context's discriminant primes and the operands' modifications) is read
+from their parts, not through `contains_prime`, whose desk-scale check
+those primes have already passed.
 
 Over an extension field of degree n, a set stores n coordinates of
 rational-level sets: coordinate j holds the primes whose fiber has the
@@ -57,7 +72,7 @@ module builds its field-generic sets through them.
 from __future__ import annotations
 
 from collections.abc import Set
-from functools import lru_cache, wraps
+from functools import cached_property, lru_cache, wraps
 from itertools import product
 from math import prod
 
@@ -70,7 +85,6 @@ from .places import (
     class_label,
     disc_primes,
     excluded_primes,
-    joint_class,
     parse_class_label,
     splitting_class,
     unramified_classes,
@@ -83,10 +97,12 @@ ClassId = tuple[tuple[int, int], ...]
 Cell = tuple[ClassId, ...]
 
 
-def denotes(p: int, context, mask: int) -> bool:
+def denotes(p: int, context: Context, mask: int) -> bool:
     """Whether p's joint class over the context is a cell of the mask."""
-    bit = _prime_bit(p, context)
-    return bit is not None and mask >> bit & 1 == 1
+    bit = context.bits.get(p)
+    if bit is None:
+        bit = context.read_bit(p)
+    return mask >> bit & 1 == 1
 
 
 class QPlaceSet(Record):
@@ -130,21 +146,22 @@ class QPlaceSet(Record):
     # -- Boolean algebra --------------------------------------------------
 
     def complement(self) -> "QPlaceSet":
-        every = _spread((), self.context)[0]
-        return _canonical(self.context, every & ~self.mask,
-                          lambda p: not self.contains_prime(p), self.plus | self.minus)
+        ctx = self.context
+        checked = ctx.disc_primes.union(self.plus, self.minus)
+        return _canonical(ctx, ctx.every & ~self.mask, checked,
+                          checked.difference(_inside(self, checked)))
 
     def union(self, other: "QPlaceSet") -> "QPlaceSet":
         a, b, ctx = _aligned(self, other)
-        return _canonical(ctx, a | b,
-                          lambda p: self.contains_prime(p) or other.contains_prime(p),
-                          self.plus | self.minus | other.plus | other.minus)
+        checked = ctx.disc_primes.union(self.plus, self.minus, other.plus, other.minus)
+        return _canonical(ctx, a | b, checked,
+                          _inside(self, checked) | _inside(other, checked))
 
     def intersect(self, other: "QPlaceSet") -> "QPlaceSet":
         a, b, ctx = _aligned(self, other)
-        return _canonical(ctx, a & b,
-                          lambda p: self.contains_prime(p) and other.contains_prime(p),
-                          self.plus | self.minus | other.plus | other.minus)
+        checked = ctx.disc_primes.union(self.plus, self.minus, other.plus, other.minus)
+        return _canonical(ctx, a & b, checked,
+                          _inside(self, checked) & _inside(other, checked))
 
     def difference(self, other: "QPlaceSet") -> "QPlaceSet":
         return self.intersect(other.complement())
@@ -174,11 +191,11 @@ class Cells(Set):
         self.context, self.mask = context, mask
 
     def __contains__(self, cell) -> bool:
-        bit = _cell_bit(cell, self.context)
+        bit = self.context.cell_bit(cell)
         return bit is not None and self.mask >> bit & 1 == 1
 
     def __iter__(self):
-        cells, rest = _all_cells(self.context), self.mask
+        cells, rest = self.context.cells, self.mask
         while rest:
             low = rest & -rest
             yield cells[low.bit_length() - 1]
@@ -188,39 +205,77 @@ class Cells(Set):
         return self.mask.bit_count()
 
 
-# -- the bit layout ---------------------------------------------------------
+# -- contexts and the bit layout ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _all_cells(context) -> tuple[Cell, ...]:
-    return tuple(product(*(unramified_classes(K) for K in context)))
+class Context(tuple):
+    """The fields of a set's context, sorted by coefficients, as one
+    interned object: `_interned` returns the same object for equal field
+    tuples, so a context hashes by identity and owns the tables of its
+    bit layout."""
 
+    __hash__ = object.__hash__
 
-@lru_cache(maxsize=None)
-def _cell_bit(cell, context) -> int | None:
-    """The bit of a joint unramified class over the context; None for
-    anything else."""
-    if cell is None or len(cell) != len(context):
-        return None
-    bit = 0
-    for cls, K in zip(cell, context):
-        classes = unramified_classes(K)
-        if cls not in classes:
+    def __init__(self, fields):
+        self.classes = tuple(map(unramified_classes, fields))
+        sizes = [len(classes) for classes in self.classes]
+        self.size = prod(sizes)  # the cell count; no mask sets this bit
+        self.every = (1 << self.size) - 1
+        self.disc_primes = frozenset().union(*map(disc_primes, fields))
+        # per coordinate: the mask of the cells of class 0 there, and the
+        # sum of 2**(c * stride) over its classes c
+        self.axes = tuple(
+            (_pattern(sizes, [0 if j == i else None for j in range(len(sizes))]),
+             sum(1 << c * prod(sizes[i + 1:]) for c in range(n)))
+            for i, n in enumerate(sizes)
+        )
+        self.bits = {}     # prime -> the bit of its joint class, `size` for a disc prime
+        self.spreads = {}  # larger context -> per cell of this one, the cells over it
+        self.joins = {}    # other context -> the context of both
+        self.kept = {}     # mask of dropped coordinates -> the context of the rest
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        return tuple(product(*self.classes))
+
+    def cell_bit(self, cell) -> int | None:
+        """The bit of a joint unramified class over the context; None for
+        anything else."""
+        if cell is None or len(cell) != len(self):
             return None
-        bit = bit * len(classes) + classes.index(cls)
-    return bit
+        bit = 0
+        for cls, classes in zip(cell, self.classes):
+            if cls not in classes:
+                return None
+            bit = bit * len(classes) + classes.index(cls)
+        return bit
+
+    def cylinders(self, mask: int) -> int:
+        """The coordinates along which the cells of the mask are a
+        cylinder, as the bits of an int."""
+        drop = 0
+        for i, (zero, copies) in enumerate(self.axes):
+            if (mask & zero) * copies == mask:
+                drop |= 1 << i
+        return drop
+
+    def read_bit(self, p: int) -> int:
+        """The bit of p's joint class, read once: `size` when p is one of
+        the context's discriminant primes."""
+        bit = self.bits[p] = self.size if p in self.disc_primes else \
+            self.cell_bit(tuple([splitting_class(K, p) for K in self]))
+        return bit
 
 
-@lru_cache(maxsize=None)
-def _prime_bit(p: int, context) -> int | None:
-    """The bit of p's joint class over the context, None when p is one of
-    the context's discriminant primes."""
-    return _cell_bit(joint_class(p, context), context)
+_CONTEXTS: dict[tuple, Context] = {}
 
 
-@lru_cache(maxsize=None)
-def _context_disc_primes(context) -> frozenset[int]:
-    return frozenset().union(*map(disc_primes, context))
+def _interned(fields: tuple) -> Context:
+    """The context of a plain tuple of fields sorted by coefficients."""
+    context = _CONTEXTS.get(fields)
+    if context is None:
+        context = _CONTEXTS[fields] = Context(fields)
+    return context
 
 
 def _pattern(sizes, digits) -> int:
@@ -236,46 +291,30 @@ def _pattern(sizes, digits) -> int:
     return mask
 
 
-def _sizes(context) -> list[int]:
-    return [len(unramified_classes(K)) for K in context]
-
-
-@lru_cache(maxsize=None)
-def _spread(small, large) -> tuple[int, ...]:
+def _spread(small: Context, large: Context) -> tuple[int, ...]:
     """Per cell of `small`, a context within `large`, the mask of the
     cells of `large` over it."""
-    sizes = _sizes(large)
-    where = [large.index(K) for K in small]
-    out = []
-    for cell in product(*map(range, _sizes(small))):
-        digits = [None] * len(large)
-        for i, d in zip(where, cell):
-            digits[i] = d
-        out.append(_pattern(sizes, digits))
-    return tuple(out)
+    spread = small.spreads.get(large)
+    if spread is None:
+        sizes = [len(classes) for classes in large.classes]
+        where = [large.index(K) for K in small]
+        out = []
+        for cell in product(*(range(len(classes)) for classes in small.classes)):
+            digits = [None] * len(large)
+            for i, d in zip(where, cell):
+                digits[i] = d
+            out.append(_pattern(sizes, digits))
+        spread = small.spreads[large] = tuple(out)
+    return spread
 
 
-@lru_cache(maxsize=None)
-def _axes(context) -> tuple[tuple[int, int, int], ...]:
-    """Per coordinate: its class count, its stride, and the mask of the
-    cells of class 0 there."""
-    sizes = _sizes(context)
-    return tuple(
-        (n, prod(sizes[i + 1:]), _pattern(sizes, [0 if j == i else None for j in range(len(sizes))]))
-        for i, n in enumerate(sizes)
-    )
-
-
-def _cylinder(mask: int, n: int, stride: int, zero: int) -> bool:
-    """True when the mask holds all n classes of a coordinate above every
-    combination of the other coordinates."""
-    base = mask & zero
-    return all(mask >> c * stride & zero == base for c in range(1, n))
-
-
-@lru_cache(maxsize=None)
-def _joined(a, b):
-    return tuple(sorted(set(a) | set(b), key=lambda K: K.coeffs))
+def _joined(a: Context, b: Context) -> Context:
+    if a is b:
+        return a
+    joined = a.joins.get(b)
+    if joined is None:
+        joined = a.joins[b] = _interned(tuple(sorted(set(a) | set(b), key=lambda K: K.coeffs)))
+    return joined
 
 
 def _aligned(a: QPlaceSet, b: QPlaceSet):
@@ -285,10 +324,10 @@ def _aligned(a: QPlaceSet, b: QPlaceSet):
     return _extend(a, ctx), _extend(b, ctx), ctx
 
 
-def _extend(s: QPlaceSet, ctx) -> int:
+def _extend(s: QPlaceSet, ctx: Context) -> int:
     """The mask of s re-expressed over a larger context.  Membership at
     the new context's discriminant primes is left to `_canonical`."""
-    if s.context == ctx:
+    if s.context is ctx:
         return s.mask
     spread, rest, out = _spread(s.context, ctx), s.mask, 0
     while rest:
@@ -298,44 +337,53 @@ def _extend(s: QPlaceSet, ctx) -> int:
     return out
 
 
-def _canonical(context, mask, member, candidates) -> QPlaceSet:
-    """The canonical set with pointwise membership `member`, given by
-    `mask` over `context` everywhere except possibly at `candidates` and
-    the context's discriminant primes."""
-    keep = tuple(K for K, axis in zip(context, _axes(context)) if not _cylinder(mask, *axis))
-    checked = _context_disc_primes(context).union(candidates)
-    if len(keep) < len(context):
+def _inside(s: QPlaceSet, primes) -> set[int]:
+    """The primes among `primes` that s contains, read from its parts."""
+    plus, minus, context, mask = s.plus, s.minus, s.context, s.mask
+    return {p for p in primes if p in plus or p not in minus and denotes(p, context, mask)}
+
+
+def _canonical(context: Context, mask: int, checked, inside) -> QPlaceSet:
+    """The canonical set containing the primes of `inside` among those of
+    `checked` and otherwise given by `mask` over `context`; `checked`
+    holds the context's discriminant primes."""
+    drop = context.cylinders(mask)
+    if drop:
+        keep = context.kept.get(drop)
+        if keep is None:
+            keep = context.kept[drop] = _interned(
+                tuple(K for i, K in enumerate(context) if not drop >> i & 1))
         mask = sum(1 << i for i, spread in enumerate(_spread(keep, context)) if mask & spread)
         context = keep
-    plus, minus = set(), set()
+    plus, minus = [], []
     for p in checked:
-        m = member(p)
+        m = p in inside
         if m != denotes(p, context, mask):
-            (plus if m else minus).add(p)
+            (plus if m else minus).append(p)
     return QPlaceSet(context, mask, frozenset(plus), frozenset(minus))
 
 
-def _from_parts(context, mask, plus=frozenset(), minus=frozenset()) -> QPlaceSet:
+def _from_parts(context: Context, mask, plus=frozenset(), minus=frozenset()) -> QPlaceSet:
     """The canonical form of `mask` over `context` with the primes of
     `plus` added and those of `minus` removed."""
-    def member(p):
-        return p in plus or (p not in minus and denotes(p, context, mask))
-
-    return _canonical(context, mask, member, plus | minus)
+    checked = context.disc_primes.union(plus, minus)
+    return _canonical(context, mask, checked,
+                      _inside(QPlaceSet(context, mask, plus, minus), checked))
 
 
 # -- constructors ---------------------------------------------------------
 
 _NO_PRIMES = frozenset()
+_NO_FIELDS = _interned(())
 
 
 def empty_qset() -> QPlaceSet:
-    return QPlaceSet((), 0, _NO_PRIMES, _NO_PRIMES)
+    return QPlaceSet(_NO_FIELDS, 0, _NO_PRIMES, _NO_PRIMES)
 
 
 @lru_cache(maxsize=1)
 def all_primes() -> QPlaceSet:
-    return QPlaceSet((), 1, _NO_PRIMES, _NO_PRIMES)
+    return QPlaceSet(_NO_FIELDS, 1, _NO_PRIMES, _NO_PRIMES)
 
 
 def _checked_primes(primes) -> frozenset[int]:
@@ -346,7 +394,7 @@ def _checked_primes(primes) -> frozenset[int]:
 
 
 def finite_qset(primes) -> QPlaceSet:
-    return QPlaceSet((), 0, _checked_primes(primes), _NO_PRIMES)
+    return QPlaceSet(_NO_FIELDS, 0, _checked_primes(primes), _NO_PRIMES)
 
 
 def _per_field(build):
@@ -368,7 +416,7 @@ def _class_set(field: NumberField, wanted) -> QPlaceSet:
     plus = {p for p in disc_primes(field).difference(excluded_primes(field))
             if wanted(splitting_class(field, p))}
     mask = sum(1 << i for i, cls in enumerate(unramified_classes(field)) if wanted(cls))
-    return _from_parts((field,), mask, plus)
+    return _from_parts(_interned((field,)), mask, plus)
 
 
 @_per_field
@@ -522,19 +570,20 @@ def parse_qset(text: str) -> QPlaceSet:
     """Read the text `to_text` prints, and refuse any other."""
     (ctx, cells_text, plus_text, minus_text), _ = text_blocks(
         text, "q", ("ctx", "cells", "plus", "minus"))
-    context = tuple(
+    fields = tuple(
         NumberField(tuple(read_int(c) for c in chunk.split(",")))
         for chunk in split_items(ctx, "|")
     )
-    if any(a.coeffs >= b.coeffs for a, b in zip(context, context[1:])):
+    if any(a.coeffs >= b.coeffs for a, b in zip(fields, fields[1:])):
         raise ValueError("context fields must be distinct and sorted by coefficients")
-    for K in context:
+    for K in fields:
         ensure_registered(K)
+    context = _interned(fields)
     mask = 0
     for cell_text in split_items(cells_text, ";"):
         cell = () if cell_text == "~" else \
             tuple(parse_class_label(cl) for cl in cell_text.split("*"))
-        bit = _cell_bit(cell, context)
+        bit = context.cell_bit(cell)
         if bit is None:
             raise ValueError(f"cell {cell_text!r} is not a joint unramified class of the context")
         mask |= 1 << bit

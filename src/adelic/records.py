@@ -21,8 +21,9 @@ benchmark's set-up.
 
 `NumberField` is the one value class that is not a plain record: it
 writes its own `__init__`, which validates its polynomial and caches its
-hash, as fields key most caches and are hashed about nine times as often
-as all other records together.
+hash, as fields key many caches: over one seed-1 spectrum-warm loop of
+2 900 operations, fields were hashed about 116 000 times and all other
+records together about 115 000 times (cProfile, Python 3.11).
 """
 
 from __future__ import annotations

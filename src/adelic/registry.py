@@ -14,17 +14,15 @@ from __future__ import annotations
 
 from .numberfields import NumberField, RATIONALS
 
-_REGISTRY: list[NumberField] = []
+_REGISTRY: dict[NumberField, None] = {}  # insertion-ordered
 SELECTORS: dict = {}
 _CACHES: list = []
 
 
 def ensure_registered(field: NumberField) -> NumberField:
     """Idempotently add an extension of the rationals to the registry."""
-    if field == RATIONALS:
-        return field
-    if field not in _REGISTRY:
-        _REGISTRY.append(field)
+    if field != RATIONALS:
+        _REGISTRY.setdefault(field)
     return field
 
 

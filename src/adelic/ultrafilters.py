@@ -30,17 +30,17 @@ a chain step without a witness is refused (`UnsupportedSelection`).
 
 A free ultrafilter over an extension field is a section lift of a free
 rational one at a fiber position, short fibers padding to their first
-place.  `section_lift` applies the padding once and stores the effective
-position: the position asked for when that is at most the fiber size m
-the base selects, and 1 otherwise, so lifts beyond m are the lift at 1
-and the number of distinct lifts is m.  Reading m when the lift is built
-changes no selection, because the base resolves the registered fields in
-registration order whenever it is asked.  A lift answers a query by
-asking the base about the one coordinate of the set at its position.
-That is exact: the base contains the primes with exactly m places above
-them, so it contains the primes whose padded place lies in the set
-exactly when it contains those among them with m places, where the
-padded place is the one at the stored position.
+place.  `section_lift` pads when it builds the record and stores the
+position asked for when that is at most the fiber size m the base
+selects, and 1 otherwise, so lifts beyond m are the lift at 1 and the
+number of distinct lifts is m.  A lift kept across `clear_registry` and
+a new registration order can find its base selecting another m, so a
+query pads the stored position again against the m the base selects
+then, and asks the base about the one coordinate of the set at that
+position.  That is exact: the base contains the primes with exactly m
+places above them, so it contains the primes whose padded place lies in
+the set exactly when it contains those among them with m places, where
+the padded place is the one at the padded position.
 """
 
 from __future__ import annotations
@@ -156,14 +156,20 @@ class FreeKUltrafilter(Record):
 
     __slots__ = ("field", "base", "position")
 
+    def _padded(self) -> tuple[int, int]:
+        """The fiber size m the base selects now, and the stored position
+        padded against it."""
+        m = len(self.base._selected_class(self.field))
+        return m, self.position if self.position <= m else 1
+
     def contains(self, s) -> bool:
         _check_set(self, s)
-        return self.base.contains(s.coords[self.position - 1])
+        return self.base.contains(s.coords[self._padded()[1] - 1])
 
     def anchor_set(self) -> KPlaceSet:
-        m = len(self.base._selected_class(self.field))
+        m, position = self._padded()
         v = self.base.atom.intersect(fiber_size_exactly(self.field, m))
-        return section_image(self.field, self.position, v)
+        return section_image(self.field, position, v)
 
 
 Ultrafilter = PrincipalUltrafilter | FreeQUltrafilter | FreeKUltrafilter

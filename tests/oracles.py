@@ -10,7 +10,9 @@ context extension, a pointwise rebuild of the finite modification, then a
 canonical form that drops one cylinder field at a time and starts over.
 Cells range over the unramified classes, found here by a search over all
 multisets of (e, f) pairs, and the primes dividing a discriminant, found
-here by trial division, belong to no cell.  The oracles read splitting
+here by trial division, belong to no cell.  The cylinder oracle reads a
+packed mask's cells in the documented bit order and compares their
+groups off each coordinate.  The oracles read splitting
 classes from `adelic.places` and nothing else of `adelic.placesets`.  The
 selector oracle lists every witness below the prime bound and takes the
 class of the smallest.  The section-lift oracle is the original pullback
@@ -485,6 +487,23 @@ def reference_cell(p, context):
     if any(p in discriminant_primes(K) for K in context):
         return None
     return tuple(splitting_class(K, p) for K in context)
+
+
+def reference_cylinders(context, mask):
+    """The coordinates along which the cells of a mask are a cylinder, as
+    the bits of an int: those where every group of the cells agreeing off
+    the coordinate holds all of its field's classes.  Bit i of the mask
+    is the i-th cell of the product of each field's sorted classes."""
+    order = product(*(sorted(unramified_classes(K.degree)) for K in context))
+    cells = {cell for i, cell in enumerate(order) if mask >> i & 1}
+    out = 0
+    for ki, K in enumerate(context):
+        groups = {}
+        for cell in cells:
+            groups.setdefault(cell[:ki] + cell[ki + 1:], set()).add(cell[ki])
+        if all(g == unramified_classes(K.degree) for g in groups.values()):
+            out |= 1 << ki
+    return out
 
 
 def reference_contains(s, p):

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import product
 from math import prod
 
 import pytest
@@ -12,8 +13,11 @@ from adelic.numberfields import NumberField, RATIONALS
 from adelic.places import excluded_primes, factor_prime, place_above
 from adelic.placesets import (
     QPlaceSet,
+    _interned,
+    _joined,
     all_primes,
     class_atom,
+    denotes,
     empty_qset,
     empty_set,
     everything_kset,
@@ -57,7 +61,9 @@ from oracles import (
     everything_set,
     finite_places,
     reference_complement,
+    reference_cell,
     reference_contains,
+    reference_cylinders,
     reference_intersect,
     reference_union,
     unramified_classes,
@@ -452,3 +458,80 @@ def test_masks_are_canonical_under_operand_order_and_printing():
             read = parse_qset(s.to_text())
             assert read == s and hash(read) == hash(s)
             assert len(s.cells) == _printed_cells(s)
+
+
+QUINTIC = NumberField((-1, -1, 0, 0, 0, 1))  # x^5 - x - 1
+
+
+def test_contexts_are_interned_whatever_the_route():
+    """Equal field tuples give one context object, whether it is joined
+    in either operand order, read back from printed text, built by
+    `class_atom` from an equal field, or left when a canonical form
+    drops a field."""
+    gauss, cube = class_atom(GAUSS, SPLIT_GAUSS), class_atom(CUBE2, MIXED_CUBE2)
+    both = gauss.intersect(cube)
+    assert _joined(gauss.context, cube.context) is _joined(cube.context, gauss.context) \
+        is both.context is _interned((CUBE2, GAUSS))
+    assert gauss.context is class_atom(GAUSS, INERT_GAUSS).context is _interned((GAUSS,))
+    again = NumberField((1, 0, 1))
+    assert again is not GAUSS and class_atom(again, SPLIT_GAUSS).context is gauss.context
+    for s in (gauss, both, both.complement(), finite_qset([3, 7]), all_primes()):
+        assert parse_qset(s.to_text()).context is s.context
+    dropped = both.union(cube.intersect(gauss.complement()))
+    assert dropped == cube and dropped.context is cube.context
+    assert gauss.union(gauss.complement()).context is all_primes().context is _interned(())
+
+
+def _layout(context):
+    """The cells of a context in bit order, by the documented layout: the
+    product of each field's sorted classes, the last field fastest."""
+    return list(product(*(sorted(unramified_classes(K.degree)) for K in context)))
+
+
+def test_context_bit_tables_match_the_reference_cell():
+    """Below 2 000, where every catalogue discriminant prime lies, each
+    context's table holds the bit of p's reference cell, and the cell
+    count for a discriminant prime, which no mask sets."""
+    primes = list(primerange(2, 2000))
+    contexts = [_interned(fields) for fields in
+                ((GAUSS,), (ROOT5, CUBE2), (ROOT5, CUBE2, GAUSS, CYCLO5),
+                 (ROOT5, CUBE2, GAUSS, CYCLO5, QUINTIC))]
+    for context in contexts:
+        cells = _layout(context)
+        assert context.size == len(cells)
+        assert context.disc_primes <= set(primes)
+        for p in primes:
+            denotes(p, context, context.every)
+        want = {}
+        for p in primes:
+            cell = reference_cell(p, context)
+            want[p] = len(cells) if cell is None else cells.index(cell)
+        assert {p: context.bits[p] for p in primes} == want
+        assert {p for p in primes if want[p] == len(cells)} == context.disc_primes
+
+
+def test_cylinder_identity_matches_the_cell_groups():
+    """On the five-field context of 420 cells, the one-multiply cylinder
+    test per coordinate agrees with comparing cell groups, on random
+    masks, on cylinders along random coordinates, and on the empty, full
+    and single-cell masks."""
+    context = reduce(QPlaceSet.intersect, (
+        class_atom(K, min(unramified_classes(K.degree)))
+        for K in (GAUSS, ROOT5, CUBE2, CYCLO5, QUINTIC))).context
+    assert len(context) == 5 and context.size == 420
+    cells = _layout(context)
+    rng = random.Random(61)
+    masks = [0, context.every] + [1 << i for i in range(context.size)]
+    masks += [rng.getrandbits(context.size) for _ in range(50)]
+    for _ in range(100):
+        along = {i for i in range(5) if rng.random() < 0.4}
+        seeds = rng.sample(cells, rng.randint(1, 12))
+        off = {tuple(c for i, c in enumerate(cell) if i not in along) for cell in seeds}
+        masks.append(sum(1 << b for b, cell in enumerate(cells)
+                         if tuple(c for i, c in enumerate(cell) if i not in along) in off))
+    found = set()
+    for mask in masks:
+        got = context.cylinders(mask)
+        assert got == reference_cylinders(context, mask), mask
+        found.add(got)
+    assert len(found) >= 20

@@ -18,6 +18,7 @@ from adelic.placesets import (
     all_primes,
     class_atom,
     empty_qset,
+    everything_kset,
     finite_qset,
     full_preimage,
 )
@@ -363,6 +364,30 @@ def test_equal_records_share_a_selector_that_clear_registry_drops():
     assert second.contains(split) and member(alpha, max_at(second))
     assert first.contains(split) and member(alpha, max_at(first))
     assert SELECTORS[first] is SELECTORS[second]
+
+
+def test_a_lift_kept_across_a_reset_pads_against_the_new_selection():
+    """With x^3-2 registered first, the cofinite ultrafilter selects the
+    split class of x^2+1, so its lift at position 2 keeps position 2.
+    Registered the other way round it selects the inert class, and the
+    kept lift pads to position 1 when asked: it contains the whole field
+    and answers as the lift built under the new order."""
+    clear_registry()
+    ensure_registered(CUBE2)
+    ensure_registered(GAUSS)
+    kept = section_lift(GAUSS, free_cofinite(), 2)
+    assert kept.position == 2
+    clear_registry()
+    ensure_registered(GAUSS)
+    ensure_registered(CUBE2)
+    fresh = section_lift(GAUSS, free_cofinite(), 2)
+    assert fresh.position == 1 and kept != fresh
+    everything = everything_kset(GAUSS)
+    assert kept.contains(everything) and not kept.contains(everything.complement())
+    rng = random.Random(43)
+    sets = [random_kset(GAUSS, rng) for _ in range(30)]
+    assert [kept.contains(s) for s in sets] == [fresh.contains(s) for s in sets]
+    assert kept.anchor_set() == fresh.anchor_set()
 
 
 def _chain(u):
